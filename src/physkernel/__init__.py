@@ -24,8 +24,9 @@ from .quantity import (  # noqa: F401
 from .unitdb import Topic, UnitDatabase, builtin_database  # noqa: F401
 from .errors import (  # noqa: F401
     CorpusValidationError, CyclicDefinitions, DimensionMismatch,
-    DivisionByZero, DomainError, InvalidCast, MalformedScript,
-    MismatchedModels, NotPolynomial, ParseError, PhysKernelError,
+    DivisionByZero, DomainError, EliminationBudgetExceeded, InvalidCast,
+    MalformedScript, MismatchedModels, NotPolynomial, ParseError,
+    PhysKernelError,
     UnboundVariable, UnknownIdentifier, UnsupportedNode,
 )
 from .lang import (  # noqa: F401

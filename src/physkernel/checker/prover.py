@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import (
-    CyclicDefinitions, DivisionByZero, MalformedScript, ParseError,
-    PhysKernelError,
+    CyclicDefinitions, DivisionByZero, EliminationBudgetExceeded,
+    MalformedScript, ParseError, PhysKernelError,
 )
 from ..lang import nodes as N
 from ..lang.printer import print_expr
@@ -297,13 +297,10 @@ class _Session:
         raise MalformedScript(
             "'intro' requires an implication or quantified goal")
 
-    def _case_branch_values(self, step: CaseSplit):
-        return sorted(step.values)
-
     def _apply_cases(self, sg: _Subgoal, step: CaseSplit) -> None:
         g = sg.goal
         if (isinstance(g, N.ForallFinite) and g.var == step.var
-                and sorted(g.values) == self._case_branch_values(step)):
+                and sorted(g.values) == sorted(step.values)):
             branches = [
                 sg.clone(goal=subst_var(g.body, g.var, N.NumLit(v)))
                 for v in step.values
@@ -324,7 +321,7 @@ class _Session:
                 else:
                     vals = None
                     break
-            if vals is None or sorted(vals) != self._case_branch_values(step):
+            if vals is None or sorted(vals) != sorted(step.values):
                 continue
             branches = []
             for v in step.values:
@@ -471,8 +468,11 @@ class _Session:
                 cons_sides[label] = tr.sides
         constraints.extend(sg.derived)
         ordered = list(reversed(constraints))
-        found = ring.eliminate(goal_tr.rf, ordered,
-                               self.config.max_elim_depth)
+        try:
+            found = ring.eliminate(goal_tr.rf, ordered,
+                                   self.config.max_elim_depth)
+        except EliminationBudgetExceeded as exc:
+            raise _StepFailure(str(exc)) from exc
         if found is None:
             residual = goal_tr.rf.canonical().render()
             raise _StepFailure(

@@ -107,6 +107,16 @@ class NotPolynomial(PhysKernelError):
     """A function body is not polynomial in its argument variable."""
 
 
+class EliminationBudgetExceeded(PhysKernelError):
+    """The ring elimination search visited more nodes than its budget."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        super().__init__(
+            f"the elimination search visited {budget} nodes, its whole "
+            f"ELIM_NODE_BUDGET, without reducing the goal to zero")
+
+
 class CyclicDefinitions(PhysKernelError):
     """Strict-mode orientation found a definitional cycle."""
 

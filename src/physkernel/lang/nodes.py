@@ -333,9 +333,6 @@ class Statement:
                 return p
         raise KeyError(name)
 
-    def decl_map(self) -> dict[str, Union[VarDecl, FnDecl]]:
-        return {d.name: d for d in self.decls}
-
 
 # -- structural helpers --------------------------------------------------------
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from physkernel.checker import ring
 from physkernel.checker.prover import (
     Proved, ProverConfig, Refuted, Unknown, auto_prove, check_derivation,
     database_for,
@@ -116,6 +117,45 @@ def test_concrete_side_conditions_are_verified(db):
     v = auto_prove(s, db)
     assert isinstance(v, Proved)
     assert all(sc.verified is not False for sc in v.side_conditions)
+
+
+def test_unrelated_hypothesis_adds_no_side_condition(db):
+    # h1 shares no variable with the goal; eliminating through it would add
+    # its pivot's guard to the side conditions.
+    s = stmt_of("""
+        theorem t
+        (a b c d e : Real)
+        (h0 := a * b = 2 * b * b)
+        (h1 := d * e = c)
+        : 3 * a * b = 6 * b * b
+    """, db)
+    v = auto_prove(s, db)
+    assert isinstance(v, Proved)
+    assert [sc.claim for sc in v.side_conditions] == ["b ≠ 0"]
+
+
+def _failing_chain(links):
+    a = [f"a{i:02d}" for i in range(links + 1)]
+    b = [f"b{i:02d}" for i in range(links)]
+    hyps = "".join(f"(h{i} := {a[i]} * {b[i]} = {a[i + 1]} + {b[i]})\n"
+                   for i in range(links))
+    return (f"theorem chain\n({' '.join(a + b)} : Real)\n{hyps}"
+            f": {a[0]} = {a[links]}\n")
+
+
+def test_elimination_search_stops_at_its_node_budget(db):
+    # Every link is connected to the goal, and none proves it: unbounded,
+    # the search visits tens of thousands of nodes.
+    s = stmt_of(_failing_chain(5), db)
+    v = auto_prove(s, db)
+    assert isinstance(v, Unknown)
+    assert "ELIM_NODE_BUDGET" in v.reason
+    assert str(ring.ELIM_NODE_BUDGET) in v.reason
+    # A bare 'ring' step in a script searches under the same bound.
+    replay = check_derivation(s, (RingCheck(),), db)
+    assert isinstance(replay, Unknown)
+    assert replay.failed_step == 0
+    assert "ELIM_NODE_BUDGET" in replay.reason
 
 
 def test_refutation_carries_a_witness(db):

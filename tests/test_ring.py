@@ -13,8 +13,10 @@ from fractions import Fraction
 import pytest
 
 from physkernel.checker.evaluate import eval_numeric
+from physkernel.checker import ring
 from physkernel.checker.ring import (
-    RationalFunc, STRICT, _Xlate, poly_coeff_eqs, ring_equal,
+    Constraint, RationalFunc, STRICT, _Xlate, eliminate, poly_coeff_eqs,
+    poly_mul, poly_pow, ring_equal,
 )
 from physkernel.errors import (
     DivisionByZero, NotPolynomial, UnsupportedNode,
@@ -245,3 +247,100 @@ def test_poly_coeff_eqs_rejects_non_polynomial(db):
         poly_coeff_eqs(pe("a / t"), pe("a"), "t", db=db)
     with pytest.raises(NotPolynomial):
         poly_coeff_eqs(pe("sin(t)"), pe("a"), "t", db=db)
+
+
+# -- constraint elimination ------------------------------------------------------
+
+N_ELIM_SYSTEMS = 240
+
+#: Constraints over these variables share no atom with a goal over VAR_NAMES.
+FAR_NAMES = {"u": "p", "w": "q", "z": "r"}
+
+
+def _rename(poly, names):
+    return {tuple(sorted(((rank, names.get(name, name)), e)
+                         for (rank, name), e in m)): c
+            for m, c in poly.items()}
+
+
+def _system(gen, x):
+    """A goal over VAR_NAMES and up to 4 constraints ``leaf op leaf = leaf``,
+    some of them over FAR_NAMES.  Every other goal is a combination of the
+    near constraints, so both found and missing trails occur."""
+    r = gen.rng
+    cons = []
+    for i in range(r.randint(1, 4)):
+        op = r.choice((N.Add, N.Sub, N.Mul))
+        diff = x.tr(N.Sub(op(gen.expr(0), gen.expr(0)), gen.expr(0))).num
+        if not diff:
+            continue
+        far = r.random() < 0.4
+        label = f"far{i}" if far else f"near{i}"
+        cons.append(Constraint.make(_rename(diff, FAR_NAMES) if far else diff,
+                                    label))
+    if r.random() < 0.5:
+        return RationalFunc(x.tr(gen.expr(1)).num), cons
+    goal = RationalFunc({})
+    for c in cons:
+        if c.label.startswith("near"):
+            goal = goal.add(RationalFunc(c.as_poly()).mul(x.tr(gen.expr(0))))
+    return goal, cons
+
+
+def test_pruned_elimination_matches_unpruned_search(db):
+    gen = Gen(0xE11)
+    x = _Xlate(db, STRICT)
+    found = missing = with_far = 0
+    for _ in range(N_ELIM_SYSTEMS):
+        goal, cons = _system(gen, x)
+        if goal.is_zero:
+            continue
+        with_far += any(c.label.startswith("far") for c in cons)
+        pruned = eliminate(goal, cons, max_depth=6)
+        reference = ring._search(goal, cons, 6, ())
+        assert (pruned is None) == (reference is None)
+        connected = {c.label for c in ring._connected(goal, cons)}
+        assert not any(label.startswith("far") for label in connected)
+        if pruned is None:
+            missing += 1
+            continue
+        found += 1
+        assert {st.label for st in pruned.steps} <= connected
+    assert found + missing >= 200
+    assert found >= 50 and missing >= 50 and with_far >= 50
+
+
+def test_unrelated_constraints_are_not_searched(db):
+    v = {n: "Real" for n in ("a", "b", "c", "d", "e")}
+    x = _Xlate(db, STRICT)
+
+    def poly(lhs, rhs):
+        return x.tr(parse_expression(lhs, db, v, {})).sub(
+            x.tr(parse_expression(rhs, db, v, {}))).num
+
+    related = Constraint.make(poly("a * b", "2 * b * b"), "h0")
+    unrelated = Constraint.make(poly("d * e", "c"), "h1")
+    goal = RationalFunc(poly("3 * a * b", "6 * b * b"))
+    assert ring._connected(goal, [unrelated, related]) == [related]
+    trail = eliminate(goal, [unrelated, related])
+    assert [st.label for st in trail.steps] == ["h0"]
+    assert trail.steps[0].render().startswith("eliminate a := ")
+
+
+def test_poly_pow_matches_repeated_multiplication(db):
+    gen = Gen(0x90E)
+    x = _Xlate(db, STRICT)
+    checked = 0
+    while checked < 60:
+        try:
+            p = x.tr(gen.expr(2)).num
+        except DivisionByZero:
+            continue
+        n = checked % 13
+        expected = {(): Fraction(1)}
+        for _ in range(n):
+            expected = poly_mul(expected, p)
+        assert poly_pow(p, n) == expected
+        checked += 1
+    with pytest.raises(ValueError):
+        poly_pow({(): Fraction(2)}, -1)
