@@ -11,14 +11,15 @@ that keeps the translation conservative.
 Polynomials are sparse maps from monomials to Fraction coefficients; a
 monomial is a sorted tuple of (atom, exponent) pairs.  Equality of rational
 functions is decided exactly by cross-multiplication (the ring is an integral
-domain).  ``canonical`` produces the coprime, monic-denominator normal form
-(via sympy, imported lazily) for display and for cross-checks in tests.
+domain).  ``canonical`` cancels the common monomial factor and makes the
+denominator monic, in exact ``Fraction`` arithmetic, for display.
 
 ``eliminate`` reduces a goal to zero by substituting pivots solved from
 constraint equations.  It searches only the constraints connected to the goal
 through shared variable or opaque atoms, since no other constraint can change
-the goal, and it visits at most ``ELIM_NODE_BUDGET`` search nodes; past that
-it raises ``EliminationBudgetExceeded``.
+the goal, it visits at most ``ELIM_NODE_BUDGET`` search nodes, and no
+substituted polynomial may have more than ``ELIM_TERM_BUDGET`` terms; past
+either budget it raises ``EliminationBudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -250,49 +251,29 @@ class RationalFunc:
     # -- normal form -----------------------------------------------------------
 
     def canonical(self) -> "RationalFunc":
-        """Coprime numerator/denominator with a monic denominator.
+        """An exact, value-preserving normal form for display.
 
-        Two rational functions are ``equal`` iff their canonical forms have
-        identical polynomial maps.  Uses sympy for gcd cancellation.
+        Divides the numerator and the denominator by their monomial gcd (each
+        atom to the smallest exponent it has in every monomial of both) and
+        scales both so that the denominator's leading coefficient is 1; a zero
+        numerator gives ``0``.  The result always ``equal``s ``self``.  It is
+        not unique when the numerator and the denominator share a factor that
+        is not a monomial: ``(x + 1) / (x + 1)`` stays as it is.
         """
-        import sympy
-
-        atoms = sorted(self.atoms())
-        if not atoms:
-            c = Fraction(0)
-            if not poly_is_zero(self.num):
-                c = self.num[_ONE] / self.den[_ONE]
-            return RationalFunc(poly_const(c))
-        syms = [sympy.Symbol(f"x{i}") for i in range(len(atoms))]
-        index = {a: i for i, a in enumerate(atoms)}
-
-        def to_sympy(p: Poly):
-            expr = sympy.Integer(0)
-            for m, c in p.items():
-                term = sympy.Rational(c.numerator, c.denominator)
-                for a, e in m:
-                    term *= syms[index[a]] ** e
-                expr += term
-            return expr
-
-        cancelled = sympy.cancel(to_sympy(self.num) / to_sympy(self.den))
-        n_expr, d_expr = cancelled.as_numer_denom()
-
-        def from_sympy(expr) -> Poly:
-            poly = sympy.Poly(expr, *syms)
-            out: Poly = {}
-            for exps, coeff in poly.as_dict().items():
-                r = sympy.Rational(coeff)
-                m = tuple(sorted((atoms[i], e)
-                                 for i, e in enumerate(exps) if e != 0))
-                frac = Fraction(int(r.p), int(r.q))
-                if frac != 0:
-                    out[m] = frac
-            return out
-
-        num, den = from_sympy(n_expr), from_sympy(d_expr)
-        if poly_is_zero(num):
+        if self.is_zero:
             return RationalFunc(poly_zero())
+        monos = [*self.num, *self.den]
+        common = dict(monos[0])
+        for m in monos[1:]:
+            exps = dict(m)
+            common = {a: min(e, exps[a])
+                      for a, e in common.items() if a in exps}
+
+        def reduce(p: Poly) -> Poly:
+            return {tuple((a, e - common.get(a, 0)) for a, e in m
+                          if e != common.get(a, 0)): c for m, c in p.items()}
+
+        num, den = reduce(self.num), reduce(self.den)
         lead = den[max(den, key=_mono_key)]
         return RationalFunc(poly_scale(num, 1 / lead),
                             poly_scale(den, 1 / lead))
@@ -558,8 +539,21 @@ def _pivots(c: Constraint, preferred: set[Atom]) -> list[Pivot]:
     return out
 
 
+def _check_terms(rf: RationalFunc) -> RationalFunc:
+    for p in (rf.num, rf.den):
+        if len(p) > ELIM_TERM_BUDGET:
+            raise EliminationBudgetExceeded(
+                "ELIM_TERM_BUDGET", ELIM_TERM_BUDGET,
+                f"built a polynomial of {len(p)} terms")
+    return rf
+
+
 def _subst_poly(p: Poly, atom: Atom, d: int, sol: RationalFunc) -> RationalFunc:
-    """Replace atom^d by ``sol`` throughout ``p`` (atom^e -> atom^(e mod d) sol^(e//d))."""
+    """Replace atom^d by ``sol`` throughout ``p`` (atom^e -> atom^(e mod d) sol^(e//d)).
+
+    The running sum is held to ``ELIM_TERM_BUDGET``, since its denominator
+    grows with every term.
+    """
     total = RationalFunc(poly_zero())
     for m, c in p.items():
         e = poly_degree_in(m, atom)
@@ -568,14 +562,14 @@ def _subst_poly(p: Poly, atom: Atom, d: int, sol: RationalFunc) -> RationalFunc:
             tuple((a, k) for a, k in m if a != atom),
             ((atom, r),) if r else _ONE,
         ): c}
-        total = total.add(RationalFunc(base).mul(sol.pow(q)))
+        total = _check_terms(total.add(RationalFunc(base).mul(sol.pow(q))))
     return total
 
 
 def _subst_rf(rf: RationalFunc, atom: Atom, d: int,
               sol: RationalFunc) -> RationalFunc:
-    return _subst_poly(rf.num, atom, d, sol).div(
-        _subst_poly(rf.den, atom, d, sol))
+    return _check_terms(_subst_poly(rf.num, atom, d, sol).div(
+        _subst_poly(rf.den, atom, d, sol)))
 
 
 @dataclass(frozen=True)
@@ -606,6 +600,14 @@ class Elimination:
 #: long connected chains that cannot prove the goal (about 0.3 s on a 2-core
 #: x86-64 host).
 ELIM_NODE_BUDGET = 1000
+
+#: Terms one polynomial built by a substitution (goal or constraint,
+#: numerator or denominator, partial sums included) may have.  Substitution
+#: cancels no common factor, so one node can build hundreds of terms from
+#: cubic constraints.  No corpus entry or test builds more than 16 and no
+#: benchmark family more than 2, so the budget stops only such runaway
+#: growth (about 0.4 s on a 2-core x86-64 host, against 5 s unbounded).
+ELIM_TERM_BUDGET = 160
 
 
 def _connected(goal: RationalFunc,
@@ -639,7 +641,8 @@ def eliminate(goal: RationalFunc, constraints: list[Constraint],
     constraint pivot atoms occurring in the current goal are preferred.
     Returns the substitution trail, or None when no trail of at most
     ``max_depth`` steps exists.  Raises EliminationBudgetExceeded when the
-    search visits more than ``ELIM_NODE_BUDGET`` nodes.
+    search visits more than ``ELIM_NODE_BUDGET`` nodes or a substitution
+    builds a polynomial of more than ``ELIM_TERM_BUDGET`` terms.
     """
     return _search(goal, _connected(goal, constraints), max_depth, (),
                    [ELIM_NODE_BUDGET])
@@ -651,11 +654,13 @@ def _search(goal: RationalFunc, constraints: list[Constraint],
     """Depth-first search over every pivot of ``constraints``.
 
     ``left`` holds the number of nodes still allowed; None searches without
-    a bound.
+    a node bound.  ``ELIM_TERM_BUDGET`` always applies.
     """
     if left is not None:
         if left[0] == 0:
-            raise EliminationBudgetExceeded(ELIM_NODE_BUDGET)
+            raise EliminationBudgetExceeded(
+                "ELIM_NODE_BUDGET", ELIM_NODE_BUDGET,
+                f"reached node {ELIM_NODE_BUDGET + 1}")
         left[0] -= 1
     if goal.is_zero:
         return Elimination(trail)

@@ -108,13 +108,14 @@ class NotPolynomial(PhysKernelError):
 
 
 class EliminationBudgetExceeded(PhysKernelError):
-    """The ring elimination search visited more nodes than its budget."""
+    """The ring elimination search ran past one of its budgets, which the
+    reason names (``ELIM_NODE_BUDGET`` or ``ELIM_TERM_BUDGET``)."""
 
-    def __init__(self, budget: int):
+    def __init__(self, budget_name: str, budget: int, spent: str):
         self.budget = budget
         super().__init__(
-            f"the elimination search visited {budget} nodes, its whole "
-            f"ELIM_NODE_BUDGET, without reducing the goal to zero")
+            f"the elimination search {spent}, past its {budget_name} of "
+            f"{budget}, without reducing the goal to zero")
 
 
 class CyclicDefinitions(PhysKernelError):

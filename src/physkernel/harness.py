@@ -276,13 +276,17 @@ class EvalReport:
     k: int
     results: tuple[EntryResult, ...]
 
+    def counts(self) -> dict[str, tuple[int, int]]:
+        """Passes and totals by level."""
+        return _tally((r.level, r.passed) for r in self.results)
+
     def rates(self) -> tuple[dict[str, Fraction], Fraction]:
         """Exact pass rates by level, plus the overall rate."""
         return aggregate((r.level, r.passed) for r in self.results)
 
     def to_json(self) -> str:
-        by_level, overall = self.rates()
-        counts = _level_counts(self.results)
+        counts = self.counts()
+        passed = sum(p for p, _ in counts.values())
         obj = {
             "model": self.model,
             "k": self.k,
@@ -297,43 +301,36 @@ class EvalReport:
                 "by_level": {
                     lvl: {"passed": counts[lvl][0], "total": counts[lvl][1],
                           "rate": percent(*counts[lvl])}
-                    for lvl in sorted(by_level, key=_level_sort_key)
+                    for lvl in sorted(counts, key=_level_sort_key)
                 },
                 "overall": {
-                    "passed": sum(c[0] for c in counts.values()),
+                    "passed": passed,
                     "total": len(self.results),
-                    "rate": percent(sum(c[0] for c in counts.values()),
-                                    len(self.results)),
+                    "rate": percent(passed, len(self.results)),
                 },
             },
         }
         return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def _level_counts(results) -> dict[str, tuple[int, int]]:
+def _tally(level_passed_pairs) -> dict[str, tuple[int, int]]:
+    """Passes and totals grouped by level, in one pass."""
     counts: dict[str, list[int]] = {}
-    for r in results:
-        c = counts.setdefault(r.level, [0, 0])
-        c[0] += int(r.passed)
+    for level, passed in level_passed_pairs:
+        c = counts.setdefault(level or _UNLEVELED, [0, 0])
+        c[0] += int(passed)
         c[1] += 1
+    if not counts:
+        raise ValueError("cannot aggregate an empty result set")
     return {lvl: (c[0], c[1]) for lvl, c in counts.items()}
 
 
 def aggregate(level_passed_pairs) -> tuple[dict[str, Fraction], Fraction]:
     """Exact pass rates grouped by level, plus the overall rate."""
-    counts: dict[str, list[int]] = {}
-    total = [0, 0]
-    for level, passed in level_passed_pairs:
-        level = level or _UNLEVELED
-        c = counts.setdefault(level, [0, 0])
-        c[0] += int(passed)
-        c[1] += 1
-        total[0] += int(passed)
-        total[1] += 1
-    if total[1] == 0:
-        raise ValueError("cannot aggregate an empty result set")
-    by_level = {lvl: Fraction(c[0], c[1]) for lvl, c in counts.items()}
-    return by_level, Fraction(total[0], total[1])
+    counts = _tally(level_passed_pairs)
+    by_level = {lvl: Fraction(p, t) for lvl, (p, t) in counts.items()}
+    return by_level, Fraction(sum(p for p, _ in counts.values()),
+                              sum(t for _, t in counts.values()))
 
 
 def run_eval(entries, binding: ProverBinding, k: int = 1, jobs: int = 1,
@@ -422,11 +419,10 @@ def run_eval(entries, binding: ProverBinding, k: int = 1, jobs: int = 1,
 
 def render_report(report: EvalReport) -> str:
     """Human-readable summary; rates joined as 'lvl | lvl | ... | overall'."""
-    by_level, overall = report.rates()
-    counts = _level_counts(report.results)
-    levels = sorted(by_level, key=_level_sort_key)
+    counts = report.counts()
+    levels = sorted(counts, key=_level_sort_key)
     rate_line = " | ".join([percent(*counts[lvl]) for lvl in levels]
-                           + [percent(sum(c[0] for c in counts.values()),
+                           + [percent(sum(p for p, _ in counts.values()),
                                       len(report.results))])
     legend = " | ".join(levels + ["overall"])
     lines = [

@@ -1,6 +1,7 @@
 """Prover: auto search, script replay, verdict taxonomy, side conditions."""
 
 import textwrap
+import time
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,31 @@ def test_elimination_search_stops_at_its_node_budget(db):
     assert isinstance(replay, Unknown)
     assert replay.failed_step == 0
     assert "ELIM_NODE_BUDGET" in replay.reason
+
+
+def test_elimination_stops_at_its_term_budget(db):
+    # Four constraints over u, w, z with cubic terms: the search visits
+    # few nodes, but without a size bound single substitutions build
+    # polynomials of hundreds of terms and the search takes seconds.
+    s = stmt_of("""
+        theorem runaway
+        (u w z : Real)
+        (h3 := -u/2 - 3/2 = 0)
+        (h2 := w*z**2 + 8*z**2 + w*z + u*w + 8*z + 8*u - 8/5 = 0)
+        (h1 := -u**3*z - 3*u**3 + w*z - u*z + 3*w - 3*u - 5/7 = 0)
+        (h0 := u - w**3 - w = 0)
+        : -z = 0
+    """, db)
+    started = time.process_time()
+    v = auto_prove(s, db)
+    assert time.process_time() - started < 1.0
+    assert isinstance(v, Unknown)
+    assert "ELIM_TERM_BUDGET" in v.reason
+    assert str(ring.ELIM_TERM_BUDGET) in v.reason
+    assert "ELIM_NODE_BUDGET" not in v.reason
+    replay = check_derivation(s, (RingCheck(),), db)
+    assert isinstance(replay, Unknown)
+    assert "ELIM_TERM_BUDGET" in replay.reason
 
 
 def test_refutation_carries_a_witness(db):

@@ -7,7 +7,11 @@ rewriting of itself (commuted, distributed, expanded; must be equal) and an
 expression against a shifted copy (must differ everywhere).
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -204,20 +208,146 @@ def test_symbolically_zero_divisor_raises(db):
         ring_equal(e, e, db=db)
 
 
-def test_canonical_agrees_with_equal(db):
+def _sympy_canonical(rf):
+    """The coprime form with a monic denominator, by sympy's gcd cancellation.
+
+    The oracle for ``RationalFunc.canonical``, which cancels only monomial
+    factors: two rational functions are ``equal`` iff their sympy forms have
+    identical polynomial maps.
+    """
+    import sympy
+
+    atoms = sorted(rf.atoms())
+    if not atoms:
+        c = Fraction(0)
+        if not rf.is_zero:
+            c = rf.num[()] / rf.den[()]
+        return RationalFunc.const(c)
+    syms = [sympy.Symbol(f"x{i}") for i in range(len(atoms))]
+    index = {a: i for i, a in enumerate(atoms)}
+
+    def to_sympy(p):
+        expr = sympy.Integer(0)
+        for m, c in p.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for a, e in m:
+                term *= syms[index[a]] ** e
+            expr += term
+        return expr
+
+    cancelled = sympy.cancel(to_sympy(rf.num) / to_sympy(rf.den))
+    n_expr, d_expr = cancelled.as_numer_denom()
+
+    def from_sympy(expr):
+        poly = sympy.Poly(expr, *syms)
+        out = {}
+        for exps, coeff in poly.as_dict().items():
+            r = sympy.Rational(coeff)
+            m = tuple(sorted((atoms[i], e)
+                             for i, e in enumerate(exps) if e != 0))
+            frac = Fraction(int(r.p), int(r.q))
+            if frac != 0:
+                out[m] = frac
+        return out
+
+    num, den = from_sympy(n_expr), from_sympy(d_expr)
+    if not num:
+        return RationalFunc({})
+    lead = den[max(den, key=ring._mono_key)]
+    return RationalFunc({m: c / lead for m, c in num.items()},
+                        {m: c / lead for m, c in den.items()})
+
+
+def _canonical_pairs(db):
+    """200 seeded pairs: an expression and a rewriting (equal) or a shifted
+    copy (unequal), translated."""
     gen = Gen(0xBEEF)
     x = _Xlate(db, STRICT)
-    pairs = 0
-    while pairs < 200:
+    pairs = []
+    while len(pairs) < 200:
         e1 = gen.expr(2)
-        e2 = gen.rewrite(e1) if pairs % 2 == 0 else gen.perturb(e1)
+        e2 = gen.rewrite(e1) if len(pairs) % 2 == 0 else gen.perturb(e1)
         try:
-            r1, r2 = x.tr(e1), x.tr(e2)
-            c1, c2 = r1.canonical(), r2.canonical()
+            pairs.append((x.tr(e1), x.tr(e2)))
         except DivisionByZero:
             continue
+    return pairs
+
+
+def test_canonical_agrees_with_equal(db):
+    for r1, r2 in _canonical_pairs(db):
+        c1, c2 = _sympy_canonical(r1), _sympy_canonical(r2)
         assert r1.equal(r2) == ((c1.num == c2.num) and (c1.den == c2.den))
-        pairs += 1
+
+
+def test_canonical_is_exact_reduced_and_monic(db):
+    exact = 0
+    for rf in (r for pair in _canonical_pairs(db) for r in pair):
+        c = rf.canonical()
+        assert c.equal(rf)
+        assert c.den[max(c.den, key=ring._mono_key)] == 1
+        monos = [*c.num, *c.den]
+        shared = set.intersection(*({a for a, _ in m} for m in monos))
+        assert not shared, f"{sorted(shared)} divides every monomial"
+        if len(rf.den) == 1:
+            # A monomial denominator can share only monomial factors with
+            # the numerator, so cancelling those gives the coprime form.
+            oracle = _sympy_canonical(rf)
+            assert (c.num, c.den) == (oracle.num, oracle.den)
+            exact += 1
+    assert exact >= 100
+
+
+def test_canonical_cancels_monomials_only(db):
+    v = {"u": "Real", "w": "Real"}
+    x = _Xlate(db, STRICT)
+
+    def rf(text):
+        return x.tr(parse_expression(text, db, v, {}))
+
+    # The leading term is taken after cancelling u*w: u^2*w leads 5*u*w^2,
+    # but 5*w leads u.
+    c = rf("(u*w) / (u**2*w + 5*u*w**2)").canonical()
+    assert c.render() == "(1/5) / (w + 1/5*u)"
+    assert rf("(u*w - u) / (w*u)").canonical().render() == "(w - 1) / (w)"
+    assert rf("(u - u) / w").canonical().render() == "0"
+    same = rf("((u + 1) * w) / ((u + 1) * w**2)").canonical()
+    assert same.render() == "(u + 1) / (u*w + w)"
+
+
+def test_rope_residual_is_unchanged(db, corpus_dir):
+    from physkernel.checker.prover import Unknown, auto_prove
+    from physkernel.corpus import load_corpus
+
+    entry = next(e for e in load_corpus(corpus_dir, db)
+                 if e.name == "rope_friction_turns")
+    v = auto_prove(entry.statement, db)
+    assert isinstance(v, Unknown)
+    assert v.reason == ("the goal does not follow by ring arithmetic; "
+                        "residual: (n*μ*pi - 1/2*log(val(M) / val(m))) "
+                        "/ (μ*pi)")
+
+
+def test_runtime_does_not_import_sympy(corpus_dir):
+    code = (
+        "import sys\n"
+        "import physkernel.cli\n"
+        "from physkernel.checker.prover import auto_prove\n"
+        "from physkernel.corpus import load_corpus\n"
+        "from physkernel.unitdb import builtin_database\n"
+        "db = builtin_database()\n"
+        f"entries = load_corpus({str(corpus_dir)!r}, db)\n"
+        "e = next(e for e in entries if e.name == 'rope_friction_turns')\n"
+        "assert auto_prove(e.statement, db).kind == 'unknown'\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_poly_coeff_eqs_degrees(db):
