@@ -353,13 +353,9 @@ class _Session:
                 f"'{step.hyp}' is not a definitional hypothesis")
         sg.goal = rw(sg.goal)
         sg.hyps = [
-            hh if hh.name == h.name
-            else dataclasses.replace(hh, prop=rw(hh.prop))
-            for hh in sg.hyps
-        ]
-        sg.hyps = [
-            dataclasses.replace(hh, consumed=True)
-            if hh.name == h.name else hh
+            dataclasses.replace(hh, consumed=True) if hh.name == h.name
+            else hh if (prop := rw(hh.prop)) is hh.prop
+            else dataclasses.replace(hh, prop=prop)
             for hh in sg.hyps
         ]
         if var_def is not None:

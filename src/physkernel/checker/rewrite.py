@@ -1,60 +1,88 @@
-"""Capture-aware rewriting over expression and proposition trees."""
+"""Capture-aware rewriting over expression and proposition trees.
+
+Substitution skips every subtree in which the name is not free, using the
+free-variable set each node caches, so rewriting a proposition that does
+not mention the name returns it unchanged in O(1).
+"""
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 from ..lang import nodes as N
 
 
-def _binder_name(node) -> str | None:
-    if isinstance(node, (N.ForallFn, N.ForallFinite)):
-        return node.var
-    return None
-
-
 def transform(node, fn: Callable, *, shadowed: frozenset[str] = frozenset()):
     """Rebuild ``node`` bottom-up, applying ``fn(node, shadowed)`` at each level.
 
-    ``fn`` returns either a replacement node (taken as-is, not descended into)
-    or None to keep the node with its children transformed.  Quantifier
-    binders extend ``shadowed`` for their bodies.
+    ``fn`` returns either a replacement node (taken as-is, not descended into;
+    returning ``node`` itself keeps the subtree) or None to keep the node with
+    its children transformed.  Quantifier binders extend ``shadowed`` for
+    their bodies.  A node none of whose children changed is returned as is.
     """
     replacement = fn(node, shadowed)
     if replacement is not None:
         return replacement
-    inner = shadowed
-    bound = _binder_name(node)
-    if bound is not None:
-        inner = shadowed | {bound}
-    changed = {}
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        new_value = _transform_value(value, fn, inner)
+    if isinstance(node, (N.ForallFn, N.ForallFinite)):
+        shadowed = shadowed | {node.var}
+    changed = None
+    for name in node._fields:
+        value = getattr(node, name)
+        if isinstance(value, N.Node):
+            new_value = transform(value, fn, shadowed=shadowed)
+        elif isinstance(value, tuple):
+            new_value = _transform_tuple(value, fn, shadowed)
+        else:
+            continue
         if new_value is not value:
-            changed[field.name] = new_value
-    if not changed:
+            if changed is None:
+                changed = {}
+            changed[name] = new_value
+    if changed is None:
         return node
-    return dataclasses.replace(node, **changed)
+    return type(node)(span=node.span,
+                      **{f: changed.get(f, getattr(node, f))
+                         for f in node._fields})
 
 
-def _transform_value(value, fn, shadowed):
-    if isinstance(value, N.Node):
-        return transform(value, fn, shadowed=shadowed)
-    if isinstance(value, tuple):
-        items = tuple(_transform_value(v, fn, shadowed) for v in value)
-        if all(a is b for a, b in zip(items, value)) and len(items) == len(value):
-            return value
-        return items
-    return value
+def _transform_tuple(value: tuple, fn, shadowed) -> tuple:
+    items = tuple(
+        transform(v, fn, shadowed=shadowed) if isinstance(v, N.Node)
+        else _transform_tuple(v, fn, shadowed) if isinstance(v, tuple)
+        else v
+        for v in value)
+    if all(a is b for a, b in zip(items, value)):
+        return value
+    return items
+
+
+def free_vars(node) -> frozenset[str]:
+    """Names of free variables (including function heads in Apply/Deriv).
+
+    Built bottom-up from the children's sets and cached on the node.
+    """
+    cached = node.__dict__.get("_free_vars")
+    if cached is not None:
+        return cached
+    if isinstance(node, N.Var):
+        names = frozenset((node.name,))
+    else:
+        names = frozenset().union(*map(free_vars, N.children(node)))
+        if isinstance(node, (N.Apply, N.Deriv)):
+            names = names | {node.fn}
+        elif isinstance(node, (N.ForallFn, N.ForallFinite)):
+            names = names - {node.var}
+    node.__dict__["_free_vars"] = names
+    return names
 
 
 def subst_var(node, name: str, replacement: N.Expr):
     """Substitute ``replacement`` for every free occurrence of variable ``name``."""
 
     def visit(n, shadowed):
-        if isinstance(n, N.Var) and n.name == name and name not in shadowed:
+        if name not in free_vars(n):  # absent, or bound by a quantifier
+            return n
+        if isinstance(n, N.Var):
             return replacement
         return None
 
@@ -69,6 +97,9 @@ def expand_fn(node, fname: str, binder: str, body: N.Expr):
     """
 
     def visit(n, shadowed):
+        # An expression binds no name, so every head in it is free there.
+        if isinstance(n, N.Expr) and fname not in free_vars(n):
+            return n
         if isinstance(n, N.Apply) and n.fn == fname:
             arg = transform(n.arg, visit, shadowed=shadowed)
             return subst_var(body, binder, arg)
@@ -79,28 +110,19 @@ def expand_fn(node, fname: str, binder: str, body: N.Expr):
 
 def rewrite_ground(node, pattern: N.Expr, replacement: N.Expr):
     """Replace every subtree structurally equal to ``pattern``."""
+    names = free_vars(pattern)
 
     def visit(n, shadowed):
-        if isinstance(n, N.Expr) and N.ast_eq(n, pattern):
-            return replacement
+        if isinstance(n, N.Expr):
+            # An expression binds no name: a match needs all of the
+            # pattern's names free in it.
+            if not names <= free_vars(n):
+                return n
+            if N.ast_eq(n, pattern):
+                return replacement
         return None
 
     return transform(node, visit)
-
-
-def free_vars(node) -> set[str]:
-    """Names of free variables (including function heads in Apply/Deriv)."""
-    out: set[str] = set()
-
-    def visit(n, shadowed):
-        if isinstance(n, N.Var) and n.name not in shadowed:
-            out.add(n.name)
-        elif isinstance(n, (N.Apply, N.Deriv)) and n.fn not in shadowed:
-            out.add(n.fn)
-        return None
-
-    transform(node, visit)
-    return out
 
 
 def applied_fns(node) -> set[str]:

@@ -14,7 +14,9 @@ Subcommands:
     Print the built-in unit/prefix/constant/kind tables.
 
 Exit codes: 0 proved (or, for ``check``, homogeneous; for ``eval``, run
-completed), 1 unknown / not homogeneous, 2 refuted, 3 bad input.
+completed), 1 unknown / not homogeneous, 2 refuted, 3 bad input (including
+input that nests too deeply to check), 4 internal error (an unexpected
+exception; its traceback is printed).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .checker.dims import check_dimensions, resolve_statement
@@ -40,6 +43,7 @@ EXIT_PROVED = 0
 EXIT_UNKNOWN = 1
 EXIT_REFUTED = 2
 EXIT_BAD_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _load_db(args) -> UnitDatabase:
@@ -251,6 +255,13 @@ def main(argv: list[str] | None = None) -> int:
     except PhysKernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except RecursionError:
+        print("error: input nests too deeply for the checker's recursion "
+              f"limit ({sys.getrecursionlimit()})", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except Exception:  # a bug, not a verdict: never exit as Unknown (1)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

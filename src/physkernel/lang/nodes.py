@@ -4,7 +4,13 @@ Expression nodes (:class:`Expr`) denote dimensioned quantities; proposition
 nodes (:class:`Prop`) denote claims about them.  Every node carries a source
 :class:`Span` for diagnostics; spans are ignored by structural equality
 (:func:`ast_eq`), so two differently-spaced parses of the same text compare
-equal.  Nodes are immutable; rewriting builds new trees.
+equal.  Nodes are immutable; rewriting builds new trees.  Each node class
+records its field names once (``_fields``, without ``span``), and the
+traversals here and in :mod:`physkernel.checker.rewrite` read that tuple
+instead of asking :mod:`dataclasses` per node.  A node caches its set of
+free variables on first use (:func:`physkernel.checker.rewrite.free_vars`);
+being frozen, it cannot make the cache stale, and the cache is no field, so
+building a changed copy never carries it over.
 
 A :class:`Statement` is a named theorem: declarations (variables with kinds,
 or function variables with arrow kinds), named hypotheses, and one goal,
@@ -61,8 +67,17 @@ class Prop(Node):
 
 
 def _node(cls):
-    """Decorator: frozen dataclass with identity equality (use ast_eq)."""
-    return dataclass(frozen=True, eq=False)(cls)
+    """Decorator: frozen dataclass with identity equality (use ast_eq).
+
+    Stores the field names without ``span`` as ``_fields`` (what
+    :func:`children` and rewriting visit and what rebuilds a node) and,
+    of those, the ones structural equality compares as ``_syntax``.
+    """
+    cls = dataclass(frozen=True, eq=False)(cls)
+    names = [f for f in dataclasses.fields(cls) if f.name != "span"]
+    cls._fields = tuple(f.name for f in names)
+    cls._syntax = tuple(f.name for f in names if f.compare)
+    return cls
 
 
 # -- expression leaves -------------------------------------------------------
@@ -101,7 +116,8 @@ class StdUnit(Expr):
     from structural equality, which compares syntax.
     """
 
-    dim: object = None  # Dimension | None; kept loose to avoid an import cycle
+    # Dimension | None; kept loose to avoid an import cycle.
+    dim: object = field(default=None, compare=False)
     span: Span = DUMMY_SPAN
 
 
@@ -336,34 +352,24 @@ class Statement:
 
 # -- structural helpers --------------------------------------------------------
 
-_SKIP_FIELDS = {"span"}
-_SKIP_BY_TYPE = {StdUnit: {"dim"}}  # inferred, not syntax
-
-
-def _compare_fields(node) -> list[str]:
-    skip = _SKIP_FIELDS | _SKIP_BY_TYPE.get(type(node), set())
-    return [f.name for f in dataclasses.fields(node) if f.name not in skip]
-
-
 def ast_eq(a, b) -> bool:
     """Structural equality of AST values, ignoring source spans."""
     if a is b:
         return True
-    if isinstance(a, Node) or isinstance(b, Node) or dataclasses.is_dataclass(a):
-        if type(a) is not type(b):
-            return False
-        return all(
-            ast_eq(getattr(a, f), getattr(b, f)) for f in _compare_fields(a)
-        )
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(ast_eq(x, y) for x, y in zip(a, b))
-    return type(a) is type(b) and a == b
+    if type(a) is not type(b):
+        return False
+    names = getattr(type(a), "_syntax", None)
+    if names is not None:
+        return all(ast_eq(getattr(a, f), getattr(b, f)) for f in names)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(ast_eq, a, b))
+    return a == b
 
 
 def children(node) -> Iterator:
-    """Direct child AST nodes of a node (dataclass fields that are nodes)."""
-    for f in dataclasses.fields(node):
-        v = getattr(node, f.name)
+    """Direct child AST nodes of a node (fields that are nodes)."""
+    for name in node._fields:
+        v = getattr(node, name)
         if isinstance(v, Node):
             yield v
         elif isinstance(v, tuple):

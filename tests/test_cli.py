@@ -1,0 +1,42 @@
+"""Exit codes of the command-line interface, run as a separate process."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _run(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_too_deep_input_is_bad_input_not_unknown(tmp_path):
+    path = tmp_path / "deep.phys"
+    path.write_text("theorem repeated_sum\n  (x : Length)\n"
+                    f"  : {' + '.join(['x'] * 2000)} = 2000 * x\n",
+                    encoding="utf-8")
+    for command in ("check", "prove"):
+        out = _run("import sys\nfrom physkernel.cli import main\n"
+                   f"sys.exit(main([{command!r}, {str(path)!r}]))\n")
+        assert out.returncode == 3, (command, out.stderr[-500:])
+        assert out.stderr.startswith("error: input nests too deeply")
+        assert len(out.stderr.splitlines()) == 1
+
+
+def test_unexpected_exception_exits_internal_with_traceback(corpus_dir):
+    path = corpus_dir / "mechanics" / "crate_friction_coefficients.phys"
+    out = _run(
+        "import sys\nimport physkernel.cli as cli\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise ZeroDivisionError('planted')\n"
+        "cli.check_dimensions = broken\n"
+        f"sys.exit(cli.main(['check', {str(path)!r}]))\n")
+    assert out.returncode == 4, out.stderr[-500:]
+    assert "Traceback" in out.stderr
+    assert out.stderr.rstrip().endswith("ZeroDivisionError: planted")
