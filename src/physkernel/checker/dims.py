@@ -399,7 +399,11 @@ def check_dimensions(stmt: N.Statement,
                      db: UnitDatabase | None = None) -> DimReport:
     """Per-hypothesis (and goal) dimensional homogeneity report."""
     db = db or builtin_database()
-    stmt = resolve_statement(stmt, db)
+    return _report_resolved(resolve_statement(stmt, db), db)
+
+
+def _report_resolved(stmt: N.Statement, db: UnitDatabase) -> DimReport:
+    """``check_dimensions`` of a statement ``resolve_statement`` returned."""
     env = _build_env(stmt, db)
     entries = []
     for label, prop in list(stmt.hyps) + [("goal", stmt.goal)]:

@@ -8,11 +8,14 @@ Opaque atoms are keyed by the printed syntax of the subterm, so structurally
 identical occurrences share an atom while everything else stays independent;
 that keeps the translation conservative.
 
-Polynomials are sparse maps from monomials to Fraction coefficients; a
-monomial is a sorted tuple of (atom, exponent) pairs.  Equality of rational
-functions is decided exactly by cross-multiplication (the ring is an integral
-domain).  ``canonical`` cancels the common monomial factor and makes the
-denominator monic, in exact ``Fraction`` arithmetic, for display.
+Polynomials are sparse maps from monomials to exact rational coefficients; a
+monomial is a sorted tuple of (atom, exponent) pairs with no zero exponent.
+Every coefficient is in one normal form (``_coeff``): an ``int`` when it is
+integral, a ``Fraction`` otherwise, so integer arithmetic builds no
+``Fraction``.  Floats never enter.  Equality of rational functions is decided
+exactly by cross-multiplication (the ring is an integral domain).
+``canonical`` cancels the common monomial factor and makes the denominator
+monic, in exact arithmetic, for display.
 
 ``eliminate`` reduces a goal to zero by substituting pivots solved from
 constraint equations.  It searches only the constraints connected to the goal
@@ -43,7 +46,8 @@ _VAR, _CONST, _BASE, _OPAQUE = 0, 1, 2, 3
 
 Atom = tuple[int, str]
 Monomial = tuple[tuple[Atom, int], ...]
-Poly = dict[Monomial, Fraction]
+Coeff = int | Fraction  # normal form: an int when integral (see ``_coeff``)
+Poly = dict[Monomial, Coeff]
 
 _ONE: Monomial = ()
 
@@ -57,17 +61,25 @@ _BASE_LETTER = {
 # -- polynomial primitives ----------------------------------------------------
 
 
+def _coeff(c: Coeff) -> Coeff:
+    """The coefficient normal form: an integral ``Fraction`` becomes its
+    numerator, an ``int``; any other coefficient passes through."""
+    if type(c) is int:
+        return c
+    return c.numerator if c.denominator == 1 else c
+
+
 def poly_zero() -> Poly:
     return {}
 
 
-def poly_const(c: Fraction | int) -> Poly:
-    c = Fraction(c)
+def poly_const(c: Coeff) -> Poly:
+    c = _coeff(c)
     return {} if c == 0 else {_ONE: c}
 
 
 def poly_atom(a: Atom, exp: int = 1) -> Poly:
-    return {((a, exp),): Fraction(1)}
+    return {((a, exp),): 1}
 
 
 def poly_is_zero(p: Poly) -> bool:
@@ -75,20 +87,27 @@ def poly_is_zero(p: Poly) -> bool:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     acc: dict[Atom, int] = dict(m1)
     for a, e in m2:
         acc[a] = acc.get(a, 0) + e
-    return tuple(sorted((a, e) for a, e in acc.items() if e != 0))
+    # No new atom: the keys keep m1's sorted order.  Exponents that cancel
+    # (base dimensions can be negative) are dropped either way.
+    items = acc.items() if len(acc) == len(m1) else sorted(acc.items())
+    return tuple([ae for ae in items if ae[1]])
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for m, c in q.items():
-        nc = out.get(m, Fraction(0)) + c
+        nc = out.get(m, 0) + c
         if nc == 0:
             out.pop(m, None)
         else:
-            out[m] = nc
+            out[m] = nc if type(nc) is int else _coeff(nc)
     return out
 
 
@@ -105,11 +124,11 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             m = _mono_mul(m1, m2)
-            nc = out.get(m, Fraction(0)) + c1 * c2
+            nc = out.get(m, 0) + c1 * c2
             if nc == 0:
                 out.pop(m, None)
             else:
-                out[m] = nc
+                out[m] = nc if type(nc) is int else _coeff(nc)
     return out
 
 
@@ -126,10 +145,10 @@ def poly_pow(p: Poly, n: int) -> Poly:
     return out
 
 
-def poly_scale(p: Poly, c: Fraction) -> Poly:
+def poly_scale(p: Poly, c: Coeff) -> Poly:
     if c == 0:
         return {}
-    return {m: coeff * c for m, coeff in p.items()}
+    return {m: _coeff(coeff * c) for m, coeff in p.items()}
 
 
 def poly_atoms(p: Poly) -> set[Atom]:
@@ -144,7 +163,8 @@ def poly_degree_in(m: Monomial, atom: Atom) -> int:
 
 
 def poly_eval(p: Poly, env: Mapping[Atom, Fraction]) -> Fraction:
-    """Exact evaluation at a rational point (every atom must be bound)."""
+    """Exact evaluation at a rational point (every atom must be bound); always
+    a ``Fraction``, even where every coefficient is an ``int``."""
     total = Fraction(0)
     for m, c in p.items():
         term = c
@@ -200,7 +220,7 @@ class RationalFunc:
             raise DivisionByZero("rational function with zero denominator")
 
     @classmethod
-    def const(cls, c: Fraction | int) -> "RationalFunc":
+    def const(cls, c: Coeff) -> "RationalFunc":
         return cls(poly_const(c))
 
     @classmethod
@@ -274,9 +294,8 @@ class RationalFunc:
                           if e != common.get(a, 0)): c for m, c in p.items()}
 
         num, den = reduce(self.num), reduce(self.den)
-        lead = den[max(den, key=_mono_key)]
-        return RationalFunc(poly_scale(num, 1 / lead),
-                            poly_scale(den, 1 / lead))
+        inv = Fraction(1) / den[max(den, key=_mono_key)]
+        return RationalFunc(poly_scale(num, inv), poly_scale(den, inv))
 
     def render(self) -> str:
         if self.den == poly_const(1):
@@ -323,7 +342,7 @@ class _Xlate:
             if e.denominator != 1:
                 raise UnsupportedNode(
                     "fractional base-dimension exponents are outside the ring")
-            poly = poly_mul(poly, {(((_BASE, base.name), int(e)),): Fraction(1)})
+            poly = poly_mul(poly, {(((_BASE, base.name), int(e)),): 1})
         return RationalFunc(poly)
 
     def tr(self, e: N.Expr) -> RationalFunc:
@@ -462,21 +481,14 @@ def poly_coeff_eqs(lhs_body: N.Expr, rhs_body: N.Expr, param: str,
             raise NotPolynomial(
                 f"the non-polynomial term {atom[1]} depends on '{param}'")
     diff = left.sub(right)
+    # A monomial is its tau-free part plus its tau degree, so no two terms
+    # share a slot: every coefficient arrives once, nonzero and normal.
     by_degree: dict[int, Poly] = {}
     for m, c in diff.num.items():
-        d = poly_degree_in(m, tau)
         reduced = tuple((a, e) for a, e in m if a != tau)
-        bucket = by_degree.setdefault(d, {})
-        nc = bucket.get(reduced, Fraction(0)) + c
-        if nc == 0:
-            bucket.pop(reduced, None)
-        else:
-            bucket[reduced] = nc
-    eqs = tuple(
-        CoeffEq(d, _freeze_poly(by_degree[d]))
-        for d in sorted(by_degree, reverse=True)
-        if not poly_is_zero(by_degree[d])
-    )
+        by_degree.setdefault(poly_degree_in(m, tau), {})[reduced] = c
+    eqs = tuple(CoeffEq(d, _freeze_poly(by_degree[d]))
+                for d in sorted(by_degree, reverse=True))
     return PolyMatch(eqs, tuple(x.sides))
 
 

@@ -27,7 +27,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .checker.dims import check_dimensions, resolve_statement
+from .checker.dims import check_dimensions
 from .checker.prover import (Proved, ProverConfig, Refuted, Unknown,
                              auto_prove, check_derivation, database_for)
 from .checker.script import parse_script, print_script
@@ -36,7 +36,6 @@ from .errors import PhysKernelError
 from .harness import (BuiltinProver, ExternalProver, render_attempt_log,
                       render_report, run_eval)
 from .lang.parser import parse_overrides, parse_statement
-from .quantity import DEFAULT_CONTEXT
 from .unitdb import UnitDatabase, builtin_database
 
 EXIT_PROVED = 0
@@ -122,8 +121,7 @@ def _cmd_check(args) -> int:
     db = _load_db(args)
     stmt = _read_statement(args.file, db)
     full_db = database_for(stmt, db)
-    resolved = resolve_statement(stmt, full_db)
-    report = check_dimensions(resolved, full_db)
+    report = check_dimensions(stmt, full_db)
     if args.format == "json":
         print(json.dumps({"homogeneous": report.homogeneous,
                           "entries": report.to_records()},

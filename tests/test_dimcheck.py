@@ -246,3 +246,20 @@ def test_report_records_serialize(db):
     assert records[1]["expected"] == "L"
     assert records[1]["found"] == "T"
     assert records[1]["line"] >= 1
+
+
+def test_auto_prove_resolves_the_statement_once(db, corpus_dir, monkeypatch):
+    from physkernel.checker import dims, prover
+
+    calls = []
+
+    def counting(stmt, db=None):
+        calls.append(stmt)
+        return resolve_statement(stmt, db)
+
+    monkeypatch.setattr(dims, "resolve_statement", counting)
+    monkeypatch.setattr(prover, "resolve_statement", counting)
+    path = corpus_dir / "mechanics" / "crate_friction_coefficients.phys"
+    s = parse_statement(path.read_text(encoding="utf-8"), db)
+    assert isinstance(prover.auto_prove(s, db), prover.Proved)
+    assert len(calls) == 1

@@ -19,8 +19,8 @@ import pytest
 from physkernel.checker.evaluate import eval_numeric
 from physkernel.checker import ring
 from physkernel.checker.ring import (
-    Constraint, RationalFunc, STRICT, _Xlate, eliminate, poly_coeff_eqs,
-    poly_mul, poly_pow, ring_equal,
+    Constraint, RationalFunc, STRICT, _Xlate, eliminate, poly_add,
+    poly_coeff_eqs, poly_eval, poly_mul, poly_pow, ring_equal,
 )
 from physkernel.errors import (
     DivisionByZero, NotPolynomial, UnsupportedNode,
@@ -221,7 +221,7 @@ def _sympy_canonical(rf):
     if not atoms:
         c = Fraction(0)
         if not rf.is_zero:
-            c = rf.num[()] / rf.den[()]
+            c = Fraction(rf.num[()]) / rf.den[()]
         return RationalFunc.const(c)
     syms = [sympy.Symbol(f"x{i}") for i in range(len(atoms))]
     index = {a: i for i, a in enumerate(atoms)}
@@ -313,6 +313,11 @@ def test_canonical_cancels_monomials_only(db):
     assert rf("(u - u) / w").canonical().render() == "0"
     same = rf("((u + 1) * w) / ((u + 1) * w**2)").canonical()
     assert same.render() == "(u + 1) / (u*w + w)"
+    # An int leading coefficient: 1/2 must stay exact, not become 0.5.
+    half = rf("u / (2*w)").canonical()
+    assert half.render() == "(1/2*u) / (w)"
+    assert [type(c) for c in half.num.values()] == [Fraction]
+    assert [type(c) for c in half.den.values()] == [int]
 
 
 def test_rope_residual_is_unchanged(db, corpus_dir):
@@ -472,5 +477,117 @@ def test_poly_pow_matches_repeated_multiplication(db):
             expected = poly_mul(expected, p)
         assert poly_pow(p, n) == expected
         checked += 1
+    ints = x.tr(parse_expression("(2*u - 3*w + 1)", db,
+                                 {"u": "Real", "w": "Real"}, {})).num
+    expected = {(): 1}
+    for n in range(13):
+        powered = poly_pow(ints, n)
+        assert powered == expected
+        assert all(type(c) is int for c in powered.values())
+        expected = poly_mul(expected, ints)
     with pytest.raises(ValueError):
         poly_pow({(): Fraction(2)}, -1)
+
+
+# -- the coefficient normal form: int when integral, Fraction otherwise --------
+
+
+def _frac_mono_mul(m1, m2):
+    acc = dict(m1)
+    for a, e in m2:
+        acc[a] = acc.get(a, 0) + e
+    return tuple(sorted((a, e) for a, e in acc.items() if e != 0))
+
+
+def _frac_add(p, q):
+    """Fraction-only ``poly_add``: the oracle for the int/Fraction form."""
+    out = dict(p)
+    for m, c in q.items():
+        nc = out.get(m, Fraction(0)) + c
+        if nc == 0:
+            out.pop(m, None)
+        else:
+            out[m] = nc
+    return out
+
+
+def _frac_mul(p, q):
+    """Fraction-only ``poly_mul``."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = _frac_mono_mul(m1, m2)
+            nc = out.get(m, Fraction(0)) + Fraction(c1) * c2
+            if nc == 0:
+                out.pop(m, None)
+            else:
+                out[m] = nc
+    return out
+
+
+def _frac_pow(p, n):
+    """Fraction-only ``poly_pow``, by repeated multiplication."""
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = _frac_mul(out, p)
+    return out
+
+
+def _assert_normal(p):
+    for c in p.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), \
+            f"coefficient {c!r} is not in normal form"
+
+
+def test_int_coefficients_match_the_fraction_oracle(db, monkeypatch):
+    gen = Gen(0xC0EF)
+    exprs, rfs = [], []
+    while len(exprs) < 150:
+        e = gen.expr(2)
+        try:
+            rfs.append(_Xlate(db, STRICT).tr(e))
+        except DivisionByZero:
+            continue
+        exprs.append(e)
+    with_int = with_frac = 0
+    for rf, other in zip(rfs, rfs[1:] + rfs[:1]):
+        p, q = rf.num, other.den
+        for result, oracle in ((poly_add(p, q), _frac_add(p, q)),
+                               (poly_mul(p, q), _frac_mul(p, q)),
+                               *((poly_pow(p, n), _frac_pow(p, n))
+                                 for n in range(4))):
+            assert result == oracle
+            _assert_normal(result)
+        for part in (rf.num, rf.den):
+            _assert_normal(part)
+            with_int += any(type(c) is int for c in part.values())
+            with_frac += any(type(c) is Fraction for c in part.values())
+    assert with_int >= 50 and with_frac >= 50
+    # The whole translation, run again on the Fraction-only primitives.
+    monkeypatch.setattr(ring, "poly_const", lambda c: (
+        {} if c == 0 else {(): Fraction(c)}))
+    monkeypatch.setattr(ring, "poly_atom", lambda a, exp=1: {
+        ((a, exp),): Fraction(1)})
+    monkeypatch.setattr(ring, "poly_add", _frac_add)
+    monkeypatch.setattr(ring, "poly_mul", _frac_mul)
+    monkeypatch.setattr(ring, "poly_pow", _frac_pow)
+    for e, rf in zip(exprs, rfs):
+        oracle = _Xlate(db, STRICT).tr(e)
+        assert all(type(c) is Fraction
+                   for part in (oracle.num, oracle.den) for c in part.values())
+        assert (rf.num, rf.den) == (oracle.num, oracle.den)
+
+
+def test_exact_coefficient_corners(db):
+    x = _Xlate(db, STRICT)
+    # hertz is T^-1: the exponents cancel to 0 and the atom is dropped.
+    cancelled = x.tr(parse_expression("hertz * second", db, {}, {}))
+    assert (cancelled.num, cancelled.den) == ({(): 1}, {(): 1})
+    _assert_normal(cancelled.num)
+    mixed = x.tr(parse_expression("newton * second**2", db, {}, {})).num
+    assert mixed == {(((ring._BASE, "LENGTH"), 1),
+                      ((ring._BASE, "MASS"), 1)): 1}
+    value = poly_eval({(): 3, (((ring._VAR, "u"), 2),): -1},
+                      {(ring._VAR, "u"): Fraction(1, 2)})
+    assert type(value) is Fraction and value == Fraction(11, 4)
+    assert type(poly_eval({(): 3}, {})) is Fraction
