@@ -18,8 +18,7 @@ The package has four layers, each usable on its own:
 
 from .dimension import BaseDim, Dimension, DIMENSIONLESS  # noqa: F401
 from .quantity import (  # noqa: F401
-    Approx, DEFAULT_CONTEXT, NumComparison, NumericContext, Quantity,
-    compare_values,
+    Approx, NumComparison, PRECISION, Quantity, REL_TOL, compare_values,
 )
 from .unitdb import Topic, UnitDatabase, builtin_database  # noqa: F401
 from .errors import (  # noqa: F401

@@ -12,45 +12,42 @@ from ..errors import (
 )
 from ..lang import nodes as N
 from ..quantity import (
-    DEFAULT_CONTEXT, NumericContext, Quantity, _approx, _num_pow,
-    _to_decimal, dec_cos, dec_sin,
+    _DEC, Quantity, _approx, _num_pow, _to_decimal, dec_cos, dec_sin,
 )
 from ..unitdb import UnitDatabase, builtin_database
 
 
-def _eval_fn(name: str, v, ctx: NumericContext):
+def _eval_fn(name: str, v):
     if name == "sin":
-        return dec_sin(v, ctx)
+        return dec_sin(v)
     if name == "cos":
-        return dec_cos(v, ctx)
+        return dec_cos(v)
     if name == "sqrt":
         if (v == 0) if isinstance(v, Fraction) else (v.value == 0):
             return Fraction(0)
-        return _num_pow(v, Fraction(1, 2), ctx)
-    d = _to_decimal(v, ctx)
-    c = ctx.decimal_context()
+        return _num_pow(v, Fraction(1, 2))
+    d = _to_decimal(v)
     if name == "log":
         if d <= 0:
             raise DomainError(f"log of a non-positive value ({d})")
-        return _approx(c.ln(d), ctx)
+        return _approx(_DEC.ln(d))
     if name == "exp":
-        return _approx(c.exp(d), ctx)
+        return _approx(_DEC.exp(d))
     raise UnsupportedNode(f"unknown builtin function '{name}'")
 
 
 def eval_numeric(e: N.Expr, env: Mapping[str, Quantity],
-                 db: UnitDatabase | None = None,
-                 ctx: NumericContext = DEFAULT_CONTEXT) -> Quantity:
+                 db: UnitDatabase | None = None) -> Quantity:
     """Evaluate ``e`` to a Quantity under the variable bindings ``env``.
 
     Free variables, applications, and derivatives have no numeric meaning
     and raise UnboundVariable.
     """
     db = db or builtin_database()
-    return _eval(e, env, db, ctx)
+    return _eval(e, env, db)
 
 
-def _eval(e: N.Expr, env, db: UnitDatabase, ctx: NumericContext) -> Quantity:
+def _eval(e: N.Expr, env, db: UnitDatabase) -> Quantity:
     if isinstance(e, N.NumLit):
         return Quantity.scalar(e.value)
     if isinstance(e, N.ConstRef):
@@ -68,61 +65,59 @@ def _eval(e: N.Expr, env, db: UnitDatabase, ctx: NumericContext) -> Quantity:
                              span=e.span)
         return Quantity(Fraction(1), e.dim)
     if isinstance(e, N.PrefixApp):
-        return _eval(e.arg, env, db, ctx).smul(db.prefix(e.prefix), ctx=ctx)
+        return _eval(e.arg, env, db).smul(db.prefix(e.prefix))
     if isinstance(e, N.Add):
-        return _eval(e.lhs, env, db, ctx).add(_eval(e.rhs, env, db, ctx), ctx=ctx)
+        return _eval(e.lhs, env, db).add(_eval(e.rhs, env, db))
     if isinstance(e, N.Sub):
-        return _eval(e.lhs, env, db, ctx).sub(_eval(e.rhs, env, db, ctx), ctx=ctx)
+        return _eval(e.lhs, env, db).sub(_eval(e.rhs, env, db))
     if isinstance(e, N.Mul):
-        return _eval(e.lhs, env, db, ctx).mul(_eval(e.rhs, env, db, ctx), ctx=ctx)
+        return _eval(e.lhs, env, db).mul(_eval(e.rhs, env, db))
     if isinstance(e, N.Div):
-        return _eval(e.lhs, env, db, ctx).div(_eval(e.rhs, env, db, ctx), ctx=ctx)
+        return _eval(e.lhs, env, db).div(_eval(e.rhs, env, db))
     if isinstance(e, N.Neg):
-        return _eval(e.arg, env, db, ctx).neg()
+        return _eval(e.arg, env, db).neg()
     if isinstance(e, N.SMul):
-        scalar = _eval(e.scalar, env, db, ctx)
+        scalar = _eval(e.scalar, env, db)
         if not scalar.dim.is_dimensionless:
             raise DimensionMismatch(DIMENSIONLESS, scalar.dim,
                                     "scalar position of •")
-        return _eval(e.arg, env, db, ctx).smul(scalar.value, ctx=ctx)
+        return _eval(e.arg, env, db).smul(scalar.value)
     if isinstance(e, N.Pow):
-        return _eval(e.base, env, db, ctx).pow(e.exponent, ctx=ctx)
+        return _eval(e.base, env, db).pow(e.exponent)
     if isinstance(e, N.RPow):
-        base = _eval(e.base, env, db, ctx)
-        exponent = _eval(e.exponent, env, db, ctx)
+        base = _eval(e.base, env, db)
+        exponent = _eval(e.exponent, env, db)
         for part, where in ((base, "base"), (exponent, "exponent")):
             if not part.dim.is_dimensionless:
                 raise DimensionMismatch(DIMENSIONLESS, part.dim,
                                         f"{where} of a real power")
         if isinstance(exponent.value, Fraction):
-            return Quantity.scalar(_num_pow(base.value, exponent.value, ctx))
-        d = _to_decimal(base.value, ctx)
+            return Quantity.scalar(_num_pow(base.value, exponent.value))
+        d = _to_decimal(base.value)
         if d <= 0:
             raise DomainError(
                 "an approximate exponent requires a positive base")
-        c = ctx.decimal_context()
-        return Quantity.scalar(
-            _approx(c.multiply(exponent.value.value, c.ln(d)).exp(c), ctx))
+        return Quantity.scalar(_approx(
+            _DEC.multiply(exponent.value.value, _DEC.ln(d)).exp(_DEC)))
     if isinstance(e, N.Cast):
-        return _eval(e.arg, env, db, ctx).cast(db.kind(e.kind))
+        return _eval(e.arg, env, db).cast(db.kind(e.kind))
     if isinstance(e, N.Val):
-        return Quantity.scalar(_eval(e.arg, env, db, ctx).val())
+        return Quantity.scalar(_eval(e.arg, env, db).val())
     if isinstance(e, N.Norm):
-        return Quantity.scalar(_eval(e.arg, env, db, ctx).norm())
+        return Quantity.scalar(_eval(e.arg, env, db).norm())
     if isinstance(e, N.Fn):
-        arg = _eval(e.arg, env, db, ctx)
+        arg = _eval(e.arg, env, db)
         if not arg.dim.is_dimensionless:
             raise DimensionMismatch(DIMENSIONLESS, arg.dim,
                                     f"argument of {e.fn}")
-        return Quantity.scalar(_eval_fn(e.fn, arg.value, ctx))
+        return Quantity.scalar(_eval_fn(e.fn, arg.value))
     if isinstance(e, (N.Apply, N.Deriv)):
         raise UnboundVariable(e.fn)
     raise UnsupportedNode(f"cannot evaluate node {type(e).__name__}")
 
 
 def eval_prop(p: N.Prop, env: Mapping[str, Quantity],
-              db: UnitDatabase | None = None,
-              ctx: NumericContext = DEFAULT_CONTEXT) -> tuple[bool, bool]:
+              db: UnitDatabase | None = None) -> tuple[bool, bool]:
     """Truth of a quantifier-free proposition under ``env``.
 
     Returns ``(truth, exact)`` where ``exact`` means every comparison that
@@ -130,14 +125,14 @@ def eval_prop(p: N.Prop, env: Mapping[str, Quantity],
     UnsupportedNode.
     """
     db = db or builtin_database()
-    return _eval_prop(p, env, db, ctx)
+    return _eval_prop(p, env, db)
 
 
-def _eval_prop(p, env, db, ctx) -> tuple[bool, bool]:
+def _eval_prop(p, env, db) -> tuple[bool, bool]:
     if isinstance(p, (N.Eq, N.Ne, N.Le, N.Lt)):
-        left = _eval(p.lhs, env, db, ctx)
-        right = _eval(p.rhs, env, db, ctx)
-        cmp = left.compare(right, ctx=ctx)
+        left = _eval(p.lhs, env, db)
+        right = _eval(p.rhs, env, db)
+        cmp = left.compare(right)
         if isinstance(p, N.Eq):
             return cmp.equal, cmp.exact
         if isinstance(p, N.Ne):
@@ -146,16 +141,16 @@ def _eval_prop(p, env, db, ctx) -> tuple[bool, bool]:
             return cmp.sign <= 0, cmp.exact
         return cmp.sign < 0, cmp.exact
     if isinstance(p, N.And):
-        lt, le = _eval_prop(p.lhs, env, db, ctx)
-        rt, re_ = _eval_prop(p.rhs, env, db, ctx)
+        lt, le = _eval_prop(p.lhs, env, db)
+        rt, re_ = _eval_prop(p.rhs, env, db)
         return lt and rt, le and re_
     if isinstance(p, N.Or):
-        lt, le = _eval_prop(p.lhs, env, db, ctx)
-        rt, re_ = _eval_prop(p.rhs, env, db, ctx)
+        lt, le = _eval_prop(p.lhs, env, db)
+        rt, re_ = _eval_prop(p.rhs, env, db)
         return lt or rt, le and re_
     if isinstance(p, N.Implies):
-        lt, le = _eval_prop(p.lhs, env, db, ctx)
-        rt, re_ = _eval_prop(p.rhs, env, db, ctx)
+        lt, le = _eval_prop(p.lhs, env, db)
+        rt, re_ = _eval_prop(p.rhs, env, db)
         return (not lt) or rt, le and re_
     raise UnsupportedNode(
         f"cannot numerically evaluate a {type(p).__name__} proposition")

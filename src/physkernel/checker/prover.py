@@ -26,7 +26,7 @@ from ..errors import (
     PhysKernelError,
 )
 from ..lang import nodes as N
-from ..quantity import DEFAULT_CONTEXT, NumericContext, Quantity, compare_values
+from ..quantity import Quantity, compare_values
 from ..unitdb import UnitDatabase, builtin_database
 from . import ring
 from .dims import DimReport, resolve_statement
@@ -88,9 +88,7 @@ Verdict = Proved | Refuted | Unknown
 
 @dataclass(frozen=True)
 class ProverConfig:
-    ctx: NumericContext = DEFAULT_CONTEXT
     strict_cycles: bool = False
-    max_elim_depth: int = 6
 
 
 class _StepFailure(Exception):
@@ -129,18 +127,11 @@ class _Subgoal:
         raise MalformedScript(f"no hypothesis named '{name}' in scope")
 
 
-def _flatten_and(p: N.Prop):
-    if isinstance(p, N.And):
-        yield from _flatten_and(p.lhs)
-        yield from _flatten_and(p.rhs)
-    else:
-        yield p
-
-
-def _flatten_or(p: N.Prop):
-    if isinstance(p, N.Or):
-        yield from _flatten_or(p.lhs)
-        yield from _flatten_or(p.rhs)
+def _flatten(p: N.Prop, cls: type[N.And | N.Or]):
+    """The operands of a nest of ``cls`` connectives, left to right."""
+    if isinstance(p, cls):
+        yield from _flatten(p.lhs, cls)
+        yield from _flatten(p.rhs, cls)
     else:
         yield p
 
@@ -167,11 +158,11 @@ class _Session:
 
     def _eval_prop(self, p: N.Prop, env=None) -> tuple[bool, bool]:
         self.eval_count += 1
-        return eval_prop(p, env or {}, self.db, self.config.ctx)
+        return eval_prop(p, env or {}, self.db)
 
     def _eval_expr(self, e: N.Expr, env=None) -> Quantity:
         self.eval_count += 1
-        return eval_numeric(e, env or {}, self.db, self.config.ctx)
+        return eval_numeric(e, env or {}, self.db)
 
     def _fresh(self, base: str) -> str:
         name, k = base, 0
@@ -228,10 +219,9 @@ class _Session:
         for mono, coeff in poly.items():
             term = Quantity.scalar(coeff)
             for a, e in mono:
-                term = term.mul(env[a].pow(e, ctx=self.config.ctx),
-                                ctx=self.config.ctx)
-            total = total.add(term, ctx=self.config.ctx)
-        cmp = compare_values(total.value, Fraction(0), self.config.ctx)
+                term = term.mul(env[a].pow(e))
+            total = total.add(term)
+        cmp = compare_values(total.value, Fraction(0))
         if cmp.equal:
             raise _StepFailure(f"side condition failed: {claim}")
         if not cmp.exact:
@@ -313,7 +303,7 @@ class _Session:
         for i, h in enumerate(sg.hyps):
             if h.consumed or not isinstance(h.prop, N.Or):
                 continue
-            leaves = list(_flatten_or(h.prop))
+            leaves = list(_flatten(h.prop, N.Or))
             vals = []
             for leaf in leaves:
                 if (isinstance(leaf, N.Eq) and isinstance(leaf.lhs, N.Var)
@@ -388,10 +378,7 @@ class _Session:
     def _apply_polymatch(self, sg: _Subgoal, step: PolyMatch) -> None:
         h = sg.hyp(step.hyp)
         p = h.prop
-        if not (isinstance(p, N.Eq) and isinstance(p.lhs, N.Var)
-                and isinstance(p.rhs, N.Var)
-                and p.lhs.name in self.fn_decls
-                and p.rhs.name in self.fn_decls):
+        if not self._is_fn_equality(p):
             raise MalformedScript(
                 f"'{step.hyp}' is not a function-equality hypothesis")
         sides = []
@@ -451,7 +438,7 @@ class _Session:
         for h in sg.hyps:
             if h.consumed or self._is_fn_equality(h.prop):
                 continue
-            leaves = list(_flatten_and(h.prop))
+            leaves = list(_flatten(h.prop, N.And))
             for j, leaf in enumerate(leaves):
                 if not isinstance(leaf, N.Eq):
                     continue
@@ -467,8 +454,7 @@ class _Session:
         constraints.extend(sg.derived)
         ordered = list(reversed(constraints))
         try:
-            found = ring.eliminate(goal_tr.rf, ordered,
-                                   self.config.max_elim_depth)
+            found = ring.eliminate(goal_tr.rf, ordered)
         except EliminationBudgetExceeded as exc:
             raise _StepFailure(str(exc)) from exc
         if found is None:
@@ -575,8 +561,8 @@ class _Session:
 # -- statement-level constant overrides --------------------------------------------
 
 
-def database_for(stmt: N.Statement, db: UnitDatabase | None = None,
-                 ctx: NumericContext = DEFAULT_CONTEXT) -> UnitDatabase:
+def database_for(stmt: N.Statement,
+                 db: UnitDatabase | None = None) -> UnitDatabase:
     """The unit database with the statement's constant overrides applied."""
     base = db or builtin_database()
     if not stmt.constants:
@@ -586,7 +572,7 @@ def database_for(stmt: N.Statement, db: UnitDatabase | None = None,
         existing = base.constants.get(name)
         if existing is not None and not existing.overridable:
             raise ParseError(f"constant '{name}' is not overridable")
-        overrides[name] = eval_numeric(expr, {}, base, ctx)
+        overrides[name] = eval_numeric(expr, {}, base)
     return base.with_constants(overrides)
 
 
@@ -662,7 +648,7 @@ def _orient(session: _Session, sg: _Subgoal) -> list[str]:
 def _prepare(stmt: N.Statement, db: UnitDatabase | None,
              config: ProverConfig):
     cfg = config or ProverConfig()
-    full_db = database_for(stmt, db, cfg.ctx)
+    full_db = database_for(stmt, db)
     resolved = resolve_statement(stmt, full_db)
     report = check_dimensions(resolved, full_db)
     return cfg, full_db, resolved, report

@@ -20,9 +20,10 @@ monic, in exact arithmetic, for display.
 ``eliminate`` reduces a goal to zero by substituting pivots solved from
 constraint equations.  It searches only the constraints connected to the goal
 through shared variable or opaque atoms, since no other constraint can change
-the goal, it visits at most ``ELIM_NODE_BUDGET`` search nodes, and no
-substituted polynomial may have more than ``ELIM_TERM_BUDGET`` terms; past
-either budget it raises ``EliminationBudgetExceeded``.
+the goal, it tries trails of at most ``ELIM_MAX_DEPTH`` substitutions, it
+visits at most ``ELIM_NODE_BUDGET`` search nodes, and no substituted
+polynomial may have more than ``ELIM_TERM_BUDGET`` terms; past the node or
+term budget it raises ``EliminationBudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ Coeff = int | Fraction  # normal form: an int when integral (see ``_coeff``)
 Poly = dict[Monomial, Coeff]
 
 _ONE: Monomial = ()
-
-_BASE_LETTER = {
-    BaseDim.MASS: "M", BaseDim.LENGTH: "L", BaseDim.TIME: "T",
-    BaseDim.CURRENT: "I", BaseDim.TEMPERATURE: "Θ", BaseDim.AMOUNT: "N",
-    BaseDim.LUMINOUS_INTENSITY: "J",
-}
 
 
 # -- polynomial primitives ----------------------------------------------------
@@ -402,12 +397,11 @@ class _Xlate:
 
 
 def translate_difference(lhs: N.Expr, rhs: N.Expr,
-                         db: UnitDatabase | None = None,
-                         mode: str = ABSTRACT) -> Translation:
-    """Translate ``lhs - rhs``; its numerator is zero iff the sides agree
-    wherever the recorded denominators do not vanish."""
+                         db: UnitDatabase | None = None) -> Translation:
+    """Translate ``lhs - rhs`` with abstraction; its numerator is zero iff
+    the sides agree wherever the recorded denominators do not vanish."""
     db = db or builtin_database()
-    x = _Xlate(db, mode)
+    x = _Xlate(db, ABSTRACT)
     rf = x.tr(lhs).sub(x.tr(rhs))
     return Translation(rf, x.sides, x.opaque_vars)
 
@@ -621,6 +615,12 @@ ELIM_NODE_BUDGET = 1000
 #: growth (about 0.4 s on a 2-core x86-64 host, against 5 s unbounded).
 ELIM_TERM_BUDGET = 160
 
+#: Substitution steps one elimination trail may have; a goal that needs more
+#: is not found, and the ``ring`` step fails with its residual.  No corpus
+#: entry or test needs more than 4, and the benchmark's longest elimination
+#: chain needs exactly 6.
+ELIM_MAX_DEPTH = 6
+
 
 def _connected(goal: RationalFunc,
                constraints: list[Constraint]) -> list[Constraint]:
@@ -644,19 +644,19 @@ def _connected(goal: RationalFunc,
     return [c for c, k in zip(constraints, keep) if k]
 
 
-def eliminate(goal: RationalFunc, constraints: list[Constraint],
-              max_depth: int = 6) -> Elimination | None:
+def eliminate(goal: RationalFunc,
+              constraints: list[Constraint]) -> Elimination | None:
     """Search for constraint substitutions that reduce ``goal`` to zero.
 
     Only the constraints connected to the goal (see ``_connected``) are
     searched, in list order; each is used at most once, and within a
     constraint pivot atoms occurring in the current goal are preferred.
     Returns the substitution trail, or None when no trail of at most
-    ``max_depth`` steps exists.  Raises EliminationBudgetExceeded when the
+    ``ELIM_MAX_DEPTH`` steps exists.  Raises EliminationBudgetExceeded when the
     search visits more than ``ELIM_NODE_BUDGET`` nodes or a substitution
     builds a polynomial of more than ``ELIM_TERM_BUDGET`` terms.
     """
-    return _search(goal, _connected(goal, constraints), max_depth, (),
+    return _search(goal, _connected(goal, constraints), ELIM_MAX_DEPTH, (),
                    [ELIM_NODE_BUDGET])
 
 

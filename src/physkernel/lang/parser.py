@@ -295,7 +295,7 @@ class _Parser:
             del self.scope[var_tok.text]
         else:
             self.scope[var_tok.text] = shadowed
-        span = self._merge(start, _prop_span(body))
+        span = self._merge(start, body.span)
         if values is not None:
             if annot is not None:
                 raise ParseError(
@@ -310,7 +310,7 @@ class _Parser:
             self.next()
             rhs = self.prop() if self.at("forall") else self._implies()
             return N.Implies(lhs, rhs,
-                             self._merge(_prop_span(lhs), _prop_span(rhs)))
+                             self._merge(lhs.span, rhs.span))
         return lhs
 
     def _or(self) -> N.Prop:
@@ -318,7 +318,7 @@ class _Parser:
         while self.at("∨"):
             self.next()
             rhs = self._and()
-            lhs = N.Or(lhs, rhs, self._merge(_prop_span(lhs), _prop_span(rhs)))
+            lhs = N.Or(lhs, rhs, self._merge(lhs.span, rhs.span))
         return lhs
 
     def _and(self) -> N.Prop:
@@ -326,7 +326,7 @@ class _Parser:
         while self.at("∧"):
             self.next()
             rhs = self._cmp()
-            lhs = N.And(lhs, rhs, self._merge(_prop_span(lhs), _prop_span(rhs)))
+            lhs = N.And(lhs, rhs, self._merge(lhs.span, rhs.span))
         return lhs
 
     def _cmp(self) -> N.Prop:
@@ -348,7 +348,7 @@ class _Parser:
         if t in ("=", "!=", "<=", "<", ">", ">="):
             self.next()
             rhs = self._arith()
-            span = self._merge(_expr_span(lhs), _expr_span(rhs))
+            span = self._merge(lhs.span, rhs.span)
             if t == "=":
                 return N.Eq(lhs, rhs, span)
             if t == "!=":
@@ -370,7 +370,7 @@ class _Parser:
         while self.at("+", "-"):
             op = self.next().text
             rhs = self._term()
-            span = self._merge(_expr_span(lhs), _expr_span(rhs))
+            span = self._merge(lhs.span, rhs.span)
             lhs = N.Add(lhs, rhs, span) if op == "+" else N.Sub(lhs, rhs, span)
         return lhs
 
@@ -379,7 +379,7 @@ class _Parser:
         while self.at("*", "/"):
             op = self.next().text
             rhs = self._smul()
-            span = self._merge(_expr_span(lhs), _expr_span(rhs))
+            span = self._merge(lhs.span, rhs.span)
             if op == "*":
                 lhs = N.Mul(lhs, rhs, span)
             elif (isinstance(lhs, N.NumLit) and isinstance(rhs, N.NumLit)
@@ -395,14 +395,14 @@ class _Parser:
             self.next()
             rhs = self._smul()
             return N.SMul(lhs, rhs,
-                          self._merge(_expr_span(lhs), _expr_span(rhs)))
+                          self._merge(lhs.span, rhs.span))
         return lhs
 
     def _unary(self) -> N.Expr:
         if self.at("-"):
             start = self.next().span
             arg = self._unary()
-            span = self._merge(start, _expr_span(arg))
+            span = self._merge(start, arg.span)
             if isinstance(arg, N.NumLit):
                 return N.NumLit(-arg.value, span)
             return N.Neg(arg, span)
@@ -414,7 +414,7 @@ class _Parser:
             self.next()
             exponent, end = self._exponent()
             return N.Pow(base, exponent,
-                         self._merge(_expr_span(base), end))
+                         self._merge(base.span, end))
         return base
 
     def _exponent(self) -> tuple[Fraction, Span]:
@@ -481,12 +481,12 @@ class _Parser:
         if t in N.FN_NAMES:
             self.next()
             arg = self._call_arg()
-            return N.Fn(t, arg, self._merge(tok.span, _expr_span(arg)))
+            return N.Fn(t, arg, self._merge(tok.span, arg.span))
         if t == "val" or t == "norm":
             self.next()
             arg = self._call_arg()
             cls = N.Val if t == "val" else N.Norm
-            return cls(arg, self._merge(tok.span, _expr_span(arg)))
+            return cls(arg, self._merge(tok.span, arg.span))
         if t == "cast":
             self.next()
             self.expect("(")
@@ -541,11 +541,11 @@ class _Parser:
             if isinstance(decl, N.FnDecl):
                 arg = self._call_arg()
                 return N.Apply(name, arg,
-                               self._merge(tok.span, _expr_span(arg)))
+                               self._merge(tok.span, arg.span))
             if self.db.has_prefix(name):
                 arg = self._call_arg()
                 return N.PrefixApp(name, arg,
-                                   self._merge(tok.span, _expr_span(arg)))
+                                   self._merge(tok.span, arg.span))
             raise ParseError(f"{name!r} is not callable",
                              tok.span.line, tok.span.col, span=tok.span)
         if isinstance(decl, N.VarDecl):
@@ -569,14 +569,6 @@ class _Parser:
 
 def _fraction_of(text: str) -> Fraction:
     return Fraction(Decimal(text))
-
-
-def _expr_span(e: N.Expr) -> Span:
-    return e.span
-
-
-def _prop_span(p: N.Prop) -> Span:
-    return p.span
 
 
 def _respan(node, span: Span):

@@ -11,11 +11,11 @@ Numeric values come in exactly two tiers:
   roots, logarithms, exponentials, trigonometry) produce this tier, and once
   a computation touches it the result stays approximate.
 
-Floats are never used in semantics.  Comparisons between values involving the
-approximate tier are decided by a relative tolerance from the ambient
-:class:`NumericContext` (default 50 significant digits, relative tolerance
-10^-30) and report themselves as tolerance-based so callers can distinguish
-exact decisions from approximate ones.
+Floats are never used in semantics.  The approximate tier has one fixed
+setting: ``PRECISION`` (50) significant digits, and comparisons involving it
+are decided at the relative tolerance ``REL_TOL`` (10^-30) and report
+themselves as tolerance-based so callers can distinguish exact decisions from
+approximate ones.
 
 A :class:`Quantity` pairs a numeric value with an exact
 :class:`~physkernel.dimension.Dimension`.  Additive operations require equal
@@ -44,8 +44,8 @@ from .errors import (
 __all__ = [
     "Approx",
     "NumericValue",
-    "NumericContext",
-    "DEFAULT_CONTEXT",
+    "PRECISION",
+    "REL_TOL",
     "NumComparison",
     "Quantity",
     "compare_values",
@@ -55,8 +55,20 @@ __all__ = [
     "dec_pi",
 ]
 
-# 110 significant digits of pi; enough for the default precision plus guard
-# digits, and validated against an independent oracle in the test suite.
+#: Significant digits of every approximate value (``Approx.precision``).
+PRECISION = 50
+#: Extra digits each decimal operation carries beyond ``PRECISION``.
+GUARD_DIGITS = 10
+#: Relative tolerance within which approximate values compare equal.
+REL_TOL = Fraction(1, 10**30)
+
+# The one context every decimal operation rounds in, built once.  Operations
+# only write its status flags, which nothing reads; its traps are those of a
+# fresh Context; and the threads of ``run_eval(jobs=...)`` run under the GIL.
+_DEC = decimal.Context(prec=PRECISION + GUARD_DIGITS)
+
+# 111 significant digits of pi, at least PRECISION + GUARD_DIGITS; the test
+# suite checks that count and validates the digits against an oracle.
 _PI_DIGITS = (
     "3.14159265358979323846264338327950288419716939937510"
     "582097494459230781640628620899862803482534211706798214808651"
@@ -81,38 +93,19 @@ class Approx:
 NumericValue = Union[Fraction, Approx]
 
 
-@dataclass(frozen=True)
-class NumericContext:
-    """Working precision and comparison tolerance for approximate values."""
-
-    precision: int = 50
-    rel_tol: Fraction = Fraction(1, 10**30)
-    guard_digits: int = 10
-
-    def decimal_context(self) -> decimal.Context:
-        return decimal.Context(prec=self.precision + self.guard_digits)
+def dec_pi() -> Decimal:
+    """Pi at the working precision (from a frozen digit table)."""
+    return _DEC.plus(Decimal(_PI_DIGITS))
 
 
-DEFAULT_CONTEXT = NumericContext()
-
-
-def dec_pi(ctx: NumericContext = DEFAULT_CONTEXT) -> Decimal:
-    """Pi at the context's working precision (from a frozen digit table)."""
-    work = ctx.precision + ctx.guard_digits
-    if work > 100:
-        raise ValueError("precision beyond the frozen 100-digit pi table")
-    return ctx.decimal_context().plus(Decimal(_PI_DIGITS))
-
-
-def _to_decimal(v: NumericValue, ctx: NumericContext) -> Decimal:
-    c = ctx.decimal_context()
+def _to_decimal(v: NumericValue) -> Decimal:
     if isinstance(v, Approx):
-        return c.plus(v.value)
-    return c.divide(Decimal(v.numerator), Decimal(v.denominator))
+        return _DEC.plus(v.value)
+    return _DEC.divide(Decimal(v.numerator), Decimal(v.denominator))
 
 
-def _approx(d: Decimal, ctx: NumericContext) -> Approx:
-    return Approx(d, ctx.precision)
+def _approx(d: Decimal) -> Approx:
+    return Approx(d, PRECISION)
 
 
 def _is_zero(v: NumericValue) -> bool:
@@ -132,8 +125,7 @@ def render_numeric(v: NumericValue) -> str:
 # numeric arithmetic over the two tiers
 # ---------------------------------------------------------------------------
 
-def _num_binop(a: NumericValue, b: NumericValue, op: str,
-               ctx: NumericContext) -> NumericValue:
+def _num_binop(a: NumericValue, b: NumericValue, op: str) -> NumericValue:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         if op == "add":
             return a + b
@@ -143,15 +135,14 @@ def _num_binop(a: NumericValue, b: NumericValue, op: str,
             return a * b
         if op == "div":
             return a / b
-    c = ctx.decimal_context()
-    da, db = _to_decimal(a, ctx), _to_decimal(b, ctx)
+    da, db = _to_decimal(a), _to_decimal(b)
     if op == "add":
-        return _approx(c.add(da, db), ctx)
+        return _approx(_DEC.add(da, db))
     if op == "sub":
-        return _approx(c.subtract(da, db), ctx)
+        return _approx(_DEC.subtract(da, db))
     if op == "mul":
-        return _approx(c.multiply(da, db), ctx)
-    return _approx(c.divide(da, db), ctx)
+        return _approx(_DEC.multiply(da, db))
+    return _approx(_DEC.divide(da, db))
 
 
 def _num_neg(a: NumericValue) -> NumericValue:
@@ -187,24 +178,21 @@ def _iroot(x: int, n: int) -> tuple[int, bool]:
     return r, r ** n == x
 
 
-def _dec_pow(base: NumericValue, exponent: Fraction,
-             ctx: NumericContext) -> Approx:
+def _dec_pow(base: NumericValue, exponent: Fraction) -> Approx:
     """base**exponent via exp(exponent * ln(base)); base must be positive."""
-    c = ctx.decimal_context()
-    db = _to_decimal(base, ctx)
-    de = c.divide(Decimal(exponent.numerator), Decimal(exponent.denominator))
-    return _approx(c.multiply(de, c.ln(db)).exp(c), ctx)
+    db = _to_decimal(base)
+    de = _DEC.divide(Decimal(exponent.numerator), Decimal(exponent.denominator))
+    return _approx(_DEC.multiply(de, _DEC.ln(db)).exp(_DEC))
 
 
-def _num_pow(a: NumericValue, e: Fraction, ctx: NumericContext) -> NumericValue:
+def _num_pow(a: NumericValue, e: Fraction) -> NumericValue:
     if e.denominator == 1:
         n = e.numerator
         if n < 0 and _is_zero(a):
             raise DivisionByZero("zero base with a negative exponent")
         if isinstance(a, Fraction):
             return a ** n
-        c = ctx.decimal_context()
-        return _approx(c.power(a.value, Decimal(n)), ctx)
+        return _approx(_DEC.power(a.value, Decimal(n)))
     # Non-integer exponent: the base must be strictly positive.
     negative = a.value <= 0 if isinstance(a, Approx) else a <= 0
     if negative:
@@ -219,7 +207,7 @@ def _num_pow(a: NumericValue, e: Fraction, ctx: NumericContext) -> NumericValue:
             rd, ok_d = _iroot(a.denominator, e.denominator)
             if ok_d:
                 return Fraction(rn, rd) ** e.numerator
-    return _dec_pow(a, e, ctx)
+    return _dec_pow(a, e)
 
 
 @dataclass(frozen=True)
@@ -228,7 +216,7 @@ class NumComparison:
 
     ``exact`` is True when both operands were exact, in which case ``equal``
     and ``sign`` are ground truth.  Otherwise the comparison was decided at
-    the context's relative tolerance: values within tolerance compare equal
+    the relative tolerance ``REL_TOL``: values within tolerance compare equal
     (sign 0), and the ordering of values beyond tolerance is trusted.
     """
 
@@ -237,18 +225,16 @@ class NumComparison:
     sign: int  # sign of (a - b); 0 exactly when equal
 
 
-def compare_values(a: NumericValue, b: NumericValue,
-                   ctx: NumericContext = DEFAULT_CONTEXT) -> NumComparison:
+def compare_values(a: NumericValue, b: NumericValue) -> NumComparison:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         s = 0 if a == b else (-1 if a < b else 1)
         return NumComparison(exact=True, equal=(s == 0), sign=s)
-    c = ctx.decimal_context()
-    da, db = _to_decimal(a, ctx), _to_decimal(b, ctx)
-    diff = c.subtract(da, db).copy_abs()
+    da, db = _to_decimal(a), _to_decimal(b)
+    diff = _DEC.subtract(da, db).copy_abs()
     scale = max(da.copy_abs(), db.copy_abs())
     if scale == 0:
         return NumComparison(exact=False, equal=True, sign=0)
-    tol = c.multiply(_to_decimal(Fraction(ctx.rel_tol), ctx), scale)
+    tol = _DEC.multiply(_to_decimal(REL_TOL), scale)
     if diff <= tol:
         return NumComparison(exact=False, equal=True, sign=0)
     return NumComparison(exact=False, equal=False, sign=-1 if da < db else 1)
@@ -258,54 +244,51 @@ def compare_values(a: NumericValue, b: NumericValue,
 # decimal trigonometry (argument reduction + Taylor series)
 # ---------------------------------------------------------------------------
 
-def _dec_reduce(x: Decimal, ctx: NumericContext) -> Decimal:
+def _dec_reduce(x: Decimal) -> Decimal:
     """Reduce x into (-pi, pi] modulo 2*pi."""
-    c = ctx.decimal_context()
-    two_pi = c.multiply(Decimal(2), dec_pi(ctx))
-    n = c.divide_int(x, two_pi)
-    r = c.subtract(x, c.multiply(n, two_pi))
-    pi = dec_pi(ctx)
+    pi = dec_pi()
+    two_pi = _DEC.multiply(Decimal(2), pi)
+    n = _DEC.divide_int(x, two_pi)
+    r = _DEC.subtract(x, _DEC.multiply(n, two_pi))
     if r > pi:
-        r = c.subtract(r, two_pi)
+        r = _DEC.subtract(r, two_pi)
     elif r <= -pi:
-        r = c.add(r, two_pi)
+        r = _DEC.add(r, two_pi)
     return r
 
 
-def _dec_sin_series(x: Decimal, c: decimal.Context) -> Decimal:
+def _dec_sin_series(x: Decimal) -> Decimal:
     total, term, i = x, x, 1
-    neg_x2 = c.multiply(x, x).copy_negate()
+    neg_x2 = _DEC.multiply(x, x).copy_negate()
     while True:
-        term = c.divide(c.multiply(term, neg_x2),
-                        Decimal((2 * i) * (2 * i + 1)))
-        new_total = c.add(total, term)
+        term = _DEC.divide(_DEC.multiply(term, neg_x2),
+                           Decimal((2 * i) * (2 * i + 1)))
+        new_total = _DEC.add(total, term)
         if new_total == total:
             return total
         total = new_total
         i += 1
 
 
-def _dec_cos_series(x: Decimal, c: decimal.Context) -> Decimal:
+def _dec_cos_series(x: Decimal) -> Decimal:
     total, term, i = Decimal(1), Decimal(1), 1
-    neg_x2 = c.multiply(x, x).copy_negate()
+    neg_x2 = _DEC.multiply(x, x).copy_negate()
     while True:
-        term = c.divide(c.multiply(term, neg_x2),
-                        Decimal((2 * i - 1) * (2 * i)))
-        new_total = c.add(total, term)
+        term = _DEC.divide(_DEC.multiply(term, neg_x2),
+                           Decimal((2 * i - 1) * (2 * i)))
+        new_total = _DEC.add(total, term)
         if new_total == total:
             return total
         total = new_total
         i += 1
 
 
-def dec_sin(v: NumericValue, ctx: NumericContext = DEFAULT_CONTEXT) -> Approx:
-    x = _dec_reduce(_to_decimal(v, ctx), ctx)
-    return _approx(_dec_sin_series(x, ctx.decimal_context()), ctx)
+def dec_sin(v: NumericValue) -> Approx:
+    return _approx(_dec_sin_series(_dec_reduce(_to_decimal(v))))
 
 
-def dec_cos(v: NumericValue, ctx: NumericContext = DEFAULT_CONTEXT) -> Approx:
-    x = _dec_reduce(_to_decimal(v, ctx), ctx)
-    return _approx(_dec_cos_series(x, ctx.decimal_context()), ctx)
+def dec_cos(v: NumericValue) -> Approx:
+    return _approx(_dec_cos_series(_dec_reduce(_to_decimal(v))))
 
 
 # ---------------------------------------------------------------------------
@@ -343,45 +326,39 @@ class Quantity:
 
     # -- additive ----------------------------------------------------------
 
-    def add(self, other: "Quantity",
-            ctx: NumericContext = DEFAULT_CONTEXT) -> "Quantity":
+    def add(self, other: "Quantity") -> "Quantity":
         if self.dim != other.dim:
             raise DimensionMismatch(self.dim, other.dim, "addition")
-        return Quantity(_num_binop(self.value, other.value, "add", ctx), self.dim)
+        return Quantity(_num_binop(self.value, other.value, "add"), self.dim)
 
-    def sub(self, other: "Quantity",
-            ctx: NumericContext = DEFAULT_CONTEXT) -> "Quantity":
+    def sub(self, other: "Quantity") -> "Quantity":
         if self.dim != other.dim:
             raise DimensionMismatch(self.dim, other.dim, "subtraction")
-        return Quantity(_num_binop(self.value, other.value, "sub", ctx), self.dim)
+        return Quantity(_num_binop(self.value, other.value, "sub"), self.dim)
 
     def neg(self) -> "Quantity":
         return Quantity(_num_neg(self.value), self.dim)
 
     # -- multiplicative -----------------------------------------------------
 
-    def mul(self, other: "Quantity",
-            ctx: NumericContext = DEFAULT_CONTEXT) -> "Quantity":
-        return Quantity(_num_binop(self.value, other.value, "mul", ctx),
+    def mul(self, other: "Quantity") -> "Quantity":
+        return Quantity(_num_binop(self.value, other.value, "mul"),
                         self.dim.combine(other.dim))
 
-    def div(self, other: "Quantity",
-            ctx: NumericContext = DEFAULT_CONTEXT) -> "Quantity":
+    def div(self, other: "Quantity") -> "Quantity":
         if other.is_zero:
             raise DivisionByZero("division by a zero quantity")
-        return Quantity(_num_binop(self.value, other.value, "div", ctx),
+        return Quantity(_num_binop(self.value, other.value, "div"),
                         self.dim.combine(other.dim.invert()))
 
-    def smul(self, scalar: NumericValue | int,
-             ctx: NumericContext = DEFAULT_CONTEXT) -> "Quantity":
+    def smul(self, scalar: NumericValue | int) -> "Quantity":
         """Scale by a dimensionless numeric value."""
         s = Fraction(scalar) if isinstance(scalar, int) else scalar
-        return Quantity(_num_binop(s, self.value, "mul", ctx), self.dim)
+        return Quantity(_num_binop(s, self.value, "mul"), self.dim)
 
-    def pow(self, exponent: Fraction | int,
-            ctx: NumericContext = DEFAULT_CONTEXT) -> "Quantity":
+    def pow(self, exponent: Fraction | int) -> "Quantity":
         e = Fraction(exponent)
-        return Quantity(_num_pow(self.value, e, ctx), self.dim.scale(e))
+        return Quantity(_num_pow(self.value, e), self.dim.scale(e))
 
     # -- retyping and projections -------------------------------------------
 
@@ -401,31 +378,15 @@ class Quantity:
 
     # -- comparison ----------------------------------------------------------
 
-    def compare(self, other: "Quantity",
-                ctx: NumericContext = DEFAULT_CONTEXT) -> NumComparison:
+    def compare(self, other: "Quantity") -> NumComparison:
         if self.dim != other.dim:
             raise DimensionMismatch(self.dim, other.dim, "comparison")
-        return compare_values(self.value, other.value, ctx)
+        return compare_values(self.value, other.value)
 
-    # -- operator sugar (default context) ------------------------------------
+    # -- operator sugar -------------------------------------------------------
 
-    def __add__(self, other: "Quantity") -> "Quantity":
-        return self.add(other)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        return self.sub(other)
-
-    def __neg__(self) -> "Quantity":
-        return self.neg()
-
-    def __mul__(self, other: "Quantity") -> "Quantity":
-        return self.mul(other)
-
-    def __truediv__(self, other: "Quantity") -> "Quantity":
-        return self.div(other)
-
-    def __pow__(self, exponent: Fraction | int) -> "Quantity":
-        return self.pow(exponent)
+    __add__, __sub__, __neg__ = add, sub, neg
+    __mul__, __truediv__, __pow__ = mul, div, pow
 
     def render(self) -> str:
         if self.dim.is_dimensionless:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .dimension import DIMENSIONLESS, BaseDim, Dimension
 from .errors import UnknownIdentifier
-from .quantity import Approx, DEFAULT_CONTEXT, Quantity, dec_pi
+from .quantity import PRECISION, Approx, Quantity, dec_pi
 
 __all__ = [
     "Topic",
@@ -48,14 +48,6 @@ class Topic(enum.Enum):
     ELECTROMAGNETISM = "electromagnetism"
     OPTICS = "optics"
     MODERN_PHYSICS = "modern-physics"
-
-    @classmethod
-    def from_slug(cls, slug: str) -> "Topic":
-        for t in cls:
-            if t.value == slug:
-                return t
-        raise UnknownIdentifier(slug, "topic",
-                                tuple(t.value for t in cls))
 
 
 @dataclass(frozen=True)
@@ -311,8 +303,7 @@ def _build() -> UnitDatabase:
             "K", Quantity(Fraction(9_000_000_000), coulomb_const_dim),
             Topic.ELECTROMAGNETISM, overridable=True),
         "pi": ConstantDef(
-            "pi", Quantity(Approx(dec_pi(DEFAULT_CONTEXT),
-                                  DEFAULT_CONTEXT.precision), DIMENSIONLESS),
+            "pi", Quantity(Approx(dec_pi(), PRECISION), DIMENSIONLESS),
             Topic.MECHANICS),
     }
     constants["π"] = ConstantDef("π", constants["pi"].quantity, Topic.MECHANICS)

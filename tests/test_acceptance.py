@@ -58,7 +58,7 @@ from physkernel.harness import EntryResult
 from physkernel.lang import nodes as N
 from physkernel.lang.parser import parse_statement
 from physkernel.quantity import (
-    Approx, DEFAULT_CONTEXT, Quantity, compare_values, dec_cos, dec_sin,
+    REL_TOL, Approx, Quantity, compare_values, dec_cos, dec_sin,
 )
 from physkernel.checker.rewrite import subst_var
 
@@ -177,8 +177,8 @@ def test_criterion_02_gas_ratio_exact_cube_root_tolerance(db, corpus):
     k = env["k"].value
     target = eval_numeric(stmt.goal.rhs, {}, db).value
     assert isinstance(k, Approx) and k.precision == 50
-    assert DEFAULT_CONTEXT.rel_tol == Fraction(1, 10**30)
-    cmp = compare_values(k, target, DEFAULT_CONTEXT)
+    assert REL_TOL == Fraction(1, 10**30)
+    cmp = compare_values(k, target)
     assert cmp.equal
 
 
@@ -431,7 +431,7 @@ def test_criterion_09_soundness_fuzz_kinematics(db, corpus):
         at_t["t"] = t
         left = eval_numeric(xf_body, at_t, db)
         right = eval_numeric(xf1_body, at_t, db)
-        assert left.compare(right, ctx=DEFAULT_CONTEXT).equal, (
+        assert left.compare(right).equal, (
             f"position profiles disagree at t = {t.value}")
     # hv1 ties v_1 to the speed profile at dt.
     at_dt = dict(env)

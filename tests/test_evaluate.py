@@ -1,5 +1,7 @@
 """Numeric evaluation: node dispatch, domain errors, propositional truth."""
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -151,3 +153,18 @@ def test_division_by_zero_is_an_error(db):
     from physkernel.errors import DivisionByZero
     with pytest.raises(DivisionByZero):
         ev("1 / (u - u)", db, {"u": Quantity.scalar(Fraction(3))})
+
+
+def test_evaluation_builds_no_decimal_context(db, monkeypatch):
+    built = []
+    real = decimal.Context
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decimal, "Context", counting)
+    q = ev("sin(1) + sqrt(2) * pi + log(3) + exp(1)", db)
+    assert built == []
+    assert q.value == Approx(Decimal(
+        "9.10124804009341768042391601996618090064192240169677031545980"), 50)

@@ -16,9 +16,9 @@ import pytest
 
 from physkernel.dimension import DIMENSIONLESS, BaseDim, Dimension
 from physkernel.errors import DimensionMismatch, DivisionByZero, InvalidCast
-from physkernel.quantity import (Approx, DEFAULT_CONTEXT, Quantity,
+from physkernel.quantity import (GUARD_DIGITS, PRECISION, Approx, Quantity,
                                  compare_values, dec_cos, dec_pi, dec_sin,
-                                 _iroot, _num_pow)
+                                 _PI_DIGITS, _iroot, _num_pow)
 
 N_HOMOMORPHISM_CASES = 1200
 
@@ -94,21 +94,21 @@ def test_pow_negative_base_integer_exponent_ok():
     q = Quantity(Fraction(-2), DIMENSIONLESS)
     assert q.pow(3).val() == Fraction(-8)
     with pytest.raises(Exception):
-        _num_pow(Fraction(-2), Fraction(1, 2), DEFAULT_CONTEXT)
+        _num_pow(Fraction(-2), Fraction(1, 2))
 
 
 def test_trig_against_mpmath():
-    mpmath.mp.dps = DEFAULT_CONTEXT.precision + 10
+    mpmath.mp.dps = PRECISION + 10
     for arg in (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(10),
                 Fraction(355, 113)):
         got_sin = dec_sin(arg).value
         got_cos = dec_cos(arg).value
         want_sin = Decimal(mpmath.nstr(mpmath.sin(mpmath.mpf(arg.numerator)
                                                   / arg.denominator),
-                                       DEFAULT_CONTEXT.precision))
+                                       PRECISION))
         want_cos = Decimal(mpmath.nstr(mpmath.cos(mpmath.mpf(arg.numerator)
                                                   / arg.denominator),
-                                       DEFAULT_CONTEXT.precision))
+                                       PRECISION))
         assert abs(got_sin - want_sin) < Decimal("1e-45")
         assert abs(got_cos - want_cos) < Decimal("1e-45")
 
@@ -117,6 +117,11 @@ def test_pi_against_mpmath():
     mpmath.mp.dps = 60
     want = Decimal(mpmath.nstr(mpmath.pi, 52))
     assert abs(dec_pi() - want) < Decimal("1e-48")
+
+
+def test_pi_table_covers_the_working_precision():
+    digits = Decimal(_PI_DIGITS).as_tuple().digits
+    assert len(digits) >= PRECISION + GUARD_DIGITS
 
 
 def test_compare_values_semantics():

@@ -431,7 +431,7 @@ def test_pruned_elimination_matches_unpruned_search(db):
         if goal.is_zero:
             continue
         with_far += any(c.label.startswith("far") for c in cons)
-        pruned = eliminate(goal, cons, max_depth=6)
+        pruned = eliminate(goal, cons)
         reference = ring._search(goal, cons, 6, ())
         assert (pruned is None) == (reference is None)
         connected = {c.label for c in ring._connected(goal, cons)}
