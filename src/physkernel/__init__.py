@@ -22,7 +22,7 @@ from .quantity import (  # noqa: F401
 )
 from .unitdb import Topic, UnitDatabase, builtin_database  # noqa: F401
 from .errors import (  # noqa: F401
-    CorpusValidationError, CyclicDefinitions, DimensionMismatch,
+    CorpusValidationError, DimensionMismatch,
     DivisionByZero, DomainError, EliminationBudgetExceeded, InvalidCast,
     MalformedScript, MismatchedModels, NotPolynomial, ParseError,
     PhysKernelError,
@@ -33,7 +33,7 @@ from .lang import (  # noqa: F401
     print_expr, print_prop, print_statement,
 )
 from .checker import (  # noqa: F401
-    DimReport, Proved, ProverConfig, Refuted, Unknown, Verdict, auto_prove,
+    DimReport, Proved, Refuted, Unknown, Verdict, auto_prove,
     check_derivation, check_dimensions, eval_numeric, parse_script,
     print_script, resolve_statement, ring_equal,
 )

@@ -8,6 +8,6 @@ from .script import (  # noqa: F401
     RingCheck, Split, Step, Subst, parse_script, print_script,
 )
 from .prover import (  # noqa: F401
-    Proved, ProverConfig, Refuted, Unknown, Verdict, auto_prove,
+    Proved, Refuted, Unknown, Verdict, auto_prove,
     check_derivation,
 )

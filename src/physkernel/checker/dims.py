@@ -185,7 +185,7 @@ def _unresolved_stds(e: N.Expr) -> list[N.StdUnit]:
 
 
 def _fill_std(e: N.Expr, target: N.StdUnit, dim: Dimension) -> N.Expr:
-    def visit(n, shadowed):
+    def visit(n):
         if n is target:
             return dataclasses.replace(n, dim=dim)
         return None
@@ -217,45 +217,39 @@ def _resolve_cmp(p: N.Prop, env: _Env, db: UnitDatabase) -> N.Prop:
     return dataclasses.replace(p, rhs=new_side)
 
 
-def _resolve_prop(p: N.Prop, env: _Env, db: UnitDatabase) -> N.Prop:
+def _walk_prop(p: N.Prop, env: _Env, db: UnitDatabase, on_cmp) -> N.Prop:
+    """Rebuild ``p`` with ``on_cmp(cmp, env, db)`` applied to each comparison.
+
+    Quantifier binders are in ``env`` while their bodies are walked.  A
+    proposition none of whose parts changed is returned as is.
+    """
     if isinstance(p, (N.Eq, N.Ne, N.Le, N.Lt)):
-        return _resolve_cmp(p, env, db)
+        return on_cmp(p, env, db)
     if isinstance(p, (N.And, N.Or, N.Implies)):
-        lhs = _resolve_prop(p.lhs, env, db)
-        rhs = _resolve_prop(p.rhs, env, db)
+        lhs = _walk_prop(p.lhs, env, db, on_cmp)
+        rhs = _walk_prop(p.rhs, env, db, on_cmp)
         if lhs is p.lhs and rhs is p.rhs:
             return p
         return dataclasses.replace(p, lhs=lhs, rhs=rhs)
-    if isinstance(p, N.ForallFinite):
-        saved = env.vars.get(p.var)
-        env.vars[p.var] = DIMENSIONLESS
-        try:
-            body = _resolve_prop(p.body, env, db)
-        finally:
-            _restore(env, p.var, saved)
-        return p if body is p.body else dataclasses.replace(p, body=body)
-    if isinstance(p, N.ForallFn):
-        dim = _forall_var_dim(p, env, db)
+    if isinstance(p, (N.ForallFinite, N.ForallFn)):
+        dim = (DIMENSIONLESS if isinstance(p, N.ForallFinite)
+               else _forall_var_dim(p, env, db))
         saved = env.vars.get(p.var)
         env.vars[p.var] = dim
         try:
-            body = _resolve_prop(p.body, env, db)
+            body = _walk_prop(p.body, env, db, on_cmp)
         finally:
-            _restore(env, p.var, saved)
+            if saved is None:
+                del env.vars[p.var]
+            else:
+                env.vars[p.var] = saved
         return p if body is p.body else dataclasses.replace(p, body=body)
     raise ParseError(f"unsupported proposition node {type(p).__name__}",
                      span=getattr(p, "span", N.DUMMY_SPAN))
 
 
-def _restore(env: _Env, name: str, saved: Dimension | None) -> None:
-    if saved is None:
-        env.vars.pop(name, None)
-    else:
-        env.vars[name] = saved
-
-
 def _fill_cast_stds(p: N.Prop, db: UnitDatabase) -> N.Prop:
-    def visit(n, shadowed):
+    def visit(n):
         if (isinstance(n, N.Cast) and isinstance(n.arg, N.StdUnit)
                 and n.arg.dim is None):
             filled = dataclasses.replace(n.arg, dim=db.kind(n.kind))
@@ -276,10 +270,10 @@ def resolve_statement(stmt: N.Statement,
     changed = False
     hyps = []
     for name, prop in stmt.hyps:
-        resolved = _resolve_prop(_fill_cast_stds(prop, db), env, db)
+        resolved = _walk_prop(_fill_cast_stds(prop, db), env, db, _resolve_cmp)
         changed = changed or resolved is not prop
         hyps.append((name, resolved))
-    goal = _resolve_prop(_fill_cast_stds(stmt.goal, db), env, db)
+    goal = _walk_prop(_fill_cast_stds(stmt.goal, db), env, db, _resolve_cmp)
     changed = changed or goal is not stmt.goal
     if not changed:
         return stmt
@@ -352,47 +346,23 @@ class DimReport:
         return records
 
 
-def _prop_dims(p: N.Prop, env: _Env, db: UnitDatabase) -> None:
-    if isinstance(p, (N.Eq, N.Ne, N.Le, N.Lt)):
-        if (isinstance(p.lhs, N.Var) and isinstance(p.rhs, N.Var)
-                and p.lhs.name in env.fns and p.rhs.name in env.fns):
-            (la, lr), (ra, rr) = env.fns[p.lhs.name], env.fns[p.rhs.name]
-            if la != ra:
-                raise _MismatchSignal(p.rhs.span, la, ra,
-                                      "function argument kinds differ")
-            if lr != rr:
-                raise _MismatchSignal(p.rhs.span, lr, rr,
-                                      "function result kinds differ")
-            return
-        left = expr_dim(p.lhs, env, db)
-        right = expr_dim(p.rhs, env, db)
-        if left != right:
-            raise _MismatchSignal(p.rhs.span, left, right,
-                                  _CMP_NOTE[type(p)])
-        return
-    if isinstance(p, (N.And, N.Or, N.Implies)):
-        _prop_dims(p.lhs, env, db)
-        _prop_dims(p.rhs, env, db)
-        return
-    if isinstance(p, N.ForallFinite):
-        saved = env.vars.get(p.var)
-        env.vars[p.var] = DIMENSIONLESS
-        try:
-            _prop_dims(p.body, env, db)
-        finally:
-            _restore(env, p.var, saved)
-        return
-    if isinstance(p, N.ForallFn):
-        dim = _forall_var_dim(p, env, db)
-        saved = env.vars.get(p.var)
-        env.vars[p.var] = dim
-        try:
-            _prop_dims(p.body, env, db)
-        finally:
-            _restore(env, p.var, saved)
-        return
-    raise ParseError(f"unsupported proposition node {type(p).__name__}",
-                     span=getattr(p, "span", N.DUMMY_SPAN))
+def _check_cmp(p: N.Prop, env: _Env, db: UnitDatabase) -> N.Prop:
+    """Return ``p`` if its sides agree, else raise ``_MismatchSignal``."""
+    if (isinstance(p.lhs, N.Var) and isinstance(p.rhs, N.Var)
+            and p.lhs.name in env.fns and p.rhs.name in env.fns):
+        (la, lr), (ra, rr) = env.fns[p.lhs.name], env.fns[p.rhs.name]
+        if la != ra:
+            raise _MismatchSignal(p.rhs.span, la, ra,
+                                  "function argument kinds differ")
+        if lr != rr:
+            raise _MismatchSignal(p.rhs.span, lr, rr,
+                                  "function result kinds differ")
+        return p
+    left = expr_dim(p.lhs, env, db)
+    right = expr_dim(p.rhs, env, db)
+    if left != right:
+        raise _MismatchSignal(p.rhs.span, left, right, _CMP_NOTE[type(p)])
+    return p
 
 
 def check_dimensions(stmt: N.Statement,
@@ -408,7 +378,7 @@ def _report_resolved(stmt: N.Statement, db: UnitDatabase) -> DimReport:
     entries = []
     for label, prop in list(stmt.hyps) + [("goal", stmt.goal)]:
         try:
-            _prop_dims(prop, env, db)
+            _walk_prop(prop, env, db, _check_cmp)
             entries.append(DimEntry(label, None))
         except _MismatchSignal as s:
             entries.append(DimEntry(

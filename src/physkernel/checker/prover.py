@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import (
-    CyclicDefinitions, EliminationBudgetExceeded, MalformedScript, ParseError,
-    PhysKernelError,
+    EliminationBudgetExceeded, MalformedScript, ParseError, PhysKernelError,
 )
 from ..lang import nodes as N
 from ..quantity import Quantity, compare_values
@@ -86,11 +85,6 @@ class Unknown:
 Verdict = Proved | Refuted | Unknown
 
 
-@dataclass(frozen=True)
-class ProverConfig:
-    strict_cycles: bool = False
-
-
 class _StepFailure(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -137,11 +131,8 @@ def _flatten(p: N.Prop, cls: type[N.And | N.Or]):
 
 
 class _Session:
-    def __init__(self, stmt: N.Statement, db: UnitDatabase,
-                 config: ProverConfig):
-        self.stmt = stmt
+    def __init__(self, stmt: N.Statement, db: UnitDatabase):
         self.db = db
-        self.config = config
         self.subgoals: list[_Subgoal] = [
             _Subgoal(stmt.goal, [_Hyp(n, p) for n, p in stmt.hyps])
         ]
@@ -561,19 +552,27 @@ class _Session:
 # -- statement-level constant overrides --------------------------------------------
 
 
+def with_overrides(db: UnitDatabase,
+                   pairs: tuple[tuple[str, N.Expr], ...]) -> UnitDatabase:
+    """``db`` with the ``(name, expr)`` constant overrides applied.
+
+    Each expression is evaluated against ``db``.  Overriding a fixed constant
+    such as π raises ParseError at that override's expression.
+    """
+    overrides: dict[str, Quantity] = {}
+    for name, expr in pairs:
+        existing = db.constants.get(name)
+        if existing is not None and not existing.overridable:
+            raise ParseError(f"constant '{name}' is not overridable",
+                             span=expr.span)
+        overrides[name] = eval_numeric(expr, {}, db)
+    return db.with_constants(overrides)
+
+
 def database_for(stmt: N.Statement,
                  db: UnitDatabase | None = None) -> UnitDatabase:
     """The unit database with the statement's constant overrides applied."""
-    base = db or builtin_database()
-    if not stmt.constants:
-        return base
-    overrides: dict[str, Quantity] = {}
-    for name, expr in stmt.constants:
-        existing = base.constants.get(name)
-        if existing is not None and not existing.overridable:
-            raise ParseError(f"constant '{name}' is not overridable")
-        overrides[name] = eval_numeric(expr, {}, base)
-    return base.with_constants(overrides)
+    return with_overrides(db or builtin_database(), stmt.constants)
 
 
 # -- orientation ---------------------------------------------------------------------
@@ -584,9 +583,9 @@ def _orient(session: _Session, sg: _Subgoal) -> list[str]:
 
     Variable and function definitions are accepted greedily in hypothesis
     order; a definition that would close a dependency cycle is demoted to an
-    ordinary constraint (or rejected under strict_cycles).  Accepted
-    definitions are emitted so that a definition precedes everything it
-    mentions; ground rewrites follow in hypothesis order.
+    ordinary constraint.  Accepted definitions are emitted so that a
+    definition precedes everything it mentions; ground rewrites follow in
+    hypothesis order.
     """
     accepted: list[tuple[str, str, set[str]]] = []  # (hyp, symbol, deps)
     grounds: list[str] = []
@@ -619,8 +618,6 @@ def _orient(session: _Session, sg: _Subgoal) -> list[str]:
         if symbol in defined:
             continue  # a second definition stays a constraint
         if any(reaches(d, symbol, set()) for d in deps):
-            if session.config.strict_cycles:
-                raise CyclicDefinitions((symbol, *sorted(deps & defined)))
             continue  # demoted: closing the loop stays a constraint
         edges[symbol] = set(deps)
         defined.add(symbol)
@@ -645,24 +642,22 @@ def _orient(session: _Session, sg: _Subgoal) -> list[str]:
 # -- entry points ----------------------------------------------------------------------
 
 
-def _prepare(stmt: N.Statement, db: UnitDatabase | None,
-             config: ProverConfig):
-    cfg = config or ProverConfig()
+def _prepare(stmt: N.Statement, db: UnitDatabase | None):
     full_db = database_for(stmt, db)
     resolved = resolve_statement(stmt, full_db)
     report = check_dimensions(resolved, full_db)
-    return cfg, full_db, resolved, report
+    return full_db, resolved, report
 
 
-def check_derivation(stmt: N.Statement, steps, db: UnitDatabase | None = None,
-                     config: ProverConfig | None = None) -> Verdict:
+def check_derivation(stmt: N.Statement, steps,
+                     db: UnitDatabase | None = None) -> Verdict:
     """Replay a derivation script against a statement."""
-    cfg, full_db, resolved, report = _prepare(stmt, db, config)
+    full_db, resolved, report = _prepare(stmt, db)
     if not report.homogeneous:
         return Unknown("the statement is not dimensionally homogeneous",
                        dim_report=report)
     steps = tuple(steps)
-    session = _Session(resolved, full_db, cfg)
+    session = _Session(resolved, full_db)
     for i, step in enumerate(steps):
         if not session.subgoals:
             raise MalformedScript("steps remain after all goals closed", i)
@@ -683,14 +678,13 @@ def check_derivation(stmt: N.Statement, steps, db: UnitDatabase | None = None,
                   session.eval_count)
 
 
-def auto_prove(stmt: N.Statement, db: UnitDatabase | None = None,
-               config: ProverConfig | None = None) -> Verdict:
+def auto_prove(stmt: N.Statement, db: UnitDatabase | None = None) -> Verdict:
     """Search for a proof; any Proved verdict carries a replayable script."""
-    cfg, full_db, resolved, report = _prepare(stmt, db, config)
+    full_db, resolved, report = _prepare(stmt, db)
     if not report.homogeneous:
         return Unknown("the statement is not dimensionally homogeneous",
                        dim_report=report)
-    session = _Session(resolved, full_db, cfg)
+    session = _Session(resolved, full_db)
     while session.subgoals:
         sg = session.subgoals[0]
         step = _structural_step(session, sg)

@@ -12,26 +12,24 @@ from typing import Callable
 from ..lang import nodes as N
 
 
-def transform(node, fn: Callable, *, shadowed: frozenset[str] = frozenset()):
-    """Rebuild ``node`` bottom-up, applying ``fn(node, shadowed)`` at each level.
+def transform(node, fn: Callable):
+    """Rebuild ``node`` bottom-up, applying ``fn(node)`` at each level.
 
     ``fn`` returns either a replacement node (taken as-is, not descended into;
     returning ``node`` itself keeps the subtree) or None to keep the node with
-    its children transformed.  Quantifier binders extend ``shadowed`` for
-    their bodies.  A node none of whose children changed is returned as is.
+    its children transformed.  A node none of whose children changed is
+    returned as is.
     """
-    replacement = fn(node, shadowed)
+    replacement = fn(node)
     if replacement is not None:
         return replacement
-    if isinstance(node, (N.ForallFn, N.ForallFinite)):
-        shadowed = shadowed | {node.var}
     changed = None
     for name in node._fields:
         value = getattr(node, name)
         if isinstance(value, N.Node):
-            new_value = transform(value, fn, shadowed=shadowed)
+            new_value = transform(value, fn)
         elif isinstance(value, tuple):
-            new_value = _transform_tuple(value, fn, shadowed)
+            new_value = _transform_tuple(value, fn)
         else:
             continue
         if new_value is not value:
@@ -45,10 +43,10 @@ def transform(node, fn: Callable, *, shadowed: frozenset[str] = frozenset()):
                          for f in node._fields})
 
 
-def _transform_tuple(value: tuple, fn, shadowed) -> tuple:
+def _transform_tuple(value: tuple, fn) -> tuple:
     items = tuple(
-        transform(v, fn, shadowed=shadowed) if isinstance(v, N.Node)
-        else _transform_tuple(v, fn, shadowed) if isinstance(v, tuple)
+        transform(v, fn) if isinstance(v, N.Node)
+        else _transform_tuple(v, fn) if isinstance(v, tuple)
         else v
         for v in value)
     if all(a is b for a, b in zip(items, value)):
@@ -79,7 +77,7 @@ def free_vars(node) -> frozenset[str]:
 def subst_var(node, name: str, replacement: N.Expr):
     """Substitute ``replacement`` for every free occurrence of variable ``name``."""
 
-    def visit(n, shadowed):
+    def visit(n):
         if name not in free_vars(n):  # absent, or bound by a quantifier
             return n
         if isinstance(n, N.Var):
@@ -96,12 +94,12 @@ def expand_fn(node, fname: str, binder: str, body: N.Expr):
     applications unfold in one pass.  ``body`` must not apply ``fname``.
     """
 
-    def visit(n, shadowed):
+    def visit(n):
         # An expression binds no name, so every head in it is free there.
         if isinstance(n, N.Expr) and fname not in free_vars(n):
             return n
         if isinstance(n, N.Apply) and n.fn == fname:
-            arg = transform(n.arg, visit, shadowed=shadowed)
+            arg = transform(n.arg, visit)
             return subst_var(body, binder, arg)
         return None
 
@@ -112,7 +110,7 @@ def rewrite_ground(node, pattern: N.Expr, replacement: N.Expr):
     """Replace every subtree structurally equal to ``pattern``."""
     names = free_vars(pattern)
 
-    def visit(n, shadowed):
+    def visit(n):
         if isinstance(n, N.Expr):
             # An expression binds no name: a match needs all of the
             # pattern's names free in it.
@@ -126,13 +124,28 @@ def rewrite_ground(node, pattern: N.Expr, replacement: N.Expr):
 
 
 def applied_fns(node) -> set[str]:
-    """Function names appearing as Apply or Deriv heads."""
+    """Function names appearing as Apply or Deriv heads, outside the scope
+    of a quantifier that binds the same name.
+
+    ``node`` is an expression or a proposition; none of their fields holds a
+    tuple of nodes, so the walk reads ``_fields`` directly (faster than
+    :func:`~physkernel.lang.nodes.children`).
+    """
     out: set[str] = set()
+    bound: list[str] = []  # binders of the enclosing quantifiers
 
-    def visit(n, shadowed):
-        if isinstance(n, (N.Apply, N.Deriv)) and n.fn not in shadowed:
+    def visit(n) -> None:
+        if isinstance(n, (N.Apply, N.Deriv)) and n.fn not in bound:
             out.add(n.fn)
-        return None
+        binds = isinstance(n, (N.ForallFn, N.ForallFinite))
+        if binds:
+            bound.append(n.var)
+        for name in n._fields:
+            child = getattr(n, name)
+            if isinstance(child, N.Node):
+                visit(child)
+        if binds:
+            bound.pop()
 
-    transform(node, visit)
+    visit(node)
     return out

@@ -109,7 +109,9 @@ def parse_script(text: str, stmt: N.Statement,
                  db: UnitDatabase | None = None) -> tuple[Step, ...]:
     """Parse the textual form of a derivation script for ``stmt``.
 
-    The statement supplies the scope in which ``inst`` arguments are parsed.
+    The statement supplies the scope in which ``inst`` arguments are parsed,
+    and ``db`` the units and constants they may name; pass
+    ``database_for(stmt, db)`` so that the statement's own constants resolve.
     Structural problems raise MalformedScript with the offending step index.
     """
     db = db or builtin_database()
@@ -157,7 +159,7 @@ def parse_script(text: str, stmt: N.Statement,
                     "'inst' expects a hypothesis name and an expression",
                     index)
             try:
-                arg = parse_expression(arg_text, variables=variables,
+                arg = parse_expression(arg_text, db, variables=variables,
                                        functions=functions)
             except ParseError as exc:
                 raise MalformedScript(

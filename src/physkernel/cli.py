@@ -28,8 +28,8 @@ import traceback
 from pathlib import Path
 
 from .checker.dims import check_dimensions
-from .checker.prover import (Proved, ProverConfig, Refuted, Unknown,
-                             auto_prove, check_derivation, database_for)
+from .checker.prover import (Proved, Refuted, Unknown, auto_prove,
+                             check_derivation, database_for, with_overrides)
 from .checker.script import parse_script, print_script
 from .corpus import load_corpus
 from .errors import PhysKernelError
@@ -48,10 +48,7 @@ EXIT_INTERNAL = 4
 def _load_db(args) -> UnitDatabase:
     db = builtin_database()
     if getattr(args, "constants", None):
-        pairs = parse_overrides(args.constants, db)
-        from .checker.evaluate import eval_numeric
-        db = db.with_constants(
-            {name: eval_numeric(expr, {}, db) for name, expr in pairs})
+        db = with_overrides(db, parse_overrides(args.constants, db))
     return db
 
 
@@ -134,7 +131,7 @@ def _cmd_check(args) -> int:
 def _cmd_prove(args) -> int:
     db = _load_db(args)
     stmt = _read_statement(args.file, db)
-    verdict = auto_prove(stmt, db, ProverConfig())
+    verdict = auto_prove(stmt, db)
     return _print_verdict(verdict, args.format)
 
 
@@ -144,7 +141,7 @@ def _cmd_verify_script(args) -> int:
     script_text = Path(args.script).read_text(encoding="utf-8")
     full_db = database_for(stmt, db)
     steps = parse_script(script_text, stmt, full_db)
-    verdict = check_derivation(stmt, steps, db, ProverConfig())
+    verdict = check_derivation(stmt, steps, db)
     return _print_verdict(verdict, args.format)
 
 

@@ -118,14 +118,6 @@ class EliminationBudgetExceeded(PhysKernelError):
             f"{budget}, without reducing the goal to zero")
 
 
-class CyclicDefinitions(PhysKernelError):
-    """Strict-mode orientation found a definitional cycle."""
-
-    def __init__(self, cycle: tuple[str, ...]):
-        self.cycle = cycle
-        super().__init__("cyclic definitions: " + " -> ".join(cycle))
-
-
 class MalformedScript(PhysKernelError):
     """A derivation script is structurally unusable at some step."""
 

@@ -36,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checker.prover import Proved, ProverConfig, auto_prove, check_derivation
+from .checker.prover import Proved, auto_prove, check_derivation, database_for
 from .checker.script import parse_script, print_script
 from .corpus import CorpusEntry
 from .errors import MismatchedModels, PhysKernelError
@@ -118,17 +118,15 @@ class BuiltinProver(ProverBinding):
     name = "builtin-auto"
     deterministic = True
 
-    def __init__(self, db: UnitDatabase | None = None,
-                 config: ProverConfig | None = None):
+    def __init__(self, db: UnitDatabase | None = None):
         self.db = db or builtin_database()
-        self.config = config
 
     def session(self) -> ProverSession:
         outer = self
 
         class _S(ProverSession):
             def attempt(self, entry: CorpusEntry, attempt_no: int) -> str:
-                verdict = auto_prove(entry.statement, outer.db, outer.config)
+                verdict = auto_prove(entry.statement, outer.db)
                 if verdict.kind != "proved":
                     raise PhysKernelError(
                         f"automatic prover returned {verdict.kind}")
@@ -234,13 +232,14 @@ class _ExternalSession(ProverSession):
 
 
 def verify_script_text(entry: CorpusEntry, script_text: str,
-                       db: UnitDatabase | None = None,
-                       config: ProverConfig | None = None) -> bool:
+                       db: UnitDatabase | None = None) -> bool:
     """True iff the script text replays to a proved verdict for the entry."""
     db = db or builtin_database()
     try:
-        steps = parse_script(script_text, entry.statement, db)
-        verdict = check_derivation(entry.statement, steps, db, config)
+        # ``inst`` arguments may name the statement's own constants.
+        steps = parse_script(script_text, entry.statement,
+                             database_for(entry.statement, db))
+        verdict = check_derivation(entry.statement, steps, db)
     except PhysKernelError:
         return False
     return isinstance(verdict, Proved)
@@ -335,7 +334,6 @@ def aggregate(level_passed_pairs) -> tuple[dict[str, Fraction], Fraction]:
 
 def run_eval(entries, binding: ProverBinding, k: int = 1, jobs: int = 1,
              db: UnitDatabase | None = None,
-             config: ProverConfig | None = None,
              ) -> tuple[EvalReport, tuple[AttemptRecord, ...]]:
     """Evaluate a binding over corpus entries with pass@k semantics.
 
@@ -359,7 +357,7 @@ def run_eval(entries, binding: ProverBinding, k: int = 1, jobs: int = 1,
             reason: str | None = None
             try:
                 script = session.attempt(entry, attempt_no)
-                ok = verify_script_text(entry, script, db, config)
+                ok = verify_script_text(entry, script, db)
                 if not ok:
                     reason = "script did not verify"
             except Exception as exc:

@@ -343,12 +343,6 @@ class Statement:
     constants: tuple[tuple[str, Expr], ...] = ()
     span: Span = DUMMY_SPAN
 
-    def hyp(self, name: str) -> Prop:
-        for n, p in self.hyps:
-            if n == name:
-                return p
-        raise KeyError(name)
-
 
 # -- structural helpers --------------------------------------------------------
 

@@ -646,7 +646,7 @@ def _split_front_matter(text: str) -> tuple[dict[str, tuple[str, int]], int]:
 
 
 def _parse_constant_overrides(text: str, offset: int, db: UnitDatabase):
-    """Parse ``name = expr ; ...`` from a front-matter constants value."""
+    """Parse ``name = expr, ...`` from a front-matter constants value."""
     overrides: list[tuple[str, N.Expr]] = []
     tokens = tokenize(text, offset)
     p = _Parser(tokens, db)

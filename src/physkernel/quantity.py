@@ -257,25 +257,15 @@ def _dec_reduce(x: Decimal) -> Decimal:
     return r
 
 
-def _dec_sin_series(x: Decimal) -> Decimal:
-    total, term, i = x, x, 1
+def _dec_series(x: Decimal, odd: int) -> Decimal:
+    """The Taylor series of sin(x) (``odd`` = 1) or cos(x) (``odd`` = 0),
+    summed until a term no longer changes the total."""
+    total = term = x if odd else Decimal(1)
+    i = 1
     neg_x2 = _DEC.multiply(x, x).copy_negate()
     while True:
         term = _DEC.divide(_DEC.multiply(term, neg_x2),
-                           Decimal((2 * i) * (2 * i + 1)))
-        new_total = _DEC.add(total, term)
-        if new_total == total:
-            return total
-        total = new_total
-        i += 1
-
-
-def _dec_cos_series(x: Decimal) -> Decimal:
-    total, term, i = Decimal(1), Decimal(1), 1
-    neg_x2 = _DEC.multiply(x, x).copy_negate()
-    while True:
-        term = _DEC.divide(_DEC.multiply(term, neg_x2),
-                           Decimal((2 * i - 1) * (2 * i)))
+                           Decimal((2 * i - 1 + odd) * (2 * i + odd)))
         new_total = _DEC.add(total, term)
         if new_total == total:
             return total
@@ -284,11 +274,11 @@ def _dec_cos_series(x: Decimal) -> Decimal:
 
 
 def dec_sin(v: NumericValue) -> Approx:
-    return _approx(_dec_sin_series(_dec_reduce(_to_decimal(v))))
+    return _approx(_dec_series(_dec_reduce(_to_decimal(v)), 1))
 
 
 def dec_cos(v: NumericValue) -> Approx:
-    return _approx(_dec_cos_series(_dec_reduce(_to_decimal(v))))
+    return _approx(_dec_series(_dec_reduce(_to_decimal(v)), 0))
 
 
 # ---------------------------------------------------------------------------

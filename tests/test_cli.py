@@ -29,6 +29,41 @@ def test_too_deep_input_is_bad_input_not_unknown(tmp_path):
         assert len(out.stderr.splitlines()) == 1
 
 
+def _cli(*argv: str) -> subprocess.CompletedProcess:
+    return _run("import sys\nfrom physkernel.cli import main\n"
+                f"sys.exit(main({list(argv)!r}))\n")
+
+
+def test_fixed_constant_override_is_bad_input_on_every_subcommand(
+        corpus_dir, tmp_path):
+    path = str(corpus_dir / "electromagnetism"
+               / "parallel_plate_capacitance.phys")
+    script = tmp_path / "numeric.script"
+    script.write_text("numeric\n", encoding="utf-8")
+    for argv in (("check", path), ("prove", path),
+                 ("verify-script", path, str(script)),
+                 ("eval", str(corpus_dir)), ("units",)):
+        out = _cli(*argv, "--constants", "pi = 3")
+        assert out.returncode == 3, (argv, out.stdout[-500:])
+        assert out.stdout == ""
+        assert out.stderr == "error: 1:6: constant 'pi' is not overridable\n"
+
+
+def test_inst_argument_may_name_a_front_matter_constant(tmp_path):
+    path = tmp_path / "doubled_light.phys"
+    path.write_text("name: doubled_light\n"
+                    "constants: c = 3 • meter / second\n\n"
+                    "theorem doubled_light\n"
+                    "  (f : Speed -> Speed)\n"
+                    "  (hv := forall w, f(w) = 2 * w)\n"
+                    "  : f(c) = 6 • meter / second\n", encoding="utf-8")
+    script = tmp_path / "doubled_light.script"
+    script.write_text("inst hv c\nsubst hv@1\nnumeric\n", encoding="utf-8")
+    out = _cli("verify-script", str(path), str(script))
+    assert out.returncode == 0, out.stderr[-500:]
+    assert out.stdout.startswith("proved (exactly)\ninst hv c\n")
+
+
 def test_unexpected_exception_exits_internal_with_traceback(corpus_dir):
     path = corpus_dir / "mechanics" / "crate_friction_coefficients.phys"
     out = _run(

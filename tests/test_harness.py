@@ -187,6 +187,22 @@ def test_verify_script_text_accepts_only_replaying_scripts(db, tiny_entry):
     assert not verify_script_text(tiny_entry, "", db)
 
 
+def test_inst_argument_may_name_a_statement_constant(db):
+    text = textwrap.dedent("""\
+        name: doubled_light
+        constants: c = 3 • meter / second
+
+        theorem doubled_light
+          (f : Speed -> Speed)
+          (hv := forall w, f(w) = 2 * w)
+          : f(c) = 6 • meter / second
+    """)
+    entry = CorpusEntry("doubled_light", "mechanics", Tier.SCRIPT,
+                        pathlib.Path("doubled_light.phys"), text,
+                        parse_statement(text, db))
+    assert verify_script_text(entry, "inst hv c\nsubst hv@1\nnumeric\n", db)
+
+
 # -- the external binding -----------------------------------------------------------
 
 

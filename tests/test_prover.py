@@ -8,14 +8,13 @@ import pytest
 
 from physkernel.checker import ring
 from physkernel.checker.prover import (
-    Proved, ProverConfig, Refuted, Unknown, auto_prove, check_derivation,
-    database_for,
+    Proved, Refuted, Unknown, auto_prove, check_derivation, database_for,
 )
 from physkernel.checker.script import (
     ExactHyp, MalformedScript, NumericCheck, RingCheck, Split, Subst,
     parse_script, print_script,
 )
-from physkernel.errors import CyclicDefinitions, ParseError
+from physkernel.errors import ParseError
 from physkernel.lang.parser import parse_statement
 
 
@@ -84,11 +83,9 @@ def test_cyclic_definitions_demote_to_constraints(db):
         (hval := x = 4)
         : y = 3
     """, db)
-    # Default mode: one direction is accepted, the cycle-closing hypothesis
-    # stays a constraint, and the goal still follows.
+    # One direction is accepted, the cycle-closing hypothesis stays a
+    # constraint, and the goal still follows.
     assert isinstance(auto_prove(s, db), Proved)
-    with pytest.raises(CyclicDefinitions):
-        auto_prove(s, db, config=ProverConfig(strict_cycles=True))
 
 
 def test_ring_closure_counts_no_numeric_evaluations(db):
@@ -316,3 +313,17 @@ def test_non_overridable_constant_is_rejected(db):
     """, db)
     with pytest.raises(ParseError, match="not overridable"):
         auto_prove(s, db)
+
+
+def test_override_refusal_points_at_the_override(db):
+    s = stmt_of("""
+        name: bad_pi
+        constants: g = 10 • meter / second**2, pi = 3
+        theorem bad_pi
+        (u : Real)
+        (h := u = 1)
+        : u = 1
+    """, db)
+    with pytest.raises(ParseError, match="not overridable") as exc:
+        database_for(s, db)
+    assert (exc.value.line, exc.value.col) == (2, 45)

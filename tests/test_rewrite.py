@@ -220,7 +220,7 @@ def test_substituting_an_absent_name_returns_the_same_object(db, corpus_dir):
     p = N.Eq(N.Var("x"), N.Mul(N.Var("y"), N.NumLit(Fraction(3))))
     got = subst_var(p, "x", REPLACEMENT)
     assert got.rhs is p.rhs and got.span is p.span
-    assert transform(p, lambda n, shadowed: None) is p
+    assert transform(p, lambda n: None) is p
 
 
 def test_free_vars_cache_does_not_survive_a_changed_copy():
