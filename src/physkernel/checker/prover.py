@@ -642,11 +642,27 @@ def _orient(session: _Session, sg: _Subgoal) -> list[str]:
 # -- entry points ----------------------------------------------------------------------
 
 
+# The last (stmt, db, result) that _prepare computed.  The harness proves an
+# entry and then replays a script against the same statement object, so the
+# replay finds its set-up here.  Statements and databases are frozen and
+# never mutated, and _prepare is a deterministic function of the two, so an
+# identity hit returns what recomputing would; nothing from the prover's
+# search is kept.  Reading or replacing the tuple is atomic, so threads may
+# share it: a miss only recomputes.
+_last_prepared: tuple = (None, None, None)
+
+
 def _prepare(stmt: N.Statement, db: UnitDatabase | None):
+    global _last_prepared
+    last_stmt, last_db, result = _last_prepared
+    if last_stmt is stmt and last_db is db:
+        return result
     full_db = database_for(stmt, db)
     resolved = resolve_statement(stmt, full_db)
     report = check_dimensions(resolved, full_db)
-    return full_db, resolved, report
+    result = full_db, resolved, report
+    _last_prepared = (stmt, db, result)
+    return result
 
 
 def check_derivation(stmt: N.Statement, steps,

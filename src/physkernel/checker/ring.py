@@ -334,10 +334,10 @@ class _Xlate:
             e = dim.exponents[base]
             if e == 0:
                 continue
-            if e.denominator != 1:
+            if type(e) is not int:  # a normal-form Fraction is never integral
                 raise UnsupportedNode(
                     "fractional base-dimension exponents are outside the ring")
-            poly = poly_mul(poly, {(((_BASE, base.name), int(e)),): 1})
+            poly = poly_mul(poly, {(((_BASE, base.name), e),): 1})
         return RationalFunc(poly)
 
     def tr(self, e: N.Expr) -> RationalFunc:

@@ -1,17 +1,23 @@
 """Exact dimension vectors over the seven SI base dimensions.
 
-A :class:`Dimension` is an immutable vector of seven reduced rational
-exponents, one per SI base dimension, in the fixed component order
+A :class:`Dimension` is an immutable vector of seven rational exponents,
+one per SI base dimension, in the fixed component order
 
     Time, Length, Mass, Current, Temperature, Amount, LuminousIntensity.
+
+Each exponent is kept in one normal form: an ``int`` where it is integral
+and a reduced ``Fraction`` (denominator above 1) otherwise, so the integral
+dimensions that physics mostly uses run on int arithmetic.  Equal vectors
+have equal tuples and hashes, whichever form their inputs took.
 
 Dimensions form an additive group: :meth:`Dimension.combine` adds exponent
 vectors (the dimension of a product), :meth:`Dimension.invert` negates them,
 and :meth:`Dimension.scale` multiplies by a rational (the dimension of a
-power).  All arithmetic is exact; numerators and denominators of every
-component must stay within the signed/unsigned 64-bit range, and any operation
-that would leave it raises :class:`~physkernel.errors.DimensionOverflow`
-rather than wrapping or approximating.
+power).  All arithmetic is exact; the numerator and denominator of every
+exponent must stay within the signed 64-bit range (absolute value at most
+``2**63 - 1``), and any operation that would leave it raises
+:class:`~physkernel.errors.DimensionOverflow` rather than wrapping or
+approximating.  Each operation checks each exponent of its result once.
 
 Rendering uses the conventional SI dimension symbols in the fixed order
 ``M L T I Θ N J``, omitting zero exponents and writing non-integer exponents
@@ -23,6 +29,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, neg
 
 from .errors import DimensionOverflow
 
@@ -55,17 +63,30 @@ _RENDER_ORDER = (
 )
 
 
-def _checked(x: Fraction) -> Fraction:
-    if abs(x.numerator) > _INT64_MAX or x.denominator > _INT64_MAX:
-        raise DimensionOverflow(f"dimension exponent {x} exceeds the 64-bit range")
-    return x
+def _normal(x: int | Fraction) -> int | Fraction:
+    """``x`` in normal form, after checking it lies within the 64-bit range."""
+    if type(x) is not int and x.denominator == 1:
+        x = x.numerator
+    if type(x) is int:
+        if -_INT64_MAX <= x <= _INT64_MAX:
+            return x
+    elif abs(x.numerator) <= _INT64_MAX and x.denominator <= _INT64_MAX:
+        return x
+    raise DimensionOverflow(f"dimension exponent {x} exceeds the 64-bit range")
+
+
+def _make(exponents: tuple[int | Fraction, ...]) -> "Dimension":
+    """A Dimension over exponents that are already normal and in range."""
+    d = object.__new__(Dimension)
+    object.__setattr__(d, "exponents", exponents)
+    return d
 
 
 @dataclass(frozen=True)
 class Dimension:
     """An exact 7-vector of rational exponents over the SI base dimensions."""
 
-    exponents: tuple[Fraction, ...]
+    exponents: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.exponents) != 7:
@@ -73,7 +94,8 @@ class Dimension:
         object.__setattr__(
             self,
             "exponents",
-            tuple(_checked(Fraction(e)) for e in self.exponents),
+            tuple(_normal(e if type(e) is int else Fraction(e))
+                  for e in self.exponents),
         )
 
     # -- constructors ------------------------------------------------------
@@ -81,34 +103,36 @@ class Dimension:
     @classmethod
     def base(cls, b: BaseDim) -> "Dimension":
         """The dimension vector of a single base dimension."""
-        exps = [Fraction(0)] * 7
-        exps[int(b)] = Fraction(1)
-        return cls(tuple(exps))
+        exps = [0] * 7
+        exps[int(b)] = 1
+        return _make(tuple(exps))
 
     @classmethod
     def from_map(cls, mapping: dict[BaseDim, Fraction | int]) -> "Dimension":
         """Build a dimension from a sparse {base: exponent} mapping."""
-        exps = [Fraction(0)] * 7
+        exps: list[int | Fraction] = [0] * 7
         for b, e in mapping.items():
-            exps[int(b)] = Fraction(e)
+            exps[int(b)] = e
         return cls(tuple(exps))
 
     # -- group operations --------------------------------------------------
 
     def combine(self, other: "Dimension") -> "Dimension":
         """Dimension of a product: componentwise exponent sum."""
-        return Dimension(
-            tuple(_checked(a + b) for a, b in zip(self.exponents, other.exponents))
-        )
+        return _make(tuple(map(_normal, map(add, self.exponents,
+                                            other.exponents))))
 
     def invert(self) -> "Dimension":
         """Dimension of a reciprocal: componentwise negation."""
-        return Dimension(tuple(-a for a in self.exponents))
+        # Negation keeps the normal form, and the range is symmetric.
+        return _make(tuple(map(neg, self.exponents)))
 
     def scale(self, factor: Fraction | int) -> "Dimension":
         """Dimension of a power: componentwise multiplication by ``factor``."""
-        f = Fraction(factor)
-        return Dimension(tuple(_checked(a * f) for a in self.exponents))
+        f = factor if type(factor) is int else Fraction(factor)
+        if f.denominator == 1:
+            f = f.numerator
+        return _make(tuple(map(_normal, map(mul, self.exponents, repeat(f)))))
 
     def subtract(self, other: "Dimension") -> "Dimension":
         """Dimension of a quotient: ``self.combine(other.invert())``."""
@@ -118,7 +142,7 @@ class Dimension:
 
     @property
     def is_dimensionless(self) -> bool:
-        return all(e == 0 for e in self.exponents)
+        return not any(self.exponents)
 
     def render(self) -> str:
         """Canonical text form, e.g. ``M L^2 T^-2`` or ``1``."""
@@ -142,4 +166,4 @@ class Dimension:
         return f"Dimension({self.render()!r})"
 
 
-DIMENSIONLESS = Dimension(tuple(Fraction(0) for _ in range(7)))
+DIMENSIONLESS = _make((0,) * 7)

@@ -376,7 +376,13 @@ def children(node) -> Iterator:
 
 
 def walk(node) -> Iterator:
-    """All nodes in the subtree rooted at ``node``, preorder."""
-    yield node
-    for c in children(node):
-        yield from walk(c)
+    """All nodes in the subtree rooted at ``node``, preorder.
+
+    An explicit stack, so the cost is linear in the number of nodes and a
+    deep tree cannot exhaust the recursion limit.
+    """
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed([*children(node)]))

@@ -2,7 +2,10 @@
 
 The oracle below manipulates plain tuples of Fractions with no knowledge
 of the Dimension class, so agreement is evidence the class implements the
-free abelian group over the seven base dimensions correctly.
+free abelian group over the seven base dimensions correctly.  The class
+keeps each exponent as an ``int`` where it is integral; the oracle keeps
+``Fraction`` throughout, and the two must still agree on every value and
+every rendering.
 """
 
 import random
@@ -43,6 +46,30 @@ def mk(vec):
         {BaseDim(i): Fraction(e) for i, e in enumerate(vec) if e})
 
 
+def assert_normal(d):
+    """Every exponent is an int, or a Fraction that is not integral."""
+    for e in d.exponents:
+        assert type(e) is int or (type(e) is Fraction and e.denominator != 1), \
+            repr(e)
+
+
+ORACLE_ORDER = ((2, "M"), (1, "L"), (0, "T"), (3, "I"), (4, "Θ"), (5, "N"),
+                (6, "J"))
+
+
+def oracle_render(vec):
+    parts = []
+    for i, symbol in ORACLE_ORDER:
+        e = Fraction(vec[i])
+        if e == 1:
+            parts.append(symbol)
+        elif e.denominator == 1 and e:
+            parts.append(f"{symbol}^{e.numerator}")
+        elif e:
+            parts.append(f"{symbol}^{e.numerator}/{e.denominator}")
+    return " ".join(parts) or "1"
+
+
 def rand_vec(rng, denom_max=4):
     return tuple(
         Fraction(rng.randint(-6, 6), rng.randint(1, denom_max))
@@ -77,6 +104,17 @@ def test_group_laws_bulk():
         # integer and fractional powers distribute over exponents
         k = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         assert tuple(da.scale(k).exponents) == tuple(x * k for x in a)
+        # every result is in normal form and renders as the oracle does
+        results = {
+            a: da, t_mul(a, b): da.combine(db_),
+            tuple(-x for x in a): da.invert(), t_div(a, b): da.subtract(db_),
+            tuple(x * k for x in a): da.scale(k),
+            tuple(x * k.numerator for x in a): da.scale(k.numerator),
+        }
+        for vec, d in results.items():
+            assert_normal(d)
+            assert d.render() == oracle_render(vec)
+            assert d == Dimension(vec) and hash(d) == hash(Dimension(vec))
 
 
 def test_render_conventions():
@@ -99,6 +137,45 @@ def test_overflow_guard():
     big = Dimension.from_map({BaseDim.MASS: Fraction(2**40)})
     with pytest.raises(DimensionOverflow):
         big.scale(Fraction(2**40))
+
+
+def mass(e):
+    return Dimension.from_map({BaseDim.MASS: e})
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_overflow_fires_at_exactly_two_to_the_63(sign):
+    top = 2**63 - 1
+    # construction, as an int, an integral Fraction and a numerator or
+    # denominator of a Fraction
+    for e in (top, Fraction(top), Fraction(top, 2), Fraction(1, top)):
+        assert_normal(mass(sign * e))
+    for e in (2**63, Fraction(2**63), Fraction(2**63, 3), Fraction(1, 2**63)):
+        with pytest.raises(DimensionOverflow):
+            mass(sign * e)
+    with pytest.raises(DimensionOverflow):
+        Dimension((0, 0, sign * 2**63, 0, 0, 0, 0))
+    # combine
+    half = mass(sign * 2**62)
+    assert half.combine(mass(sign * (2**62 - 1))).exponents[2] == sign * top
+    with pytest.raises(DimensionOverflow):
+        half.combine(half)
+    third = mass(sign * Fraction(2**63 - 2, 3))
+    assert third.combine(mass(sign * Fraction(1, 3))).exponents[2] \
+        == sign * Fraction(top, 3)
+    with pytest.raises(DimensionOverflow):
+        mass(sign * Fraction(top, 3)).combine(mass(sign * Fraction(1, 3)))
+    # scale, by an int and by a Fraction
+    assert mass(top).scale(sign).exponents[2] == sign * top
+    for factor in (2, Fraction(2), Fraction(-2)):
+        with pytest.raises(DimensionOverflow):
+            half.scale(sign * factor)
+    with pytest.raises(DimensionOverflow):
+        mass(Fraction(1, 2**62)).scale(sign * Fraction(1, 2))
+    assert mass(Fraction(1, top)).scale(sign).exponents[2] \
+        == sign * Fraction(1, top)
+    # invert cannot leave the range: it is symmetric
+    assert mass(top).invert().exponents[2] == -top
 
 
 def test_dimensionless_is_identity_for_every_named_vector():

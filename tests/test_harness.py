@@ -1,13 +1,21 @@
 """Evaluation harness: pass@k semantics, reports, external prover protocol."""
 
+import dataclasses
+import functools
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import textwrap
 from fractions import Fraction
 
 import pytest
 
+from physkernel.checker.prover import (
+    auto_prove, check_derivation, with_overrides,
+)
+from physkernel.checker.script import parse_script
 from physkernel.corpus import CorpusEntry, Tier, load_corpus
 from physkernel.errors import MismatchedModels
 from physkernel.harness import (
@@ -15,7 +23,8 @@ from physkernel.harness import (
     percent, render_attempt_log, render_report, run_eval, verify_script_text,
 )
 from physkernel.harness import EntryResult
-from physkernel.lang.parser import parse_statement
+from physkernel.lang.parser import parse_overrides, parse_statement
+from physkernel.unitdb import builtin_database
 
 TINY_TEXT = textwrap.dedent("""\
     name: tiny_pass
@@ -138,6 +147,76 @@ def test_builtin_eval_over_bundled_corpus(db, corpus_dir):
     rendered = render_report(report)
     assert "overall)" in rendered and "[FAIL] mechanics/rope_friction_turns" in rendered
     assert render_attempt_log(log).count("\n") == len(log) - 1
+
+
+def test_run_eval_prepares_each_statement_once(db, corpus_dir, monkeypatch):
+    # Proving and then replaying one entry resolves its statement once: the
+    # replay finds the prover's set-up of the same statement object.
+    from physkernel.checker import prover
+
+    calls = []
+    resolve = prover.resolve_statement
+
+    def counting(stmt, db=None):
+        calls.append(stmt)
+        return resolve(stmt, db)
+
+    monkeypatch.setattr(prover, "resolve_statement", counting)
+    (entry,) = [e for e in load_corpus(corpus_dir, db)
+                if e.name == "crate_friction_coefficients"]
+    report, _ = run_eval([entry], BuiltinProver(db), db=db)
+    assert report.results[0].passed
+    assert len(calls) == 1
+
+
+G_TEXT = "theorem g_value\n  : g = 9.8 • meter / second**2\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _g_statement():
+    """One statement object, shared by every case run in this process."""
+    return parse_statement(G_TEXT, builtin_database())
+
+
+def _g_verdict(case: str):
+    db = builtin_database()
+    stmt = _g_statement()
+    g_length = parse_overrides("g = 10 • meter", db)
+    if case == "builtin":
+        return auto_prove(stmt, db)
+    if case == "overridden db":
+        return auto_prove(stmt, with_overrides(db, g_length))
+    if case == "replaced statement":
+        return auto_prove(dataclasses.replace(stmt, constants=g_length), db)
+    assert case == "replay, overridden db"
+    steps = parse_script("numeric\n", stmt, db)
+    g_ten = parse_overrides("g = 10 • meter / second**2", db)
+    return check_derivation(stmt, steps, with_overrides(db, g_ten))
+
+
+def test_set_up_of_another_statement_or_database_is_not_reused():
+    # Each case in a fresh process, then all of them in one process, each
+    # after a case that set up the same statement object.
+    cases = ("builtin", "overridden db", "replaced statement",
+             "replay, overridden db")
+    here = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here.parent / "src"), str(here)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    fresh = {}
+    for case in cases:
+        out = subprocess.run(
+            [sys.executable, "-c", "from test_harness import _g_verdict\n"
+             f"print(repr(_g_verdict({case!r})))\n"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr[-2000:]
+        fresh[case] = out.stdout.strip()
+    assert [fresh[c].split("(")[0] for c in cases] == [
+        "Proved", "Unknown", "Unknown", "Refuted"]
+    for case in ("builtin", "overridden db", "builtin", "replaced statement",
+                 "builtin", "replay, overridden db", "builtin"):
+        assert repr(_g_verdict(case)) == fresh[case], case
 
 
 def test_reports_are_byte_identical_across_runs(db, corpus_dir):

@@ -232,3 +232,33 @@ def test_free_vars_cache_does_not_survive_a_changed_copy():
     rebuilt = subst_var(node, "y", N.Var("w"))
     assert free_vars(rebuilt) == {"x", "f", "w"}
     assert isinstance(free_vars(node), frozenset)
+
+
+def _recursive_walk(node):
+    """The recursive preorder generator that ``N.walk`` replaced."""
+    yield node
+    for c in N.children(node):
+        yield from _recursive_walk(c)
+
+
+def test_walk_visits_every_subtree_in_the_recursive_preorder(db, corpus_dir):
+    visited = 0
+    for label, stmt in _statements(db, corpus_dir):
+        for prop in [p for _, p in stmt.hyps] + [stmt.goal]:
+            for node in _recursive_walk(prop):
+                got, want = list(N.walk(node)), list(_recursive_walk(node))
+                assert len(got) == len(want), label
+                assert all(a is b for a, b in zip(got, want)), label
+                visited += 1
+    assert visited > 1000
+
+
+def test_walk_of_a_deep_sum_needs_no_recursion():
+    depth = 3000  # three times the default recursion limit
+    e = N.Var("x")
+    for _ in range(depth - 1):
+        e = N.Add(e, N.Var("x"))
+    nodes = list(N.walk(e))
+    assert len(nodes) == 2 * depth - 1
+    assert nodes[0] is e and nodes[-1] is e.rhs
+    assert sum(isinstance(n, N.Add) for n in nodes) == depth - 1
