@@ -16,31 +16,60 @@ The package has four layers, each usable on its own:
   provers.
 """
 
-from .dimension import BaseDim, Dimension, DIMENSIONLESS  # noqa: F401
-from .quantity import (  # noqa: F401
-    Approx, NumComparison, PRECISION, Quantity, REL_TOL, compare_values,
-)
-from .unitdb import Topic, UnitDatabase, builtin_database  # noqa: F401
-from .errors import (  # noqa: F401
-    CorpusValidationError, DimensionMismatch,
-    DivisionByZero, DomainError, EliminationBudgetExceeded, InvalidCast,
-    MalformedScript, MismatchedModels, NotPolynomial, ParseError,
-    PhysKernelError,
-    UnboundVariable, UnknownIdentifier, UnsupportedNode,
-)
-from .lang import (  # noqa: F401
-    Statement, ast_eq, parse_expression, parse_prop, parse_statement,
-    print_expr, print_prop, print_statement,
-)
-from .checker import (  # noqa: F401
-    DimReport, Proved, Refuted, Unknown, Verdict, auto_prove,
-    check_derivation, check_dimensions, eval_numeric, parse_script,
-    print_script, resolve_statement, ring_equal,
-)
-from .corpus import CorpusEntry, Tier, corpus_stats, load_corpus  # noqa: F401
-from .harness import (  # noqa: F401
-    AttemptRecord, BuiltinProver, EvalReport, ExternalProver, aggregate,
-    improvement_delta, render_report, run_eval,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+
+def _lazy_exports(namespace: dict, names_by_module: dict[str, str]) -> None:
+    """Export, from the package whose globals are ``namespace``, each name
+    listed under the module of that package which defines it.
+
+    A name is imported on its first access (PEP 562), so importing a package
+    loads no layer, and each command-line subcommand loads only the layers
+    it runs.  Sets the package's ``_EXPORTS`` (name to module), ``__all__``,
+    ``__getattr__`` and ``__dir__``.
+    """
+    package = namespace["__name__"]
+    exports = {name: module for module, names in names_by_module.items()
+               for name in names.split()}
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(
+            importlib.import_module(f"{package}.{exports[name]}"), name)
+        namespace[name] = value  # later accesses are plain lookups
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *exports})
+
+    namespace.update(_EXPORTS=exports, __all__=list(exports),
+                     __getattr__=__getattr__, __dir__=__dir__)
+
+
+_lazy_exports(globals(), {
+    "dimension": "BaseDim Dimension DIMENSIONLESS",
+    "quantity": "Approx NumComparison PRECISION Quantity REL_TOL"
+                " compare_values",
+    "unitdb": "Topic UnitDatabase builtin_database",
+    "errors": "CorpusValidationError DimensionMismatch DivisionByZero"
+              " DomainError EliminationBudgetExceeded InvalidCast"
+              " MalformedScript MismatchedModels NotPolynomial ParseError"
+              " PhysKernelError UnboundVariable UnknownIdentifier"
+              " UnsupportedNode",
+    "lang.nodes": "Statement ast_eq",
+    "lang.parser": "parse_expression parse_prop parse_statement",
+    "lang.printer": "print_expr print_prop print_statement",
+    "checker.dims": "DimReport check_dimensions resolve_statement",
+    "checker.evaluate": "eval_numeric",
+    "checker.ring": "ring_equal",
+    "checker.script": "parse_script print_script",
+    "checker.prover": "Proved Refuted Unknown Verdict auto_prove"
+                      " check_derivation",
+    "corpus": "CorpusEntry Tier corpus_stats load_corpus",
+    "harness": "AttemptRecord BuiltinProver EvalReport ExternalProver"
+               " aggregate improvement_delta render_report run_eval",
+})

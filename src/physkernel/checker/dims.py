@@ -9,12 +9,10 @@ goal, verifying the dimensional typing rules and producing a per-entry report.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 from ..dimension import DIMENSIONLESS, Dimension
 from ..errors import ParseError
 from ..lang import nodes as N
+from ..record import record, replace
 from ..unitdb import UnitDatabase, builtin_database
 from .rewrite import transform
 
@@ -34,7 +32,7 @@ class _MismatchSignal(Exception):
         self.note = note
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Env:
     vars: dict[str, Dimension]
     fns: dict[str, tuple[Dimension, Dimension]]
@@ -187,7 +185,7 @@ def _unresolved_stds(e: N.Expr) -> list[N.StdUnit]:
 def _fill_std(e: N.Expr, target: N.StdUnit, dim: Dimension) -> N.Expr:
     def visit(n):
         if n is target:
-            return dataclasses.replace(n, dim=dim)
+            return replace(n, dim=dim)
         return None
 
     return transform(e, visit)
@@ -213,8 +211,8 @@ def _resolve_cmp(p: N.Prop, env: _Env, db: UnitDatabase) -> N.Prop:
         return p  # the dimension report will flag this entry
     new_side = _fill_std(side, std, dim)
     if left:
-        return dataclasses.replace(p, lhs=new_side)
-    return dataclasses.replace(p, rhs=new_side)
+        return replace(p, lhs=new_side)
+    return replace(p, rhs=new_side)
 
 
 def _walk_prop(p: N.Prop, env: _Env, db: UnitDatabase, on_cmp) -> N.Prop:
@@ -230,7 +228,7 @@ def _walk_prop(p: N.Prop, env: _Env, db: UnitDatabase, on_cmp) -> N.Prop:
         rhs = _walk_prop(p.rhs, env, db, on_cmp)
         if lhs is p.lhs and rhs is p.rhs:
             return p
-        return dataclasses.replace(p, lhs=lhs, rhs=rhs)
+        return replace(p, lhs=lhs, rhs=rhs)
     if isinstance(p, (N.ForallFinite, N.ForallFn)):
         dim = (DIMENSIONLESS if isinstance(p, N.ForallFinite)
                else _forall_var_dim(p, env, db))
@@ -243,7 +241,7 @@ def _walk_prop(p: N.Prop, env: _Env, db: UnitDatabase, on_cmp) -> N.Prop:
                 del env.vars[p.var]
             else:
                 env.vars[p.var] = saved
-        return p if body is p.body else dataclasses.replace(p, body=body)
+        return p if body is p.body else replace(p, body=body)
     raise ParseError(f"unsupported proposition node {type(p).__name__}",
                      span=getattr(p, "span", N.DUMMY_SPAN))
 
@@ -252,8 +250,8 @@ def _fill_cast_stds(p: N.Prop, db: UnitDatabase) -> N.Prop:
     def visit(n):
         if (isinstance(n, N.Cast) and isinstance(n.arg, N.StdUnit)
                 and n.arg.dim is None):
-            filled = dataclasses.replace(n.arg, dim=db.kind(n.kind))
-            return dataclasses.replace(n, arg=filled)
+            filled = replace(n.arg, dim=db.kind(n.kind))
+            return replace(n, arg=filled)
         return None
 
     return transform(p, visit)
@@ -277,13 +275,13 @@ def resolve_statement(stmt: N.Statement,
     changed = changed or goal is not stmt.goal
     if not changed:
         return stmt
-    return dataclasses.replace(stmt, hyps=tuple(hyps), goal=goal)
+    return replace(stmt, hyps=tuple(hyps), goal=goal)
 
 
 # -- the report -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DimMismatch:
     span: N.Span
     expected: Dimension | None
@@ -298,7 +296,7 @@ class DimMismatch:
                 f"found {self.found.render()} — {self.note} {where}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DimEntry:
     label: str
     mismatch: DimMismatch | None
@@ -308,7 +306,7 @@ class DimEntry:
         return self.mismatch is None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DimReport:
     entries: tuple[DimEntry, ...]
 

@@ -1,4 +1,5 @@
-"""Numeric evaluation of expressions and quantifier-free propositions."""
+"""Numeric evaluation of expressions and quantifier-free propositions, and
+the constant overrides that a statement or a run applies to a database."""
 
 from __future__ import annotations
 
@@ -154,3 +155,29 @@ def _eval_prop(p, env, db) -> tuple[bool, bool]:
         return (not lt) or rt, le and re_
     raise UnsupportedNode(
         f"cannot numerically evaluate a {type(p).__name__} proposition")
+
+
+# -- statement-level constant overrides --------------------------------------------
+
+
+def with_overrides(db: UnitDatabase,
+                   pairs: tuple[tuple[str, N.Expr], ...]) -> UnitDatabase:
+    """``db`` with the ``(name, expr)`` constant overrides applied.
+
+    Each expression is evaluated against ``db``.  Overriding a fixed constant
+    such as π raises ParseError at that override's expression.
+    """
+    overrides: dict[str, Quantity] = {}
+    for name, expr in pairs:
+        existing = db.constants.get(name)
+        if existing is not None and not existing.overridable:
+            raise ParseError(f"constant '{name}' is not overridable",
+                             span=expr.span)
+        overrides[name] = eval_numeric(expr, {}, db)
+    return db.with_constants(overrides)
+
+
+def database_for(stmt: N.Statement,
+                 db: UnitDatabase | None = None) -> UnitDatabase:
+    """The unit database with the statement's constant overrides applied."""
+    return with_overrides(db or builtin_database(), stmt.constants)

@@ -17,22 +17,22 @@ assignment forced by the hypotheses, all of which verify exactly true.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import (
-    EliminationBudgetExceeded, MalformedScript, ParseError, PhysKernelError,
+    EliminationBudgetExceeded, MalformedScript, PhysKernelError,
 )
 from ..lang import nodes as N
 from ..quantity import Quantity, compare_values
+from ..record import record, replace
 from ..unitdb import UnitDatabase, builtin_database
 from . import ring
 from .dims import DimReport, resolve_statement
 # The report over an already resolved statement, under the name that the
 # benchmark's traced run wraps as the dimension check (bench/spans.py).
 from .dims import _report_resolved as check_dimensions
-from .evaluate import eval_numeric, eval_prop
+from .evaluate import database_for, eval_numeric, eval_prop
+from .evaluate import with_overrides  # noqa: F401  (re-exported)
 from .rewrite import applied_fns, expand_fn, free_vars, rewrite_ground, subst_var
 from .script import (
     CaseSplit, ExactHyp, Instantiate, Intro, NumericCheck, PolyMatch,
@@ -42,7 +42,7 @@ from .script import (
 # -- verdicts -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SideCondition:
     """A non-vanishing claim a proof relies on.
 
@@ -55,7 +55,7 @@ class SideCondition:
     verified: bool | None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Proved:
     steps: tuple[Step, ...]
     approx_decided: bool
@@ -65,7 +65,7 @@ class Proved:
     kind = "proved"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Refuted:
     env: tuple[tuple[str, str], ...]
     detail: str
@@ -73,7 +73,7 @@ class Refuted:
     kind = "refuted"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Unknown:
     reason: str
     dim_report: DimReport | None = None
@@ -94,19 +94,19 @@ class _StepFailure(Exception):
 # -- session state ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Hyp:
     name: str
     prop: N.Prop
     consumed: bool = False
 
 
-@dataclass
+@record
 class _Subgoal:
     goal: N.Prop
     hyps: list[_Hyp]
-    derived: list[ring.Constraint] = field(default_factory=list)
-    bindings: dict[str, N.Expr] = field(default_factory=dict)
+    derived: list[ring.Constraint]
+    bindings: dict[str, N.Expr]
 
     def clone(self, goal: N.Prop | None = None,
               hyps: list[_Hyp] | None = None) -> "_Subgoal":
@@ -134,7 +134,7 @@ class _Session:
     def __init__(self, stmt: N.Statement, db: UnitDatabase):
         self.db = db
         self.subgoals: list[_Subgoal] = [
-            _Subgoal(stmt.goal, [_Hyp(n, p) for n, p in stmt.hyps])
+            _Subgoal(stmt.goal, [_Hyp(n, p) for n, p in stmt.hyps], [], {})
         ]
         self.trace: list[Step] = []
         self.sides: list[SideCondition] = []
@@ -336,9 +336,9 @@ class _Session:
                 f"'{step.hyp}' is not a definitional hypothesis")
         sg.goal = rw(sg.goal)
         sg.hyps = [
-            dataclasses.replace(hh, consumed=True) if hh.name == h.name
+            replace(hh, consumed=True) if hh.name == h.name
             else hh if (prop := rw(hh.prop)) is hh.prop
-            else dataclasses.replace(hh, prop=prop)
+            else replace(hh, prop=prop)
             for hh in sg.hyps
         ]
         if var_def is not None:
@@ -397,7 +397,7 @@ class _Session:
             sg.derived.append(ring.Constraint(
                 eq.poly, f"{step.hyp}[{step.param}^{eq.degree}]"))
         sg.hyps = [
-            dataclasses.replace(hh, consumed=True)
+            replace(hh, consumed=True)
             if hh.name == h.name else hh
             for hh in sg.hyps
         ]
@@ -547,32 +547,6 @@ class _Session:
                 "to the goal")
         self._close()
         return None
-
-
-# -- statement-level constant overrides --------------------------------------------
-
-
-def with_overrides(db: UnitDatabase,
-                   pairs: tuple[tuple[str, N.Expr], ...]) -> UnitDatabase:
-    """``db`` with the ``(name, expr)`` constant overrides applied.
-
-    Each expression is evaluated against ``db``.  Overriding a fixed constant
-    such as π raises ParseError at that override's expression.
-    """
-    overrides: dict[str, Quantity] = {}
-    for name, expr in pairs:
-        existing = db.constants.get(name)
-        if existing is not None and not existing.overridable:
-            raise ParseError(f"constant '{name}' is not overridable",
-                             span=expr.span)
-        overrides[name] = eval_numeric(expr, {}, db)
-    return db.with_constants(overrides)
-
-
-def database_for(stmt: N.Statement,
-                 db: UnitDatabase | None = None) -> UnitDatabase:
-    """The unit database with the statement's constant overrides applied."""
-    return with_overrides(db or builtin_database(), stmt.constants)
 
 
 # -- orientation ---------------------------------------------------------------------

@@ -28,7 +28,6 @@ term budget it raises ``EliminationBudgetExceeded``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -39,6 +38,8 @@ from ..errors import (
 )
 from ..lang import nodes as N
 from ..lang.printer import print_expr
+from ..quantity import render_numeric
+from ..record import record
 from ..unitdb import CONSTANT_ALIASES, UnitDatabase, builtin_database
 from .rewrite import free_vars, subst_var
 
@@ -188,7 +189,7 @@ def poly_render(p: Poly) -> str:
         c = p[m]
         factors = []
         if not m or abs(c) != 1:
-            factors.append(str(abs(c)))
+            factors.append(render_numeric(abs(c)))
         for a, e in m:
             factors.append(_atom_display(a) if e == 1
                            else f"{_atom_display(a)}^{e}")
@@ -203,15 +204,17 @@ def poly_render(p: Poly) -> str:
 # -- rational functions ---------------------------------------------------------
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class RationalFunc:
     """A quotient of polynomials; the denominator is never the zero polynomial."""
 
     num: Poly
-    den: Poly = field(default_factory=lambda: poly_const(1))
+    den: Poly = None  # None stands for the constant 1
 
     def __post_init__(self):
-        if poly_is_zero(self.den):
+        if self.den is None:
+            self.den = poly_const(1)
+        elif poly_is_zero(self.den):
             raise DivisionByZero("rational function with zero denominator")
 
     @classmethod
@@ -304,7 +307,7 @@ STRICT = "strict"
 ABSTRACT = "abstract"
 
 
-@dataclass
+@record
 class Translation:
     """A translated expression plus the non-vanishing claims it relies on."""
 
@@ -428,7 +431,7 @@ def ring_equal(lhs: N.Expr, rhs: N.Expr,
 # -- polynomial coefficient matching ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoeffEq:
     """One matched coefficient: ``poly = 0`` at the given parameter degree."""
 
@@ -442,7 +445,7 @@ class CoeffEq:
         return f"degree {self.degree}: {poly_render(self.as_poly())} = 0"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PolyMatch:
     eqs: tuple[CoeffEq, ...]
     sides: tuple[tuple[RationalFunc, str], ...]
@@ -489,7 +492,7 @@ def poly_coeff_eqs(lhs_body: N.Expr, rhs_body: N.Expr, param: str,
 # -- constraint elimination ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Constraint:
     """An equation ``poly = 0`` available to the elimination search."""
 
@@ -507,7 +510,7 @@ class Constraint:
         return f"{self.label}: {poly_render(self.as_poly())} = 0"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pivot:
     atom: Atom
     degree: int
@@ -578,7 +581,7 @@ def _subst_rf(rf: RationalFunc, atom: Atom, d: int,
         _subst_poly(rf.den, atom, d, sol)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EliminationStep:
     label: str
     atom: Atom
@@ -595,7 +598,7 @@ class EliminationStep:
                 f"using {self.label} (requires {guard} ≠ 0)")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Elimination:
     steps: tuple[EliminationStep, ...]
 

@@ -18,60 +18,60 @@ prover engine; this module only defines the steps and their (de)serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import MalformedScript, ParseError
 from ..lang import nodes as N
 from ..lang.parser import parse_expression
 from ..lang.printer import print_expr
+from ..record import record
 from ..unitdb import UnitDatabase, builtin_database
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Split:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Intro:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CaseSplit:
     var: str
     values: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Subst:
     hyp: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Instantiate:
     hyp: str
     arg: N.Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PolyMatch:
     hyp: str
     param: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RingCheck:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NumericCheck:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExactHyp:
     hyp: str
 

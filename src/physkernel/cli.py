@@ -17,6 +17,11 @@ Exit codes: 0 proved (or, for ``check``, homogeneous; for ``eval``, run
 completed), 1 unknown / not homogeneous, 2 refuted, 3 bad input (including
 input that nests too deeply to check), 4 internal error (an unexpected
 exception; its traceback is printed).
+
+Each subcommand imports the layers it runs when it runs: ``--help`` loads
+none, ``check`` neither the prover nor the harness, and ``prove`` and
+``verify-script`` not the harness.  A cold process pays for the import of
+what it loads, and a checker often starts once per candidate proof.
 """
 
 from __future__ import annotations
@@ -24,19 +29,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
-from pathlib import Path
 
-from .checker.dims import check_dimensions
-from .checker.prover import (Proved, Refuted, Unknown, auto_prove,
-                             check_derivation, database_for, with_overrides)
-from .checker.script import parse_script, print_script
-from .corpus import load_corpus
 from .errors import PhysKernelError
-from .harness import (BuiltinProver, ExternalProver, render_attempt_log,
-                      render_report, run_eval)
-from .lang.parser import parse_overrides, parse_statement
-from .unitdb import UnitDatabase, builtin_database
 
 EXIT_PROVED = 0
 EXIT_UNKNOWN = 1
@@ -45,21 +39,29 @@ EXIT_BAD_INPUT = 3
 EXIT_INTERNAL = 4
 
 
-def _load_db(args) -> UnitDatabase:
+def _load_db(args):
+    from .unitdb import builtin_database
     db = builtin_database()
     if getattr(args, "constants", None):
+        from .checker.evaluate import with_overrides
+        from .lang.parser import parse_overrides
         db = with_overrides(db, parse_overrides(args.constants, db))
     return db
 
 
-def _read_statement(path: str, db: UnitDatabase):
-    text = Path(path).read_text(encoding="utf-8")
-    stmt = parse_statement(text, db)
-    return stmt
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def _read_statement(path: str, db):
+    from .lang.parser import parse_statement
+    return parse_statement(_read(path), db)
 
 
 def _verdict_payload(verdict) -> dict:
-    if isinstance(verdict, Proved):
+    from .checker.script import print_script
+    if verdict.kind == "proved":
         return {
             "verdict": "proved",
             "approx_decided": verdict.approx_decided,
@@ -70,13 +72,12 @@ def _verdict_payload(verdict) -> dict:
                 for sc in verdict.side_conditions
             ],
         }
-    if isinstance(verdict, Refuted):
+    if verdict.kind == "refuted":
         return {
             "verdict": "refuted",
             "env": {name: value for name, value in verdict.env},
             "detail": verdict.detail,
         }
-    assert isinstance(verdict, Unknown)
     payload: dict = {"verdict": "unknown", "reason": verdict.reason}
     if verdict.failed_step is not None:
         payload["failed_step"] = verdict.failed_step
@@ -86,11 +87,12 @@ def _verdict_payload(verdict) -> dict:
 
 
 def _print_verdict(verdict, fmt: str) -> int:
+    from .checker.script import print_script
     if fmt == "json":
         print(json.dumps(_verdict_payload(verdict), indent=2,
                          ensure_ascii=False))
     else:
-        if isinstance(verdict, Proved):
+        if verdict.kind == "proved":
             flavor = "up to numeric tolerance" if verdict.approx_decided \
                 else "exactly"
             print(f"proved ({flavor})")
@@ -99,7 +101,7 @@ def _print_verdict(verdict, fmt: str) -> int:
                 status = {True: "holds", False: "violated",
                           None: "assumed"}[sc.verified]
                 print(f"  side condition: {sc.claim}  [{status}]")
-        elif isinstance(verdict, Refuted):
+        elif verdict.kind == "refuted":
             print("refuted")
             for name, value in verdict.env:
                 print(f"  {name} = {value}")
@@ -115,6 +117,8 @@ def _print_verdict(verdict, fmt: str) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checker.dims import check_dimensions
+    from .checker.evaluate import database_for
     db = _load_db(args)
     stmt = _read_statement(args.file, db)
     full_db = database_for(stmt, db)
@@ -129,6 +133,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_prove(args) -> int:
+    from .checker.prover import auto_prove
     db = _load_db(args)
     stmt = _read_statement(args.file, db)
     verdict = auto_prove(stmt, db)
@@ -136,9 +141,11 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_verify_script(args) -> int:
+    from .checker.prover import check_derivation, database_for
+    from .checker.script import parse_script
     db = _load_db(args)
     stmt = _read_statement(args.file, db)
-    script_text = Path(args.script).read_text(encoding="utf-8")
+    script_text = _read(args.script)
     full_db = database_for(stmt, db)
     steps = parse_script(script_text, stmt, full_db)
     verdict = check_derivation(stmt, steps, db)
@@ -146,6 +153,11 @@ def _cmd_verify_script(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from pathlib import Path
+
+    from .corpus import load_corpus
+    from .harness import (BuiltinProver, ExternalProver, render_attempt_log,
+                          render_report, run_eval)
     db = _load_db(args)
     entries = load_corpus(args.corpus, db)
     if args.prover_cmd:
@@ -257,6 +269,7 @@ def main(argv: list[str] | None = None) -> int:
               f"limit ({sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception:  # a bug, not a verdict: never exit as Unknown (1)
+        import traceback
         traceback.print_exc()
         return EXIT_INTERNAL
 

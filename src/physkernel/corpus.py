@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CorpusValidationError, ParseError
 from .lang import nodes as N
 from .lang.parser import parse_statement
+from .record import record
 from .unitdb import Topic, UnitDatabase, builtin_database
 
 __all__ = ["Tier", "CorpusEntry", "load_corpus", "corpus_stats"]
@@ -57,7 +57,7 @@ class Tier(enum.Enum):
     DIMCHECK_ONLY = "dimcheck-only"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CorpusEntry:
     """One benchmark statement together with its corpus metadata."""
 

@@ -27,12 +27,12 @@ as ``p/q`` (e.g. ``M^1 L^2 T^-2``; the dimensionless vector renders as ``1``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, neg
 
 from .errors import DimensionOverflow
+from .record import record
 
 __all__ = ["BaseDim", "Dimension", "DIMENSIONLESS"]
 
@@ -82,7 +82,7 @@ def _make(exponents: tuple[int | Fraction, ...]) -> "Dimension":
     return d
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Dimension:
     """An exact 7-vector of rational exponents over the SI base dimensions."""
 

@@ -28,18 +28,14 @@ rendered with half-up rounding to two decimals.
 from __future__ import annotations
 
 import json
-import queue
-import subprocess
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .checker.prover import Proved, auto_prove, check_derivation, database_for
 from .checker.script import parse_script, print_script
 from .corpus import CorpusEntry
 from .errors import MismatchedModels, PhysKernelError
+from .record import record
 from .unitdb import UnitDatabase, builtin_database
 
 __all__ = [
@@ -151,13 +147,18 @@ class ExternalProver(ProverBinding):
         return _ExternalSession(self)
 
 
+# Only this session runs processes and threads, so it imports their modules
+# itself: the built-in prover's runs never load them.
 class _ExternalSession(ProverSession):
     def __init__(self, binding: ExternalProver):
         self.binding = binding
         self.proc: subprocess.Popen | None = None
-        self.lines: queue.Queue[str | None] = queue.Queue()
+        self.lines: queue.Queue[str | None] | None = None  # set by _spawn
 
     def _spawn(self) -> None:
+        import queue
+        import subprocess
+        import threading
         self.proc = subprocess.Popen(
             self.binding.argv, stdin=subprocess.PIPE,
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
@@ -179,6 +180,7 @@ class _ExternalSession(ProverSession):
         self.proc = None
 
     def attempt(self, entry: CorpusEntry, attempt_no: int) -> str:
+        import queue
         if self.proc is None or self.proc.poll() is not None:
             self._spawn()
         assert self.proc is not None and self.proc.stdin is not None
@@ -215,6 +217,7 @@ class _ExternalSession(ProverSession):
         return script
 
     def close(self) -> None:
+        import subprocess
         if self.proc is not None and self.proc.stdin is not None:
             try:
                 self.proc.stdin.close()
@@ -248,7 +251,7 @@ def verify_script_text(entry: CorpusEntry, script_text: str,
 # -- evaluation ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AttemptRecord:
     """One prover attempt, with timing; kept out of the report proper."""
 
@@ -259,7 +262,7 @@ class AttemptRecord:
     wall_ms: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EntryResult:
     name: str
     topic: str
@@ -269,7 +272,7 @@ class EntryResult:
     attempts_used: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EvalReport:
     model: str
     k: int
@@ -339,7 +342,10 @@ def run_eval(entries, binding: ProverBinding, k: int = 1, jobs: int = 1,
 
     Returns the deterministic report and the timed attempt log.  ``jobs``
     parallelizes across entries; each worker thread gets its own prover
-    session, so external bindings run one subprocess per worker.
+    session, so external bindings run one subprocess per worker.  An
+    exception in the calling thread, such as Ctrl-C's KeyboardInterrupt,
+    surfaces without waiting for the workers, which stop before their next
+    entry.
     """
     entries = tuple(entries)
     if k < 1:
@@ -388,24 +394,50 @@ def run_eval(entries, binding: ProverBinding, k: int = 1, jobs: int = 1,
         finally:
             session.close()
     else:
-        def worker(chunk: tuple[CorpusEntry, ...]):
-            session = binding.session()
-            out = []
-            try:
-                for entry in chunk:
-                    out.append(evaluate(session, entry))
-            finally:
-                session.close()
-            return out
+        import queue
+        import threading
 
-        chunks = [entries[i::jobs] for i in range(jobs)]
-        chunks = [c for c in chunks if c]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            for chunk, chunk_results in zip(chunks,
-                                            pool.map(worker, chunks)):
-                for entry, (result, log) in zip(chunk, chunk_results):
-                    results[entry.name] = result
-                    logs[entry.name] = log
+        # Each worker hands every finished entry, and at its end its error or
+        # None, to this thread, which waits for nothing else: Ctrl-C
+        # surfaces at once, or when the next entry ends if no signal wakes
+        # this thread, and the workers stop before their next entry.
+        stop = threading.Event()
+        done: queue.SimpleQueue = queue.SimpleQueue()
+
+        def worker(chunk: tuple[CorpusEntry, ...]) -> None:
+            error = None
+            try:
+                session = binding.session()
+                try:
+                    for entry in chunk:
+                        if stop.is_set():
+                            break
+                        done.put((entry, evaluate(session, entry)))
+                finally:
+                    session.close()
+            except BaseException as exc:  # re-raised in the caller's thread
+                error = exc
+            done.put((None, error))
+
+        threads = [threading.Thread(target=worker, args=(chunk,))
+                   for chunk in (entries[i::jobs] for i in range(jobs))
+                   if chunk]
+        for t in threads:
+            t.start()
+        running = len(threads)
+        try:
+            while running:
+                entry, outcome = done.get()
+                if entry is not None:
+                    results[entry.name], logs[entry.name] = outcome
+                elif outcome is not None:
+                    raise outcome
+                else:
+                    running -= 1
+        finally:
+            stop.set()
+        for t in threads:
+            t.join()
 
     ordered = tuple(results[e.name] for e in entries)
     attempt_log = tuple(rec for e in entries for rec in logs[e.name])

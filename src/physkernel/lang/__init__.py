@@ -1,10 +1,13 @@
 """Statement language: AST, parser, and canonical printer."""
 
-from .nodes import (  # noqa: F401
-    Add, And, Apply, Cast, ConstRef, Deriv, Div, Eq, Expr, Fn, FnDecl,
-    ForallFinite, ForallFn, Implies, Le, Lt, Mul, Ne, Neg, NumLit, Or,
-    Pow, PrefixApp, Prop, RPow, SMul, Span, Statement, StdUnit, Sub,
-    UnitRef, Val, Var, VarDecl, Norm, ast_eq, walk,
-)
-from .parser import parse_expression, parse_prop, parse_statement  # noqa: F401
-from .printer import print_expr, print_prop, print_statement  # noqa: F401
+from .. import _lazy_exports
+
+# Each exported name, under the module that defines it; see physkernel.
+_lazy_exports(globals(), {
+    "nodes": "Add And Apply Cast ConstRef Deriv Div Eq Expr Fn FnDecl"
+             " ForallFinite ForallFn Implies Le Lt Mul Ne Neg NumLit Or Pow"
+             " PrefixApp Prop RPow SMul Span Statement StdUnit Sub UnitRef"
+             " Val Var VarDecl Norm ast_eq walk",
+    "parser": "parse_expression parse_prop parse_statement",
+    "printer": "print_expr print_prop print_statement",
+})

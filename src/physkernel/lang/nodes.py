@@ -7,7 +7,7 @@ nodes (:class:`Prop`) denote claims about them.  Every node carries a source
 equal.  Nodes are immutable; rewriting builds new trees.  Each node class
 records its field names once (``_fields``, without ``span``), and the
 traversals here and in :mod:`physkernel.checker.rewrite` read that tuple
-instead of asking :mod:`dataclasses` per node.  A node caches its set of
+instead of inspecting the class per node.  A node caches its set of
 free variables on first use (:func:`physkernel.checker.rewrite.free_vars`);
 being frozen, it cannot make the cache stale, and the cache is no field, so
 building a changed copy never carries it over.
@@ -20,10 +20,10 @@ constant overrides) when it came from a corpus file.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
+
+from ..record import record
 
 __all__ = [
     "Span", "DUMMY_SPAN", "Expr", "Prop",
@@ -39,7 +39,7 @@ __all__ = [
 FN_NAMES = ("sin", "cos", "log", "exp", "sqrt")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Span:
     """Byte offsets into the source text, plus the start line/column."""
 
@@ -67,16 +67,17 @@ class Prop(Node):
 
 
 def _node(cls):
-    """Decorator: frozen dataclass with identity equality (use ast_eq).
+    """Decorator: frozen record with identity equality (use ast_eq).
 
     Stores the field names without ``span`` as ``_fields`` (what
     :func:`children` and rewriting visit and what rebuilds a node) and,
-    of those, the ones structural equality compares as ``_syntax``.
+    unless the class sets its own, the same names as ``_syntax``, the ones
+    structural equality compares.
     """
-    cls = dataclass(frozen=True, eq=False)(cls)
-    names = [f for f in dataclasses.fields(cls) if f.name != "span"]
-    cls._fields = tuple(f.name for f in names)
-    cls._syntax = tuple(f.name for f in names if f.compare)
+    cls = record(cls, frozen=True, eq=False)
+    cls._fields = tuple(f for f in cls._record_fields if f != "span")
+    if "_syntax" not in cls.__dict__:
+        cls._syntax = cls._fields
     return cls
 
 
@@ -117,8 +118,9 @@ class StdUnit(Expr):
     """
 
     # Dimension | None; kept loose to avoid an import cycle.
-    dim: object = field(default=None, compare=False)
+    dim: object = None
     span: Span = DUMMY_SPAN
+    _syntax = ()
 
 
 # -- expression structure ----------------------------------------------------

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import difflib
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 from ..errors import ParseError
+from ..record import record, replace
 from ..unitdb import UnitDatabase, builtin_database
 from . import nodes as N
 from .nodes import Span
@@ -51,7 +51,7 @@ _KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str  # "ident" | "number" | "op" | "keyword" | "eof"
     text: str
@@ -572,8 +572,7 @@ def _fraction_of(text: str) -> Fraction:
 
 
 def _respan(node, span: Span):
-    import dataclasses
-    return dataclasses.replace(node, span=span)
+    return replace(node, span=span)
 
 
 # -- statement-level validation ------------------------------------------------

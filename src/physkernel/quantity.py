@@ -28,7 +28,6 @@ not adopt the total-division convention (x / 0 = 0) of some proof assistants.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Union
@@ -40,6 +39,7 @@ from .errors import (
     InvalidCast,
     NegativeBaseRationalExponent,
 )
+from .record import record
 
 __all__ = [
     "Approx",
@@ -75,7 +75,7 @@ _PI_DIGITS = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Approx:
     """An approximate numeric value: a Decimal plus its precision in digits."""
 
@@ -112,13 +112,22 @@ def _is_zero(v: NumericValue) -> bool:
     return v.value == 0 if isinstance(v, Approx) else v == 0
 
 
-def render_numeric(v: NumericValue) -> str:
+def render_numeric(v: NumericValue | int) -> str:
     """Human-readable value: exact rationals plainly, approximations with ~."""
     if isinstance(v, Approx):
         return f"~{v.value.normalize()}"
     if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+        return _int_text(v.numerator)
+    return f"{_int_text(v.numerator)}/{_int_text(v.denominator)}"
+
+
+def _int_text(n: int) -> str:
+    """``str(n)``, or the size of ``n`` where it has more digits than the
+    interpreter converts to text (``sys.get_int_max_str_digits``)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +219,7 @@ def _num_pow(a: NumericValue, e: Fraction) -> NumericValue:
     return _dec_pow(a, e)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NumComparison:
     """Outcome of comparing two numeric values.
 
@@ -285,7 +294,7 @@ def dec_cos(v: NumericValue) -> Approx:
 # quantities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Quantity:
     """A numeric value paired with an exact dimension vector."""
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import difflib
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dimension import DIMENSIONLESS, BaseDim, Dimension
 from .errors import UnknownIdentifier
 from .quantity import PRECISION, Approx, Quantity, dec_pi
+from .record import record
 
 __all__ = [
     "Topic",
@@ -50,7 +50,7 @@ class Topic(enum.Enum):
     MODERN_PHYSICS = "modern-physics"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnitDef:
     name: str
     dim: Dimension
@@ -58,13 +58,13 @@ class UnitDef:
     topic: Topic
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrefixDef:
     name: str
     factor: Fraction  # a power of ten with exponent in [-24, 24]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConstantDef:
     name: str
     quantity: Quantity
@@ -72,7 +72,7 @@ class ConstantDef:
     overridable: bool = False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KindDef:
     """A named dimension alias usable in declarations and casts."""
 
@@ -81,13 +81,13 @@ class KindDef:
     topic: Topic
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnitDatabase:
     units: dict[str, UnitDef]
     prefixes: dict[str, PrefixDef]
     constants: dict[str, ConstantDef]
     kinds: dict[str, KindDef]
-    overridden: tuple[str, ...] = field(default_factory=tuple)
+    overridden: tuple[str, ...] = ()
 
     # -- lookups -------------------------------------------------------------
 

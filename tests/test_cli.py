@@ -68,10 +68,22 @@ def test_unexpected_exception_exits_internal_with_traceback(corpus_dir):
     path = corpus_dir / "mechanics" / "crate_friction_coefficients.phys"
     out = _run(
         "import sys\nimport physkernel.cli as cli\n"
+        "import physkernel.checker.dims as dims\n"
         "def broken(*args, **kwargs):\n"
         "    raise ZeroDivisionError('planted')\n"
-        "cli.check_dimensions = broken\n"
+        "dims.check_dimensions = broken\n"
         f"sys.exit(cli.main(['check', {str(path)!r}]))\n")
     assert out.returncode == 4, out.stderr[-500:]
     assert "Traceback" in out.stderr
     assert out.stderr.rstrip().endswith("ZeroDivisionError: planted")
+
+
+def test_huge_residual_coefficient_is_unknown_not_internal(tmp_path):
+    path = tmp_path / "big.phys"
+    path.write_text("theorem big\n  (n : Real)\n  : n = 2**20000\n",
+                    encoding="utf-8")
+    out = _cli("prove", str(path))
+    assert out.returncode == 1, out.stderr[-500:]
+    assert out.stdout == ("unknown: the goal does not follow by ring"
+                          " arithmetic; residual: n - <20001-bit integer>\n")
+    assert out.stderr == ""

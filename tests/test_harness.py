@@ -1,6 +1,6 @@
 """Evaluation harness: pass@k semantics, reports, external prover protocol."""
 
-import dataclasses
+import _thread
 import functools
 import json
 import os
@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,13 +19,14 @@ from physkernel.checker.prover import (
 )
 from physkernel.checker.script import parse_script
 from physkernel.corpus import CorpusEntry, Tier, load_corpus
-from physkernel.errors import MismatchedModels
+from physkernel.errors import MismatchedModels, PhysKernelError
 from physkernel.harness import (
     BuiltinProver, EvalReport, ExternalProver, aggregate, improvement_delta,
     percent, render_attempt_log, render_report, run_eval, verify_script_text,
 )
-from physkernel.harness import EntryResult
+from physkernel.harness import EntryResult, ProverBinding, ProverSession
 from physkernel.lang.parser import parse_overrides, parse_statement
+from physkernel.record import replace
 from physkernel.unitdb import builtin_database
 
 TINY_TEXT = textwrap.dedent("""\
@@ -187,7 +190,7 @@ def _g_verdict(case: str):
     if case == "overridden db":
         return auto_prove(stmt, with_overrides(db, g_length))
     if case == "replaced statement":
-        return auto_prove(dataclasses.replace(stmt, constants=g_length), db)
+        return auto_prove(replace(stmt, constants=g_length), db)
     assert case == "replay, overridden db"
     steps = parse_script("numeric\n", stmt, db)
     g_ten = parse_overrides("g = 10 • meter / second**2", db)
@@ -232,6 +235,64 @@ def test_parallel_jobs_do_not_change_the_report(db, corpus_dir):
     serial, _ = run_eval(entries, BuiltinProver(db), k=1, jobs=1, db=db)
     parallel, _ = run_eval(entries, BuiltinProver(db), k=1, jobs=3, db=db)
     assert serial.to_json() == parallel.to_json()
+
+
+class _SlowBinding(ProverBinding):
+    """Each attempt takes ``seconds`` and fails; ``hook`` runs as it starts."""
+
+    name = "slow"
+    deterministic = True
+
+    def __init__(self, seconds: float, hook=lambda started: None):
+        self.seconds, self.hook = seconds, hook
+        self.started: list[str] = []
+        self.lock = threading.Lock()
+
+    def session(self) -> ProverSession:
+        binding = self
+
+        class _S(ProverSession):
+            def attempt(self, entry, attempt_no):
+                with binding.lock:
+                    binding.started.append(entry.name)
+                    binding.hook(len(binding.started))
+                time.sleep(binding.seconds)
+                raise PhysKernelError("no script")
+
+        return _S()
+
+
+def test_ctrl_c_stops_a_parallel_run_within_one_attempt(db, corpus_dir):
+    entries = load_corpus(corpus_dir, db)
+    interrupted = []
+
+    def interrupt_at_the_third_attempt(started):
+        if started == 3:  # both workers are past their first entry
+            interrupted.append(time.monotonic())
+            _thread.interrupt_main()
+
+    binding = _SlowBinding(0.2, interrupt_at_the_third_attempt)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_eval(entries, binding, k=1, jobs=2, db=db)
+    # The interrupt surfaces when the attempts under way end, not when the
+    # workers' whole share of the corpus does (0.6 s later).
+    assert time.monotonic() - interrupted[0] < 0.2 + 0.15
+    deadline = time.monotonic() + 2
+    while threading.active_count() > threads and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == threads
+    assert len(binding.started) < len(entries)  # the workers stopped early
+
+
+def test_a_failed_worker_fails_a_parallel_run(db, corpus_dir):
+    class _NoSession(ProverBinding):
+        def session(self):
+            raise OSError("cannot start the prover")
+
+    with pytest.raises(OSError, match="cannot start the prover"):
+        run_eval(load_corpus(corpus_dir, db), _NoSession(), k=1, jobs=2,
+                 db=db)
 
 
 def test_deterministic_binding_stops_after_first_failure(db, corpus_dir):

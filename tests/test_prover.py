@@ -327,3 +327,26 @@ def test_override_refusal_points_at_the_override(db):
     with pytest.raises(ParseError, match="not overridable") as exc:
         database_for(s, db)
     assert (exc.value.line, exc.value.col) == (2, 45)
+
+
+def test_huge_coefficients_are_reported_by_size(db):
+    # 2**20000 has 6021 digits, past the interpreter's 4300-digit limit on
+    # converting an int to text: the verdict gives its size instead.
+    start = time.process_time()
+    unknown = auto_prove(stmt_of("""
+        theorem big
+        (n : Real)
+        : n = 2**20000
+    """, db), db)
+    assert isinstance(unknown, Unknown)
+    assert unknown.reason == ("the goal does not follow by ring arithmetic;"
+                              " residual: n - <20001-bit integer>")
+    refuted = auto_prove(stmt_of("""
+        theorem big
+        (n : Real)
+        (h := n = -(2**20000))
+        : n = 0
+    """, db), db)
+    assert isinstance(refuted, Refuted)
+    assert refuted.env == (("n", "-<20001-bit integer>"),)
+    assert time.process_time() - start < 1

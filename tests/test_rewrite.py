@@ -1,14 +1,15 @@
 """Rewriting against the reflective reference traversal.
 
 ``_Oracle`` is the generic traversal the rewriter used before node classes
-recorded their fields and nodes cached their free variables: it asks
-``dataclasses`` for the fields of every node and walks every subtree.  It is
+recorded their fields and nodes cached their free variables: it reads the
+fields of every node from its class's constructor signature and walks every
+subtree.  It is
 kept here as the reference the faster core must agree with.  Results are
 compared by ``repr``, which shows every field, spans and ``std`` dimensions
 included, so a rebuilt node must match the reference exactly.
 """
 
-import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,11 @@ from physkernel.checker.rewrite import (
 )
 from physkernel.corpus import load_corpus
 from physkernel.lang import nodes as N
+from physkernel.record import replace
+
+
+def _field_names(node):
+    return list(inspect.signature(type(node)).parameters)
 
 
 class _Oracle:
@@ -31,14 +37,14 @@ class _Oracle:
         if isinstance(node, (N.ForallFn, N.ForallFinite)):
             shadowed = shadowed | {node.var}
         changed = {}
-        for field in dataclasses.fields(node):
-            value = getattr(node, field.name)
+        for name in _field_names(node):
+            value = getattr(node, name)
             new_value = _Oracle.value(value, fn, shadowed)
             if new_value is not value:
-                changed[field.name] = new_value
+                changed[name] = new_value
         if not changed:
             return node
-        return dataclasses.replace(node, **changed)
+        return replace(node, **changed)
 
     @staticmethod
     def value(value, fn, shadowed):
@@ -95,12 +101,12 @@ class _Oracle:
         if a is b:
             return True
         if (isinstance(a, N.Node) or isinstance(b, N.Node)
-                or dataclasses.is_dataclass(a)):
+                or isinstance(a, (N.VarDecl, N.FnDecl, N.Statement))):
             if type(a) is not type(b):
                 return False
             skip = {"span"} | ({"dim"} if type(a) is N.StdUnit else set())
-            return all(_Oracle.ast_eq(getattr(a, f.name), getattr(b, f.name))
-                       for f in dataclasses.fields(a) if f.name not in skip)
+            return all(_Oracle.ast_eq(getattr(a, f), getattr(b, f))
+                       for f in _field_names(a) if f not in skip)
         if isinstance(a, tuple) and isinstance(b, tuple):
             return len(a) == len(b) and all(
                 _Oracle.ast_eq(x, y) for x, y in zip(a, b))
@@ -226,7 +232,7 @@ def test_substituting_an_absent_name_returns_the_same_object(db, corpus_dir):
 def test_free_vars_cache_does_not_survive_a_changed_copy():
     node = N.Add(N.Var("x"), N.Apply("f", N.Var("y")))
     assert free_vars(node) == {"x", "f", "y"}
-    swapped = dataclasses.replace(node, rhs=N.Var("z"))
+    swapped = replace(node, rhs=N.Var("z"))
     assert free_vars(swapped) == {"x", "z"}
     assert free_vars(node) == {"x", "f", "y"}
     rebuilt = subst_var(node, "y", N.Var("w"))
