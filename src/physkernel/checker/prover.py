@@ -440,7 +440,7 @@ class _Session:
                     continue
                 if tr.rf.is_zero:
                     continue
-                constraints.append(ring.Constraint.make(tr.rf.num, label))
+                constraints.append(ring.Constraint(tr.rf.num, label))
                 cons_sides[label] = tr.sides
         constraints.extend(sg.derived)
         ordered = list(reversed(constraints))
@@ -458,8 +458,7 @@ class _Session:
         for st in found.steps:
             used.append(st.label)
             self._record_poly_side(
-                {m: c for m, c in st.nonzero},
-                f"{ring.poly_render({m: c for m, c in st.nonzero})} ≠ 0")
+                st.nonzero, f"{ring.poly_render(st.nonzero)} ≠ 0")
         for label in used:
             base = label.split("[", 1)[0]
             for tr_sides in (cons_sides.get(label), cons_sides.get(base)):

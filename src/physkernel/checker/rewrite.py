@@ -13,7 +13,8 @@ from ..lang import nodes as N
 
 
 def transform(node, fn: Callable):
-    """Rebuild ``node`` bottom-up, applying ``fn(node)`` at each level.
+    """Rebuild an expression or a proposition bottom-up, applying ``fn(node)``
+    at each level.
 
     ``fn`` returns either a replacement node (taken as-is, not descended into;
     returning ``node`` itself keeps the subtree) or None to keep the node with
@@ -26,12 +27,9 @@ def transform(node, fn: Callable):
     changed = None
     for name in node._fields:
         value = getattr(node, name)
-        if isinstance(value, N.Node):
-            new_value = transform(value, fn)
-        elif isinstance(value, tuple):
-            new_value = _transform_tuple(value, fn)
-        else:
+        if not isinstance(value, N.Node):
             continue
+        new_value = transform(value, fn)
         if new_value is not value:
             if changed is None:
                 changed = {}
@@ -41,17 +39,6 @@ def transform(node, fn: Callable):
     return type(node)(span=node.span,
                       **{f: changed.get(f, getattr(node, f))
                          for f in node._fields})
-
-
-def _transform_tuple(value: tuple, fn) -> tuple:
-    items = tuple(
-        transform(v, fn) if isinstance(v, N.Node)
-        else _transform_tuple(v, fn) if isinstance(v, tuple)
-        else v
-        for v in value)
-    if all(a is b for a, b in zip(items, value)):
-        return value
-    return items
 
 
 def free_vars(node) -> frozenset[str]:

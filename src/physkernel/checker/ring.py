@@ -1,15 +1,18 @@
 """Exact rational-function algebra over expression atoms.
 
 Expressions are translated into rational functions over a commutative ring
-whose atoms are variables, symbolic constants, base dimensions, and — in
-abstracting mode — opaque stand-ins for subterms the ring cannot interpret
-(transcendental functions, real powers, magnitudes, unexpanded applications).
-Opaque atoms are keyed by the printed syntax of the subterm, so structurally
-identical occurrences share an atom while everything else stays independent;
-that keeps the translation conservative.
+whose atoms are variables, symbolic constants, base dimensions, and opaque
+stand-ins for subterms the ring cannot interpret (transcendental functions,
+real powers, magnitudes, unexpanded applications).  Opaque atoms are keyed by
+the printed syntax of the subterm, so structurally identical occurrences share
+an atom while everything else stays independent; that keeps the translation
+conservative.  ``ring_equal`` rejects a side that needs an opaque atom.
 
-Polynomials are sparse maps from monomials to exact rational coefficients; a
-monomial is a sorted tuple of (atom, exponent) pairs with no zero exponent.
+Polynomials are ``Poly`` dicts, sparse maps from monomials to exact rational
+coefficients, from translation through elimination to the prover's side
+conditions; a dict is never mutated after it is built, so records and
+rational functions share them freely.  A monomial is a sorted tuple of
+(atom, exponent) pairs with no zero exponent.
 Every coefficient is in one normal form (``_coeff``): an ``int`` when it is
 integral, a ``Fraction`` otherwise, so integer arithmetic builds no
 ``Fraction``.  Floats never enter.  Equality of rational functions is decided
@@ -65,10 +68,6 @@ def _coeff(c: Coeff) -> Coeff:
     return c.numerator if c.denominator == 1 else c
 
 
-def poly_zero() -> Poly:
-    return {}
-
-
 def poly_const(c: Coeff) -> Poly:
     c = _coeff(c)
     return {} if c == 0 else {_ONE: c}
@@ -76,10 +75,6 @@ def poly_const(c: Coeff) -> Poly:
 
 def poly_atom(a: Atom, exp: int = 1) -> Poly:
     return {((a, exp),): 1}
-
-
-def poly_is_zero(p: Poly) -> bool:
-    return not p
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -214,7 +209,7 @@ class RationalFunc:
     def __post_init__(self):
         if self.den is None:
             self.den = poly_const(1)
-        elif poly_is_zero(self.den):
+        elif not self.den:
             raise DivisionByZero("rational function with zero denominator")
 
     @classmethod
@@ -227,7 +222,7 @@ class RationalFunc:
 
     @property
     def is_zero(self) -> bool:
-        return poly_is_zero(self.num)
+        return not self.num
 
     def add(self, other: "RationalFunc") -> "RationalFunc":
         return RationalFunc(
@@ -259,9 +254,8 @@ class RationalFunc:
         return RationalFunc(poly_pow(self.den, -n), poly_pow(self.num, -n))
 
     def equal(self, other: "RationalFunc") -> bool:
-        return poly_is_zero(
-            poly_sub(poly_mul(self.num, other.den),
-                     poly_mul(other.num, self.den)))
+        return not poly_sub(poly_mul(self.num, other.den),
+                            poly_mul(other.num, self.den))
 
     def atoms(self) -> set[Atom]:
         return poly_atoms(self.num) | poly_atoms(self.den)
@@ -279,7 +273,7 @@ class RationalFunc:
         is not a monomial: ``(x + 1) / (x + 1)`` stays as it is.
         """
         if self.is_zero:
-            return RationalFunc(poly_zero())
+            return RationalFunc({})
         monos = [*self.num, *self.den]
         common = dict(monos[0])
         for m in monos[1:]:
@@ -303,10 +297,6 @@ class RationalFunc:
 
 # -- translation -----------------------------------------------------------------
 
-STRICT = "strict"
-ABSTRACT = "abstract"
-
-
 @record
 class Translation:
     """A translated expression plus the non-vanishing claims it relies on."""
@@ -317,16 +307,12 @@ class Translation:
 
 
 class _Xlate:
-    def __init__(self, db: UnitDatabase, mode: str):
+    def __init__(self, db: UnitDatabase):
         self.db = db
-        self.mode = mode
         self.sides: list[tuple[RationalFunc, str]] = []
         self.opaque_vars: dict[Atom, frozenset[str]] = {}
 
     def _opaque(self, e: N.Expr) -> RationalFunc:
-        if self.mode == STRICT:
-            raise UnsupportedNode(
-                f"{type(e).__name__} is outside the strict ring fragment")
         key: Atom = (_OPAQUE, print_expr(e))
         self.opaque_vars.setdefault(key, frozenset(free_vars(e)))
         return RationalFunc.atom(key)
@@ -404,7 +390,7 @@ def translate_difference(lhs: N.Expr, rhs: N.Expr,
     """Translate ``lhs - rhs`` with abstraction; its numerator is zero iff
     the sides agree wherever the recorded denominators do not vanish."""
     db = db or builtin_database()
-    x = _Xlate(db, ABSTRACT)
+    x = _Xlate(db)
     rf = x.tr(lhs).sub(x.tr(rhs))
     return Translation(rf, x.sides, x.opaque_vars)
 
@@ -412,11 +398,13 @@ def translate_difference(lhs: N.Expr, rhs: N.Expr,
 def ring_equal(lhs: N.Expr, rhs: N.Expr,
                env: Mapping[str, N.Expr] | None = None,
                db: UnitDatabase | None = None) -> bool:
-    """Exact symbolic equality in the strict ring fragment.
+    """Exact symbolic equality in the ring fragment.
 
     ``env`` is an acyclic definitional substitution applied to both sides
-    before translation.  Raises UnsupportedNode when either side leaves the
-    fragment (+, -, *, /, integer powers over variables, constants, units).
+    before translation.  The fragment is +, -, *, / and integer powers over
+    variables, constants and units; a side that needs an opaque atom for a
+    subterm outside it is rejected with UnsupportedNode naming the first such
+    subterm.
     """
     db = db or builtin_database()
     if env:
@@ -424,8 +412,12 @@ def ring_equal(lhs: N.Expr, rhs: N.Expr,
             for name, repl in env.items():
                 lhs = subst_var(lhs, name, repl)
                 rhs = subst_var(rhs, name, repl)
-    x = _Xlate(db, STRICT)
-    return x.tr(lhs).equal(x.tr(rhs))
+    x = _Xlate(db)
+    left, right = x.tr(lhs), x.tr(rhs)
+    if x.opaque_vars:
+        term = next(iter(x.opaque_vars))[1]
+        raise UnsupportedNode(f"{term} is outside the ring fragment")
+    return left.equal(right)
 
 
 # -- polynomial coefficient matching ----------------------------------------------
@@ -436,23 +428,16 @@ class CoeffEq:
     """One matched coefficient: ``poly = 0`` at the given parameter degree."""
 
     degree: int
-    poly: tuple  # frozen Poly as sorted ((monomial, coeff), ...)
-
-    def as_poly(self) -> Poly:
-        return {m: c for m, c in self.poly}
+    poly: Poly
 
     def render(self) -> str:
-        return f"degree {self.degree}: {poly_render(self.as_poly())} = 0"
+        return f"degree {self.degree}: {poly_render(self.poly)} = 0"
 
 
 @record(frozen=True)
 class PolyMatch:
     eqs: tuple[CoeffEq, ...]
     sides: tuple[tuple[RationalFunc, str], ...]
-
-
-def _freeze_poly(p: Poly) -> tuple:
-    return tuple(sorted(p.items(), key=lambda kv: _mono_key(kv[0])))
 
 
 def poly_coeff_eqs(lhs_body: N.Expr, rhs_body: N.Expr, param: str,
@@ -466,7 +451,7 @@ def poly_coeff_eqs(lhs_body: N.Expr, rhs_body: N.Expr, param: str,
     highest degree first.
     """
     db = db or builtin_database()
-    x = _Xlate(db, ABSTRACT)
+    x = _Xlate(db)
     left, right = x.tr(lhs_body), x.tr(rhs_body)
     tau: Atom = (_VAR, param)
     for part, side in ((left, "left"), (right, "right")):
@@ -484,7 +469,7 @@ def poly_coeff_eqs(lhs_body: N.Expr, rhs_body: N.Expr, param: str,
     for m, c in diff.num.items():
         reduced = tuple((a, e) for a, e in m if a != tau)
         by_degree.setdefault(poly_degree_in(m, tau), {})[reduced] = c
-    eqs = tuple(CoeffEq(d, _freeze_poly(by_degree[d]))
+    eqs = tuple(CoeffEq(d, by_degree[d])
                 for d in sorted(by_degree, reverse=True))
     return PolyMatch(eqs, tuple(x.sides))
 
@@ -496,39 +481,45 @@ def poly_coeff_eqs(lhs_body: N.Expr, rhs_body: N.Expr, param: str,
 class Constraint:
     """An equation ``poly = 0`` available to the elimination search."""
 
-    poly: tuple  # frozen Poly
+    poly: Poly
     label: str
 
-    @classmethod
-    def make(cls, poly: Poly, label: str) -> "Constraint":
-        return cls(_freeze_poly(poly), label)
-
-    def as_poly(self) -> Poly:
-        return {m: c for m, c in self.poly}
-
     def render(self) -> str:
-        return f"{self.label}: {poly_render(self.as_poly())} = 0"
+        return f"{self.label}: {poly_render(self.poly)} = 0"
 
 
 @record(frozen=True)
-class Pivot:
+class EliminationStep:
+    """Constraint ``label``, ``A atom^degree + B = 0``, solved for
+    ``atom^degree``: ``solution`` is -B / A and ``nonzero`` is A."""
+
+    label: str
     atom: Atom
     degree: int
-    coeff: tuple   # frozen Poly A (the x^d coefficient)
-    rest: tuple    # frozen Poly B (the remainder)
+    solution: RationalFunc
+    nonzero: Poly
 
-    def solution(self) -> RationalFunc:
-        """x^degree = -B / A."""
-        return RationalFunc(poly_neg({m: c for m, c in self.rest}),
-                            {m: c for m, c in self.coeff})
+    def render(self) -> str:
+        target = _atom_display(self.atom)
+        if self.degree != 1:
+            target = f"{target}^{self.degree}"
+        return (f"eliminate {target} := {self.solution.render()} "
+                f"using {self.label} (requires {poly_render(self.nonzero)} "
+                f"≠ 0)")
+
+
+@record(frozen=True)
+class Elimination:
+    steps: tuple[EliminationStep, ...]
 
 
 def _pivot_atoms(atoms: Iterable[Atom]) -> set[Atom]:
     return {a for a in atoms if a[0] in (_VAR, _OPAQUE)}
 
 
-def _pivots(c: Constraint, preferred: set[Atom]) -> list[Pivot]:
-    poly = c.as_poly()
+def _pivots(c: Constraint, preferred: set[Atom]) -> list[EliminationStep]:
+    """The atoms ``c`` can be solved for, those in ``preferred`` first."""
+    poly = c.poly
     candidates = _pivot_atoms(poly_atoms(poly))
     out = []
     for atom in sorted(candidates, key=lambda a: (a not in preferred, a)):
@@ -544,7 +535,8 @@ def _pivots(c: Constraint, preferred: set[Atom]) -> list[Pivot]:
                 coeff[tuple((a, e) for a, e in m if a != atom)] = cf
             else:
                 rest[m] = cf
-        out.append(Pivot(atom, d, _freeze_poly(coeff), _freeze_poly(rest)))
+        out.append(EliminationStep(
+            c.label, atom, d, RationalFunc(poly_neg(rest), coeff), coeff))
     return out
 
 
@@ -563,7 +555,7 @@ def _subst_poly(p: Poly, atom: Atom, d: int, sol: RationalFunc) -> RationalFunc:
     The running sum is held to ``ELIM_TERM_BUDGET``, since its denominator
     grows with every term.
     """
-    total = RationalFunc(poly_zero())
+    total = RationalFunc({})
     for m, c in p.items():
         e = poly_degree_in(m, atom)
         q, r = divmod(e, d)
@@ -579,28 +571,6 @@ def _subst_rf(rf: RationalFunc, atom: Atom, d: int,
               sol: RationalFunc) -> RationalFunc:
     return _check_terms(_subst_poly(rf.num, atom, d, sol).div(
         _subst_poly(rf.den, atom, d, sol)))
-
-
-@record(frozen=True)
-class EliminationStep:
-    label: str
-    atom: Atom
-    degree: int
-    solution: RationalFunc
-    nonzero: tuple  # frozen Poly that must not vanish (the pivot coefficient)
-
-    def render(self) -> str:
-        target = _atom_display(self.atom)
-        if self.degree != 1:
-            target = f"{target}^{self.degree}"
-        guard = poly_render({m: c for m, c in self.nonzero})
-        return (f"eliminate {target} := {self.solution.render()} "
-                f"using {self.label} (requires {guard} ≠ 0)")
-
-
-@record(frozen=True)
-class Elimination:
-    steps: tuple[EliminationStep, ...]
 
 
 #: Search nodes (calls of ``_search``) one ``eliminate`` may visit.  No
@@ -635,7 +605,7 @@ def _connected(goal: RationalFunc,
     own component, so the others can never change the goal.
     """
     reached = _pivot_atoms(goal.atoms())
-    atoms = [_pivot_atoms(poly_atoms(c.as_poly())) for c in constraints]
+    atoms = [_pivot_atoms(poly_atoms(c.poly)) for c in constraints]
     keep = [False] * len(constraints)
     grew = True
     while grew:
@@ -683,19 +653,17 @@ def _search(goal: RationalFunc, constraints: list[Constraint],
         return None
     goal_atoms = _pivot_atoms(goal.atoms())
     for i, c in enumerate(constraints):
-        for pv in _pivots(c, goal_atoms):
-            sol = pv.solution()
+        for step in _pivots(c, goal_atoms):
+            atom, d, sol = step.atom, step.degree, step.solution
             try:
-                new_goal = _subst_rf(goal, pv.atom, pv.degree, sol)
+                new_goal = _subst_rf(goal, atom, d, sol)
                 rest = []
                 for other in constraints[:i] + constraints[i + 1:]:
-                    reduced = _subst_poly(other.as_poly(), pv.atom,
-                                          pv.degree, sol)
-                    if not poly_is_zero(reduced.num):
-                        rest.append(Constraint.make(reduced.num, other.label))
+                    reduced = _subst_poly(other.poly, atom, d, sol)
+                    if reduced.num:
+                        rest.append(Constraint(reduced.num, other.label))
             except DivisionByZero:
                 continue
-            step = EliminationStep(c.label, pv.atom, pv.degree, sol, pv.coeff)
             found = _search(new_goal, rest, depth - 1, trail + (step,), left)
             if found is not None:
                 return found

@@ -64,11 +64,8 @@ def percent(passes: int, total: int) -> str:
 
 def _delta_percent(delta: Fraction) -> str:
     sign = "-" if delta < 0 else "+"
-    mag = abs(delta) * 10000
-    q, r = divmod(mag.numerator, mag.denominator)
-    if 2 * r >= mag.denominator:
-        q += 1
-    return f"{sign}{q // 100}.{q % 100:02d}%"
+    mag = abs(delta)
+    return sign + percent(mag.numerator, mag.denominator)
 
 
 def _level_sort_key(level: str) -> tuple[int, str]:

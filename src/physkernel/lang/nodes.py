@@ -363,18 +363,12 @@ def ast_eq(a, b) -> bool:
 
 
 def children(node) -> Iterator:
-    """Direct child AST nodes of a node (fields that are nodes)."""
+    """Direct child nodes of an expression or a proposition: its fields that
+    are nodes (no field holds nodes inside a tuple)."""
     for name in node._fields:
         v = getattr(node, name)
         if isinstance(v, Node):
             yield v
-        elif isinstance(v, tuple):
-            for item in v:
-                if isinstance(item, Node):
-                    yield item
-                elif (isinstance(item, tuple) and len(item) == 2
-                      and isinstance(item[1], Node)):
-                    yield item[1]
 
 
 def walk(node) -> Iterator:

@@ -16,10 +16,10 @@ class body defines them:
 :func:`replace` copies a record with some fields changed.
 
 Why not ``dataclasses``: importing it (and ``inspect``) costs about 10 ms,
-and a frozen dataclass runs six ``exec`` calls.  Over the package's 74
-record classes that was about 60 ms of every cold command-line start, which
-compiles without a bytecode cache.  ``@record`` runs one ``exec`` per class,
-about a sixth of that.
+and a frozen dataclass runs six ``exec`` calls.  The package now has 73
+record classes; over the 74 it had when this was measured, that was about
+60 ms of every cold command-line start, which compiles without a bytecode
+cache.  ``@record`` runs one ``exec`` per class, about a sixth of that.
 """
 
 from __future__ import annotations

@@ -274,10 +274,8 @@ def _build() -> UnitDatabase:
     for name, b, topic in _BASE_UNITS:
         units[name] = UnitDef(name, Dimension.base(b), Fraction(1), topic)
     for name, (decomp, topic) in _DERIVED_UNITS.items():
-        dim = DIMENSIONLESS
-        for b, e in decomp.items():
-            dim = dim.combine(Dimension.base(b).scale(e))
-        units[name] = UnitDef(name, dim, Fraction(1), topic)
+        units[name] = UnitDef(name, Dimension.from_map(decomp), Fraction(1),
+                              topic)
     units["gram"] = UnitDef("gram", Dimension.base(_M), Fraction(1, 1000),
                             Topic.MECHANICS)
 
@@ -287,10 +285,7 @@ def _build() -> UnitDatabase:
 
     kinds = {}
     for name, (decomp, topic) in _KINDS.items():
-        dim = DIMENSIONLESS
-        for b, e in decomp.items():
-            dim = dim.combine(Dimension.base(b).scale(e))
-        kinds[name] = KindDef(name, dim, topic)
+        kinds[name] = KindDef(name, Dimension.from_map(decomp), topic)
     kinds["ℝ"] = KindDef("ℝ", DIMENSIONLESS, Topic.MECHANICS)
 
     g = Quantity(Fraction(49, 5), kinds["Acceleration"].dim)

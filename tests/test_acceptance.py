@@ -235,7 +235,7 @@ def test_criterion_05_kinematics_coefficients_exact(db, corpus):
     assert [eq.degree for eq in match.eqs] == [2, 1]
     solution = {"a": Fraction(6), "v_0": Fraction(-2)}
     for eq in match.eqs:
-        poly = eq.as_poly()
+        poly = eq.poly
         env = {}
         for atom in poly_atoms(poly):
             rank, name = atom

@@ -8,14 +8,16 @@ import pytest
 
 from physkernel.checker import ring
 from physkernel.checker.prover import (
-    Proved, Refuted, Unknown, auto_prove, check_derivation, database_for,
+    Proved, Refuted, Unknown, _Session, auto_prove, check_derivation,
+    database_for,
 )
 from physkernel.checker.script import (
-    ExactHyp, MalformedScript, NumericCheck, RingCheck, Split, Subst,
+    ExactHyp, Intro, MalformedScript, NumericCheck, RingCheck, Split, Subst,
     parse_script, print_script,
 )
 from physkernel.errors import ParseError
 from physkernel.lang.parser import parse_statement
+from physkernel.lang.printer import print_prop
 
 
 def stmt_of(body: str, db):
@@ -193,6 +195,54 @@ def test_refutation_carries_a_witness(db):
     assert v.detail
     env = dict(v.env)
     assert "x" in env
+
+
+@pytest.mark.parametrize("decls, h2, reason", [
+    ("", "x • meter = 3 • meter",
+     "hypothesis 'h2' is false under the forced assignment; "
+     "the statement is vacuous there"),
+    ("(y : Real)", "y <= x",
+     "goal is exactly false, but hypothesis 'h2' still has unbound "
+     "variables"),
+    ("", "sqrt(2) * sqrt(2) = 2",
+     "hypothesis 'h2' only verifies approximately; approximate agreement "
+     "never refutes"),
+    ("(f : Real -> Real)", "forall t, f(t) <= t",
+     "goal is exactly false, but the quantified hypothesis 'h2' cannot be "
+     "verified numerically"),
+    ("", "log(0) = 1",
+     "goal is exactly false, but hypothesis 'h2' failed to evaluate: "
+     "log of a non-positive value (0)"),
+])
+def test_refutation_needs_every_hypothesis_exactly_true(db, decls, h2,
+                                                        reason):
+    s = stmt_of(f"""
+        theorem guarded
+        (x : Real) {decls}
+        (h1 := x = 2)
+        (h2 := {h2})
+        : x = 5
+    """, db)
+    v = auto_prove(s, db)
+    assert isinstance(v, Unknown)
+    assert v.reason == reason
+
+
+def test_intro_renames_a_binder_that_shadows_a_declaration(db):
+    s = stmt_of("""
+        theorem fr
+        (f : Time -> Length) (x : Length) (t : Time)
+        (hf := forall t, f(t) = x)
+        : forall t : Time, f(t) = x
+    """, db)
+    session = _Session(s, db)
+    session.apply(Intro())
+    assert print_prop(session.subgoals[0].goal) == "f(t!1) = x"
+    v = auto_prove(s, db)
+    assert isinstance(v, Proved)
+    assert v.steps == (Intro(), Subst("hf"), RingCheck())
+    replay = check_derivation(s, parse_script(print_script(v.steps), s, db), db)
+    assert isinstance(replay, Proved)
 
 
 def test_inhomogeneous_statement_reports_dimensions(db):
