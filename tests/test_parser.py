@@ -13,8 +13,10 @@ import pytest
 
 from physkernel.errors import ParseError
 from physkernel.lang import nodes as N
+from physkernel.lang import parser
 from physkernel.lang.parser import parse_prop, parse_statement
-from physkernel.lang.printer import print_prop, print_statement
+from physkernel.lang.printer import (print_expr, print_prop,
+                                     print_statement)
 
 N_ROUNDTRIP_CASES = 600
 
@@ -156,6 +158,9 @@ class Gen:
                           self.rng.choice([None, "Time"]))
 
 
+CMP_OPS = {N.Eq: "=", N.Ne: "≠", N.Le: "≤", N.Lt: "<"}
+
+
 def test_random_round_trips(db):
     rng = random.Random(424281)
     gen = Gen(rng)
@@ -165,6 +170,16 @@ def test_random_round_trips(db):
         reparsed = parse_prop(printed, db, VARS, FNS)
         assert N.ast_eq(tree, reparsed), (
             f"case {case}: {printed!r}\n{tree}\n{reparsed}")
+        # A comparison may open with a group: its left operand, or the
+        # whole comparison, in parentheses.
+        for cmp in N.walk(tree):
+            op = CMP_OPS.get(type(cmp))
+            if op is None:
+                continue
+            for text in (f"({print_expr(cmp.lhs)}) {op} {print_expr(cmp.rhs)}",
+                         f"({print_prop(cmp)})"):
+                assert N.ast_eq(cmp, parse_prop(text, db, VARS, FNS)), (
+                    f"case {case}: {text!r}")
 
 
 def test_operator_precedence_pins():
@@ -212,25 +227,82 @@ def test_span_containment(db, corpus_dir):
         visit(stmt.goal)
 
 
+HEAD = "theorem t (x : Length) : "
+
+# (statement, message, line, column, expected): none of these starts a
+# comparison with a parenthesis, so every reading agrees on where it fails.
 BAD_INPUTS = [
-    "theorem t (x : Length) : x =",          # truncated
-    "theorem t (x : Nope) : x = x",          # unknown kind
-    "theorem t (x : Length) : x = 3 • metre",  # unknown unit w/ hint
-    "theorem t (x : Length) (x : Time) : x = x",  # duplicate declaration
-    "theorem t (x : Length) : y = x",        # unbound variable
-    "theorem t (x : Length) : x = (3 • meter",  # unbalanced paren
-    "theorem t (x : Length) : x < x < x",    # comparison chains banned
+    (HEAD + "x =", "unexpected end of input", 1, 29, ("expression",)),
+    ("theorem t (x : Nope) : x = x", "unknown kind 'Nope'", 1, 16, ()),
+    (HEAD + "x = 3 • metre",
+     "undeclared identifier 'metre' (did you mean: meter, ampere?)",
+     1, 34, ()),
+    ("theorem t (x : Length) (x : Time) : x = x",
+     "duplicate binder name 'x'", 1, 25, ()),
+    (HEAD + "y = x", "undeclared identifier 'y'", 1, 26, ()),
+    (HEAD + "x = (3 • meter", "unexpected end of input", 1, 40, (")",)),
+    (HEAD + "x < x < x", "unexpected '<'", 1, 32, ("eof",)),
+    (HEAD + "x = 3 •", "unexpected end of input", 1, 33, ("expression",)),
+    (HEAD + "x = x ∧", "unexpected end of input", 1, 33, ("expression",)),
+    (HEAD + "x + x", "expected a comparison operator", 1, 31,
+     ("=", "!=", "<=", "<", ">=", ">")),
+    (HEAD + "x = meter(3)", "'meter' is not callable", 1, 30, ()),
+    (HEAD + "x ** x = x", "expected an exponent literal", 1, 31, ("number",)),
+    (HEAD + "x = deriv(x, x)", "expected a declared function variable",
+     1, 36, ("function variable",)),
+    (HEAD + "forall u in {1, 1}, x = x",
+     "duplicate value in quantifier list", 1, 33, ()),
+    (HEAD + "x = x -> forall u in {1/0}, x = x",
+     "zero denominator in rational literal", 1, 50, ()),
+    (HEAD + "x = 3 $", "unexpected character '$'", 1, 32, ()),
 ]
 
 
+def _error(text, db, parse=parse_statement, *args):
+    with pytest.raises(ParseError) as e:
+        parse(text, db, *args)
+    return e.value
+
+
 def test_error_cases_have_positions(db):
-    for text in BAD_INPUTS:
-        with pytest.raises(ParseError) as e:
-            parse_statement(text, db)
-        assert e.value.line >= 1, text
+    for text, message, line, col, expected in BAD_INPUTS:
+        e = _error(text, db)
+        assert (str(e), e.line, e.col, e.expected) == (
+            str(ParseError(message, line, col, expected)), line, col,
+            expected), text
 
 
 def test_unknown_unit_suggestion(db):
     with pytest.raises(ParseError) as e:
         parse_statement("theorem t (x : Length) : x = 3 • metre", db)
     assert "meter" in str(e.value)
+
+
+FN_HEAD = "theorem t (x : Length) (f g : Time -> Length) : "
+
+
+def test_bare_function_variables_only_in_function_equalities(db):
+    stmt = parse_statement(FN_HEAD + "f = g", db)
+    assert isinstance(stmt.goal.lhs, N.Var) and stmt.goal.rhs.name == "g"
+    at = len(FN_HEAD) + 1
+    for goal, col in (("f = x", at), ("f = g ∧ (x = f)", at + 13)):
+        e = _error(FN_HEAD + goal, db)
+        assert str(e) == f"1:{col}: function variable 'f' used as a quantity"
+        assert (e.span.start, e.span.end) == (col - 1, col)
+
+
+def test_each_token_is_read_once(db, monkeypatch):
+    # Parentheses before a comparison operator are read once, not once per
+    # reading tried.
+    calls = []
+    real_next = parser._Parser.next
+
+    def counting_next(self):
+        calls.append(1)
+        return real_next(self)
+
+    monkeypatch.setattr(parser._Parser, "next", counting_next)
+    text = "(" * 100 + "x" + ")" * 100 + " = x"
+    n_tokens = len(parser.tokenize(text))  # eof included
+    parse_prop(text, db, VARS)
+    assert (len(calls), n_tokens) == (204, 204)
