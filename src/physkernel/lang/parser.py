@@ -1,10 +1,11 @@
-"""Recursive-descent parser for the statement language.
+"""One-pass precedence parser for the statement language.
 
-The grammar is LL(1) except for one bounded backtrack: at the comparison
-level an opening parenthesis may start either a parenthesized proposition or
-a parenthesized arithmetic expression, and the parser tries the proposition
-reading first.  Whitespace and ``#`` comments are insignificant.  The full
-grammar is documented in ``docs/grammar.ebnf``.
+Binary operators climb two precedence tables, and every token is read once:
+where a comparison opens with a parenthesis, the token after the group's
+first operand decides whether the group is a proposition or an expression.
+``PARSE_DEPTH_BUDGET`` bounds nesting and ``LITERAL_DIGIT_BUDGET`` literals.
+Whitespace and ``#`` comments are insignificant.  The full grammar is
+documented in ``docs/grammar.ebnf``.
 
 Identifier resolution happens during parsing: a bare identifier resolves (in
 priority order) to a declared or quantified variable, a unit, or a constant;
@@ -35,6 +36,12 @@ from .nodes import Span
 
 __all__ = ["parse_statement", "parse_prop", "parse_expression",
            "parse_overrides"]
+
+#: Levels of nesting: parenthesized groups and call arguments, unary minus,
+#: right operands of "•" and "->", and "forall" bodies.  The corpus nests 4.
+PARSE_DEPTH_BUDGET = 100
+#: Digits of a literal plus its exponent: Python's int-to-text limit.
+LITERAL_DIGIT_BUDGET = 4300
 
 _NUMBER_RE = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
 
@@ -76,10 +83,6 @@ def tokenize(text: str, start: int = 0) -> list[Token]:
             col += 1
     i = start
     n = len(text)
-
-    def span(begin: int, end: int, bline: int, bcol: int) -> Span:
-        return Span(begin, end, bline, bcol)
-
     while i < n:
         ch = text[i]
         if ch == "\n":
@@ -98,7 +101,7 @@ def tokenize(text: str, start: int = 0) -> list[Token]:
         if ch.isdigit():
             m = _NUMBER_RE.match(text, i)
             tok = m.group(0)
-            tokens.append(Token("number", tok, span(i, m.end(), bline, bcol)))
+            tokens.append(Token("number", tok, Span(i, m.end(), bline, bcol)))
             col += m.end() - i
             i = m.end()
             continue
@@ -108,26 +111,46 @@ def tokenize(text: str, start: int = 0) -> list[Token]:
                 j += 1
             word = text[i:j]
             kind = "keyword" if word in _KEYWORDS else "ident"
-            tokens.append(Token(kind, word, span(i, j, bline, bcol)))
+            tokens.append(Token(kind, word, Span(i, j, bline, bcol)))
             col += j - i
             i = j
             continue
         for op in _OPERATORS:
             if text.startswith(op, i):
-                tokens.append(Token("op", op, span(i, i + len(op), bline, bcol)))
+                tokens.append(Token("op", op, Span(i, i + len(op), bline, bcol)))
                 col += len(op)
                 i += len(op)
                 break
         else:
             raise ParseError(f"unexpected character {ch!r}", line, col,
-                             span=span(i, i + 1, bline, bcol))
-    tokens.append(Token("eof", "", span(n, n, line, col)))
+                             span=Span(i, i + 1, bline, bcol))
+    tokens.append(Token("eof", "", Span(n, n, line, col)))
     return tokens
 
 
 # Alias normalization: every alias maps to its canonical operator.
 _OP_ALIASES = {"*.": "•", "/\\": "∧", "\\/": "∨", "→": "->", "≤": "<=",
                "≠": "!=", "∀": "forall", "≥": ">="}
+
+
+def _divide(lhs: N.Expr, rhs: N.Expr, span: Span) -> N.Expr:
+    if (isinstance(lhs, N.NumLit) and isinstance(rhs, N.NumLit)
+            and rhs.value != 0):
+        return N.NumLit(lhs.value / rhs.value, span)
+    return N.Div(lhs, rhs, span)
+
+
+# Binary operators, by canonical spelling: (binding power, right-associative,
+# node constructor).  A higher power binds tighter.
+_CONNECTIVES = {"->": (1, True, N.Implies), "∨": (2, False, N.Or),
+                "∧": (3, False, N.And)}
+_ARITH_OPS = {"+": (1, False, N.Add), "-": (1, False, N.Sub),
+              "*": (2, False, N.Mul), "/": (2, False, _divide),
+              "•": (3, True, N.SMul)}
+# Comparison operators: (node, whether the operands swap).
+_COMPARISONS = {"=": (N.Eq, False), "!=": (N.Ne, False),
+                "<=": (N.Le, False), "<": (N.Lt, False),
+                ">=": (N.Le, True), ">": (N.Lt, True)}
 
 
 def _canon(tok: Token) -> str:
@@ -146,14 +169,15 @@ class _Parser:
         self.db = db
         self.extra_constants = extra_constants
         self.scope: dict[str, object] = {}  # name -> VarDecl | FnDecl
+        self.depth = 0  # nesting levels entered, see PARSE_DEPTH_BUDGET
 
     # -- token plumbing ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
-    def at(self, *what: str) -> bool:
-        return _canon(self.peek()) in what
+    def at(self, what: str) -> bool:
+        return _canon(self.peek()) == what
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -174,6 +198,16 @@ class _Parser:
     @staticmethod
     def _merge(a: Span, b: Span) -> Span:
         return Span(a.start, b.end, a.line, a.col)
+
+    def _nested(self, parse, *args):
+        """``parse(*args)`` one level deeper, within PARSE_DEPTH_BUDGET."""
+        self.depth += 1
+        if self.depth > PARSE_DEPTH_BUDGET:
+            raise self.err("input nests deeper than PARSE_DEPTH_BUDGET "
+                           f"({PARSE_DEPTH_BUDGET})")
+        result = parse(*args)
+        self.depth -= 1
+        return result
 
     # -- statements -----------------------------------------------------------
 
@@ -257,10 +291,22 @@ class _Parser:
 
     # -- propositions ----------------------------------------------------------
 
-    def prop(self) -> N.Prop:
-        if self.at("forall"):
-            return self._forall()
-        return self._implies()
+    def prop(self, min_bp: int = 1, lhs: N.Prop | None = None) -> N.Prop:
+        """Connectives by precedence climbing over ``_CONNECTIVES``; a group
+        that ``_cmp`` read as a proposition comes in as ``lhs``."""
+        if lhs is None:
+            lhs = self._cmp()
+            if isinstance(lhs, N.Expr):
+                raise self.err("expected a comparison operator",
+                               tuple(_COMPARISONS))
+        while True:
+            op = _canon(self.peek())
+            bp, right, build = _CONNECTIVES.get(op, (0, False, None))
+            if bp < min_bp:
+                return lhs
+            self.next()
+            rhs = self._nested(self.prop, bp) if right else self.prop(bp + 1)
+            lhs = build(lhs, rhs, self._merge(lhs.span, rhs.span))
 
     def _forall(self) -> N.Prop:
         start = self.expect("forall").span
@@ -290,7 +336,7 @@ class _Parser:
         shadowed = self.scope.get(var_tok.text)
         self.scope[var_tok.text] = N.VarDecl(var_tok.text, annot or "Real",
                                              var_tok.span)
-        body = self.prop()
+        body = self._nested(self.prop)
         if shadowed is None:
             del self.scope[var_tok.text]
         else:
@@ -304,163 +350,106 @@ class _Parser:
             return N.ForallFinite(var_tok.text, values, body, span)
         return N.ForallFn(var_tok.text, body, annot, span)
 
-    def _implies(self) -> N.Prop:
-        lhs = self._or()
-        if self.at("->"):
-            self.next()
-            rhs = self.prop() if self.at("forall") else self._implies()
-            return N.Implies(lhs, rhs,
-                             self._merge(lhs.span, rhs.span))
-        return lhs
-
-    def _or(self) -> N.Prop:
-        lhs = self._and()
-        while self.at("∨"):
-            self.next()
-            rhs = self._and()
-            lhs = N.Or(lhs, rhs, self._merge(lhs.span, rhs.span))
-        return lhs
-
-    def _and(self) -> N.Prop:
-        lhs = self._cmp()
-        while self.at("∧"):
-            self.next()
-            rhs = self._cmp()
-            lhs = N.And(lhs, rhs, self._merge(lhs.span, rhs.span))
-        return lhs
-
-    def _cmp(self) -> N.Prop:
+    def _cmp(self) -> N.Prop | N.Expr:
+        """A comparison, a quantifier or a parenthesized proposition, or else
+        the expression read when no comparison operator follows it.  Of a
+        leading group, a proposition continues to ")", and an expression is
+        the first atom of the expression that continues after it."""
         if self.at("forall"):
             return self._forall()
         if self.at("("):
-            # A parenthesized proposition or a parenthesized expression;
-            # try the proposition reading first with bounded backtracking.
-            saved_pos, saved_scope = self.pos, dict(self.scope)
-            try:
-                self.next()
-                inner = self.prop()
+            start = self.next().span
+            inner = self._nested(self._cmp)
+            if isinstance(inner, N.Prop):
+                inner = self._nested(self.prop, 1, inner)
                 self.expect(")")
                 return inner
-            except ParseError:
-                self.pos, self.scope = saved_pos, saved_scope
-        lhs = self._arith()
-        t = _canon(self.peek())
-        if t in ("=", "!=", "<=", "<", ">", ">="):
-            self.next()
-            rhs = self._arith()
-            span = self._merge(lhs.span, rhs.span)
-            if t == "=":
-                return N.Eq(lhs, rhs, span)
-            if t == "!=":
-                return N.Ne(lhs, rhs, span)
-            if t == "<=":
-                return N.Le(lhs, rhs, span)
-            if t == "<":
-                return N.Lt(lhs, rhs, span)
-            if t == ">=":
-                return N.Le(rhs, lhs, span)
-            return N.Lt(rhs, lhs, span)
-        raise self.err("expected a comparison operator",
-                       ("=", "!=", "<=", "<", ">=", ">"))
+            end = self.expect(")").span
+            group = replace(inner, span=self._merge(start, end))
+            lhs = self._arith(lhs=self._power(group))
+        else:
+            lhs = self._arith()
+        op = _canon(self.peek())
+        if op not in _COMPARISONS:
+            return lhs
+        self.next()
+        rhs = self._arith()
+        cls, swap = _COMPARISONS[op]
+        span = self._merge(lhs.span, rhs.span)
+        return cls(rhs, lhs, span) if swap else cls(lhs, rhs, span)
 
     # -- expressions --------------------------------------------------------------
 
-    def _arith(self) -> N.Expr:
-        lhs = self._term()
-        while self.at("+", "-"):
-            op = self.next().text
-            rhs = self._term()
-            span = self._merge(lhs.span, rhs.span)
-            lhs = N.Add(lhs, rhs, span) if op == "+" else N.Sub(lhs, rhs, span)
-        return lhs
-
-    def _term(self) -> N.Expr:
-        lhs = self._smul()
-        while self.at("*", "/"):
-            op = self.next().text
-            rhs = self._smul()
-            span = self._merge(lhs.span, rhs.span)
-            if op == "*":
-                lhs = N.Mul(lhs, rhs, span)
-            elif (isinstance(lhs, N.NumLit) and isinstance(rhs, N.NumLit)
-                  and rhs.value != 0):
-                lhs = N.NumLit(lhs.value / rhs.value, span)
-            else:
-                lhs = N.Div(lhs, rhs, span)
-        return lhs
-
-    def _smul(self) -> N.Expr:
-        lhs = self._unary()
-        if self.at("•"):
+    def _arith(self, min_bp: int = 1, lhs: N.Expr | None = None) -> N.Expr:
+        """Binary operators by precedence climbing over ``_ARITH_OPS``; a
+        group that ``_cmp`` read as an expression comes in as ``lhs``."""
+        if lhs is None:
+            lhs = self._unary()
+        while True:
+            op = _canon(self.peek())
+            bp, right, build = _ARITH_OPS.get(op, (0, False, None))
+            if bp < min_bp:
+                return lhs
             self.next()
-            rhs = self._smul()
-            return N.SMul(lhs, rhs,
-                          self._merge(lhs.span, rhs.span))
-        return lhs
+            rhs = (self._nested(self._arith, bp) if right
+                   else self._arith(bp + 1))
+            lhs = build(lhs, rhs, self._merge(lhs.span, rhs.span))
 
     def _unary(self) -> N.Expr:
-        if self.at("-"):
-            start = self.next().span
-            arg = self._unary()
-            span = self._merge(start, arg.span)
-            if isinstance(arg, N.NumLit):
-                return N.NumLit(-arg.value, span)
-            return N.Neg(arg, span)
-        return self._power()
+        if not self.at("-"):
+            return self._power(self._atom())
+        start = self.next().span
+        arg = self._nested(self._unary)
+        span = self._merge(start, arg.span)
+        if isinstance(arg, N.NumLit):
+            return N.NumLit(-arg.value, span)
+        return N.Neg(arg, span)
 
-    def _power(self) -> N.Expr:
-        base = self._atom()
-        if self.at("**"):
-            self.next()
-            exponent, end = self._exponent()
-            return N.Pow(base, exponent,
-                         self._merge(base.span, end))
-        return base
+    def _power(self, base: N.Expr) -> N.Expr:
+        """``**`` is a postfix on its atom."""
+        if not self.at("**"):
+            return base
+        self.next()
+        exponent, end = self._exponent()
+        return N.Pow(base, exponent, self._merge(base.span, end))
 
     def _exponent(self) -> tuple[Fraction, Span]:
         if self.at("("):
             self.next()
             value = self._signed_rational()
-            end = self.expect(")").span
-            return value, end
-        neg = False
-        if self.at("-"):
+            return value, self.expect(")").span
+        return self._signed_number("expected an exponent literal")
+
+    def _signed_number(self, message: str) -> tuple[Fraction, Span]:
+        neg = self.at("-")
+        if neg:
             self.next()
-            neg = True
         tok = self.peek()
         if tok.kind != "number":
-            raise self.err("expected an exponent literal", ("number",))
+            raise self.err(message, ("number",))
         self.next()
-        value = _fraction_of(tok.text)
+        value = _fraction_of(tok)
         return (-value if neg else value), tok.span
 
     def _signed_rational(self) -> Fraction:
-        neg = False
-        if self.at("-"):
-            self.next()
-            neg = True
-        tok = self.peek()
-        if tok.kind != "number":
-            raise self.err("expected a number", ("number",))
-        self.next()
-        value = _fraction_of(tok.text)
+        value, _ = self._signed_number("expected a number")
         if self.at("/"):
             self.next()
             den_tok = self.peek()
             if den_tok.kind != "number":
                 raise self.err("expected a denominator", ("number",))
             self.next()
-            den = _fraction_of(den_tok.text)
+            den = _fraction_of(den_tok)
             if den == 0:
                 raise ParseError("zero denominator in rational literal",
                                  den_tok.span.line, den_tok.span.col,
                                  span=den_tok.span)
             value /= den
-        return -value if neg else value
+        return value
 
     def _call_arg(self) -> N.Expr:
         self.expect("(")
-        arg = self._arith()
+        arg = self._nested(self._arith)
         self.expect(")")
         return arg
 
@@ -469,12 +458,12 @@ class _Parser:
         t = _canon(tok)
         if tok.kind == "number":
             self.next()
-            return N.NumLit(_fraction_of(tok.text), tok.span)
+            return N.NumLit(_fraction_of(tok), tok.span)
         if t == "(":
             self.next()
-            inner = self._arith()
+            inner = self._nested(self._arith)
             end = self.expect(")").span
-            return _respan(inner, self._merge(tok.span, end))
+            return replace(inner, span=self._merge(tok.span, end))
         if t == "std":
             self.next()
             return N.StdUnit(None, tok.span)
@@ -490,7 +479,7 @@ class _Parser:
         if t == "cast":
             self.next()
             self.expect("(")
-            arg = self._arith()
+            arg = self._nested(self._arith)
             self.expect(",")
             kind = self._kind_name()
             end = self.expect(")").span
@@ -506,9 +495,9 @@ class _Parser:
         if t == "rpow":
             self.next()
             self.expect("(")
-            base = self._arith()
+            base = self._nested(self._arith)
             self.expect(",")
-            exponent = self._arith()
+            exponent = self._nested(self._arith)
             end = self.expect(")").span
             return N.RPow(base, exponent, self._merge(tok.span, end))
         if t == "deriv":
@@ -516,7 +505,7 @@ class _Parser:
             self.expect("(")
             fn = self._fn_var_name()
             self.expect(",")
-            at = self._arith()
+            at = self._nested(self._arith)
             end = self.expect(")").span
             return N.Deriv(fn, at, self._merge(tok.span, end))
         if tok.kind == "ident":
@@ -567,12 +556,14 @@ class _Parser:
             tok.span.line, tok.span.col, span=tok.span)
 
 
-def _fraction_of(text: str) -> Fraction:
-    return Fraction(Decimal(text))
-
-
-def _respan(node, span: Span):
-    return replace(node, span=span)
+def _fraction_of(tok: Token) -> Fraction:
+    mantissa, _, exponent = tok.text.lower().partition("e")
+    exponent = exponent.lstrip("+-").lstrip("0")[:5]  # 5 digits are past it
+    digits = len(mantissa.replace(".", "")) + int(exponent or 0)
+    if digits > LITERAL_DIGIT_BUDGET:
+        raise ParseError("literal longer than LITERAL_DIGIT_BUDGET "
+                         f"({LITERAL_DIGIT_BUDGET} digits)", span=tok.span)
+    return Fraction(Decimal(tok.text))
 
 
 # -- statement-level validation ------------------------------------------------
@@ -583,32 +574,18 @@ def _validate_fn_var_uses(stmt: N.Statement) -> None:
     if not fn_names:
         return
 
-    def check_expr(e: N.Expr, allow: bool) -> None:
-        if isinstance(e, N.Var) and e.name in fn_names and not allow:
-            raise ParseError(
-                f"function variable {e.name!r} used as a quantity",
-                e.span.line, e.span.col, span=e.span)
-        for c in N.children(e):
-            check_expr(c, False)
+    def is_fn(e: N.Node) -> bool:
+        return isinstance(e, N.Var) and e.name in fn_names
 
-    def check_prop(p: N.Prop) -> None:
-        if isinstance(p, N.Eq):
-            both_fn = (isinstance(p.lhs, N.Var) and p.lhs.name in fn_names
-                       and isinstance(p.rhs, N.Var) and p.rhs.name in fn_names)
-            check_expr(p.lhs, both_fn)
-            check_expr(p.rhs, both_fn)
-        elif isinstance(p, (N.Le, N.Lt, N.Ne)):
-            check_expr(p.lhs, False)
-            check_expr(p.rhs, False)
-        elif isinstance(p, (N.And, N.Or, N.Implies)):
-            check_prop(p.lhs)
-            check_prop(p.rhs)
-        elif isinstance(p, (N.ForallFinite, N.ForallFn)):
-            check_prop(p.body)
-
-    for _, h in stmt.hyps:
-        check_prop(h)
-    check_prop(stmt.goal)
+    allowed: set[N.Var] = set()  # sides of an f = g, met before its sides
+    for prop in (*(h for _, h in stmt.hyps), stmt.goal):
+        for node in N.walk(prop):
+            if isinstance(node, N.Eq) and is_fn(node.lhs) and is_fn(node.rhs):
+                allowed.update((node.lhs, node.rhs))
+            elif is_fn(node) and node not in allowed:
+                raise ParseError(
+                    f"function variable {node.name!r} used as a quantity",
+                    node.span.line, node.span.col, span=node.span)
 
 
 # -- front matter ---------------------------------------------------------------
@@ -691,16 +668,22 @@ def parse_statement(text: str, db: UnitDatabase | None = None) -> N.Statement:
     return stmt
 
 
-def parse_prop(text: str, db: UnitDatabase | None = None,
-               variables: dict[str, str] | None = None,
-               functions: dict[str, tuple[str, str]] | None = None) -> N.Prop:
-    """Parse a standalone proposition under the given variable scope."""
-    db = db or builtin_database()
-    p = _Parser(tokenize(text), db)
+def _scoped_parser(text: str, db: UnitDatabase | None,
+                   variables: dict[str, str] | None,
+                   functions: dict[str, tuple[str, str]] | None) -> _Parser:
+    p = _Parser(tokenize(text), db or builtin_database())
     for name, kind in (variables or {}).items():
         p.scope[name] = N.VarDecl(name, kind)
     for name, (a, r) in (functions or {}).items():
         p.scope[name] = N.FnDecl(name, a, r)
+    return p
+
+
+def parse_prop(text: str, db: UnitDatabase | None = None,
+               variables: dict[str, str] | None = None,
+               functions: dict[str, tuple[str, str]] | None = None) -> N.Prop:
+    """Parse a standalone proposition under the given variable scope."""
+    p = _scoped_parser(text, db, variables, functions)
     prop = p.prop()
     p.expect("eof")
     return prop
@@ -711,12 +694,7 @@ def parse_expression(text: str, db: UnitDatabase | None = None,
                      functions: dict[str, tuple[str, str]] | None = None
                      ) -> N.Expr:
     """Parse a standalone expression under the given variable scope."""
-    db = db or builtin_database()
-    p = _Parser(tokenize(text), db)
-    for name, kind in (variables or {}).items():
-        p.scope[name] = N.VarDecl(name, kind)
-    for name, (a, r) in (functions or {}).items():
-        p.scope[name] = N.FnDecl(name, a, r)
+    p = _scoped_parser(text, db, variables, functions)
     expr = p._arith()
     p.expect("eof")
     return expr

@@ -7,6 +7,7 @@ ratio), since those deliberately normalize to a single literal node.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -264,12 +265,26 @@ def _error(text, db, parse=parse_statement, *args):
     return e.value
 
 
+def _pinned(e, message, line, col, expected):
+    return (str(e), e.line, e.col, e.expected) == (
+        str(ParseError(message, line, col, expected)), line, col, expected)
+
+
 def test_error_cases_have_positions(db):
     for text, message, line, col, expected in BAD_INPUTS:
-        e = _error(text, db)
-        assert (str(e), e.line, e.col, e.expected) == (
-            str(ParseError(message, line, col, expected)), line, col,
-            expected), text
+        assert _pinned(_error(text, db), message, line, col, expected), text
+
+
+def test_errors_in_a_leading_group_are_where_no_reading_continues(db):
+    # The group is read once, so its error is where neither a proposition
+    # nor an expression can go on, not where the expression reading stopped.
+    scope = {"x": "Length", "y": "Length"}
+    for text, message, line, col, expected in [
+            ("(x = y", "unexpected end of input", 1, 7, (")",)),
+            ("(x = )", "unexpected ')'", 1, 6, ("expression",)),
+            ("(x = z)", "undeclared identifier 'z'", 1, 6, ())]:
+        e = _error(text, db, parse_prop, scope)
+        assert _pinned(e, message, line, col, expected), text
 
 
 def test_unknown_unit_suggestion(db):
@@ -306,3 +321,48 @@ def test_each_token_is_read_once(db, monkeypatch):
     n_tokens = len(parser.tokenize(text))  # eof included
     parse_prop(text, db, VARS)
     assert (len(calls), n_tokens) == (204, 204)
+
+
+DEPTH_SHAPES = {
+    "group left of =": lambda d: "(" * d + "x" + ")" * d + " = x",
+    "group right of =": lambda d: "x = " + "(" * d + "x" + ")" * d,
+    "grouped proposition": lambda d: "(" * d + "x = x" + ")" * d,
+    "unary minus": lambda d: "x = " + "-" * d + "x",
+    "sqrt": lambda d: "u = " + "sqrt(" * d + "u" + ")" * d,
+    "cast": lambda d: "x = " + "cast(" * d + "x" + ", Length)" * d,
+    "function variable": lambda d: "x = " + "h(" * d + "t" + ")" * d,
+    "prefix": lambda d: "x = " + "kilo(" * d + "x" + ")" * d,
+    "•": lambda d: "x = " + "u • " * d + "x",
+    "->": lambda d: "x = x -> " * d + "x = x",
+    "forall": lambda d: "forall t, " * d + "x = x",
+}
+
+
+def _parse_below(frames, text, db):
+    """parse_prop with ``frames`` more interpreter frames on the stack."""
+    if frames:
+        return _parse_below(frames - 1, text, db)
+    return parse_prop(text, db, VARS, FNS)
+
+
+def test_depth_budget(db):
+    budget = parser.PARSE_DEPTH_BUDGET
+    assert budget == 100
+    for shape, text_at in DEPTH_SHAPES.items():
+        _parse_below(300, text_at(budget), db)
+        for depth in (budget + 1, 5000):
+            with pytest.raises(ParseError, match="PARSE_DEPTH_BUDGET") as e:
+                parse_prop(text_at(depth), db, VARS, FNS)
+            assert e.value.line == 1, shape
+
+
+def test_literal_digit_budget(db):
+    assert parser.LITERAL_DIGIT_BUDGET == 4300
+    assert parse_prop("u = 1e4299", db, VARS).rhs.value == 10**4299
+    for literal in ("1e4300", "1e-4300", "1" * 4301):
+        with pytest.raises(ParseError, match="LITERAL_DIGIT_BUDGET"):
+            parse_prop(f"u = {literal}", db, VARS)
+    started = time.process_time()
+    with pytest.raises(ParseError, match="LITERAL_DIGIT_BUDGET"):
+        parse_prop("u = 1e999999999", db, VARS)
+    assert time.process_time() - started < 0.1
