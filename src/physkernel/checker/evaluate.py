@@ -48,7 +48,14 @@ def eval_numeric(e: N.Expr, env: Mapping[str, Quantity],
     return _eval(e, env, db)
 
 
+_ARITH = {N.Add: Quantity.add, N.Sub: Quantity.sub, N.Mul: Quantity.mul,
+          N.Div: Quantity.div}
+
+
 def _eval(e: N.Expr, env, db: UnitDatabase) -> Quantity:
+    op = _ARITH.get(e.__class__)
+    if op is not None:
+        return op(_eval(e.lhs, env, db), _eval(e.rhs, env, db))
     if isinstance(e, N.NumLit):
         return Quantity.scalar(e.value)
     if isinstance(e, N.ConstRef):
@@ -67,14 +74,6 @@ def _eval(e: N.Expr, env, db: UnitDatabase) -> Quantity:
         return Quantity(Fraction(1), e.dim)
     if isinstance(e, N.PrefixApp):
         return _eval(e.arg, env, db).smul(db.prefix(e.prefix))
-    if isinstance(e, N.Add):
-        return _eval(e.lhs, env, db).add(_eval(e.rhs, env, db))
-    if isinstance(e, N.Sub):
-        return _eval(e.lhs, env, db).sub(_eval(e.rhs, env, db))
-    if isinstance(e, N.Mul):
-        return _eval(e.lhs, env, db).mul(_eval(e.rhs, env, db))
-    if isinstance(e, N.Div):
-        return _eval(e.lhs, env, db).div(_eval(e.rhs, env, db))
     if isinstance(e, N.Neg):
         return _eval(e.arg, env, db).neg()
     if isinstance(e, N.SMul):
@@ -129,30 +128,25 @@ def eval_prop(p: N.Prop, env: Mapping[str, Quantity],
     return _eval_prop(p, env, db)
 
 
+# Truth of a comparison from the comparison of its sides, and of a
+# connective from the truth of its sides.
+_COMPARE = {N.Eq: lambda c: c.equal, N.Ne: lambda c: not c.equal,
+            N.Le: lambda c: c.sign <= 0, N.Lt: lambda c: c.sign < 0}
+_CONNECT = {N.And: lambda a, b: a and b, N.Or: lambda a, b: a or b,
+            N.Implies: lambda a, b: not a or b}
+
+
 def _eval_prop(p, env, db) -> tuple[bool, bool]:
-    if isinstance(p, (N.Eq, N.Ne, N.Le, N.Lt)):
-        left = _eval(p.lhs, env, db)
-        right = _eval(p.rhs, env, db)
-        cmp = left.compare(right)
-        if isinstance(p, N.Eq):
-            return cmp.equal, cmp.exact
-        if isinstance(p, N.Ne):
-            return not cmp.equal, cmp.exact
-        if isinstance(p, N.Le):
-            return cmp.sign <= 0, cmp.exact
-        return cmp.sign < 0, cmp.exact
-    if isinstance(p, N.And):
+    """A connective evaluates both sides; it is exact when both are."""
+    truth = _COMPARE.get(p.__class__)
+    if truth is not None:
+        cmp = _eval(p.lhs, env, db).compare(_eval(p.rhs, env, db))
+        return truth(cmp), cmp.exact
+    truth = _CONNECT.get(p.__class__)
+    if truth is not None:
         lt, le = _eval_prop(p.lhs, env, db)
         rt, re_ = _eval_prop(p.rhs, env, db)
-        return lt and rt, le and re_
-    if isinstance(p, N.Or):
-        lt, le = _eval_prop(p.lhs, env, db)
-        rt, re_ = _eval_prop(p.rhs, env, db)
-        return lt or rt, le and re_
-    if isinstance(p, N.Implies):
-        lt, le = _eval_prop(p.lhs, env, db)
-        rt, re_ = _eval_prop(p.rhs, env, db)
-        return (not lt) or rt, le and re_
+        return truth(lt, rt), le and re_
     raise UnsupportedNode(
         f"cannot numerically evaluate a {type(p).__name__} proposition")
 

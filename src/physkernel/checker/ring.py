@@ -153,18 +153,6 @@ def poly_degree_in(m: Monomial, atom: Atom) -> int:
     return 0
 
 
-def poly_eval(p: Poly, env: Mapping[Atom, Fraction]) -> Fraction:
-    """Exact evaluation at a rational point (every atom must be bound); always
-    a ``Fraction``, even where every coefficient is an ``int``."""
-    total = Fraction(0)
-    for m, c in p.items():
-        term = c
-        for a, e in m:
-            term *= env[a] ** e
-        total += term
-    return total
-
-
 def _atom_display(a: Atom) -> str:
     rank, name = a
     if rank == _BASE:

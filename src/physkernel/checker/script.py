@@ -79,9 +79,15 @@ class ExactHyp:
 Step = (Split | Intro | CaseSplit | Subst | Instantiate | PolyMatch
         | RingCheck | NumericCheck | ExactHyp)
 
-_NO_ARG = {"split": Split, "intro": Intro, "ring": RingCheck,
-           "numeric": NumericCheck}
-_ONE_NAME = {"subst": Subst, "exact": ExactHyp}
+#: Each step's keyword.  A step prints as its keyword and its fields, in
+#: order; only ``cases`` and ``inst`` give theirs a text of their own.
+_KEYWORDS = {Split: "split", Intro: "intro", CaseSplit: "cases",
+             Subst: "subst", Instantiate: "inst", PolyMatch: "polymatch",
+             RingCheck: "ring", NumericCheck: "numeric", ExactHyp: "exact"}
+_NO_ARG = {kw: cls for cls, kw in _KEYWORDS.items()
+           if cls._record_fields == ()}
+_ONE_NAME = {kw: cls for cls, kw in _KEYWORDS.items()
+             if cls._record_fields == ("hyp",)}
 
 
 def _scope_of(stmt: N.Statement) -> tuple[dict, dict]:
@@ -174,25 +180,14 @@ def print_script(steps: tuple[Step, ...] | list[Step]) -> str:
     """Render steps to the textual form accepted by ``parse_script``."""
     lines = []
     for step in steps:
-        if isinstance(step, Split):
-            lines.append("split")
-        elif isinstance(step, Intro):
-            lines.append("intro")
-        elif isinstance(step, CaseSplit):
-            body = ", ".join(str(v) for v in step.values)
-            lines.append(f"cases {step.var} {{{body}}}")
-        elif isinstance(step, Subst):
-            lines.append(f"subst {step.hyp}")
-        elif isinstance(step, Instantiate):
-            lines.append(f"inst {step.hyp} {print_expr(step.arg)}")
-        elif isinstance(step, PolyMatch):
-            lines.append(f"polymatch {step.hyp} {step.param}")
-        elif isinstance(step, RingCheck):
-            lines.append("ring")
-        elif isinstance(step, NumericCheck):
-            lines.append("numeric")
-        elif isinstance(step, ExactHyp):
-            lines.append(f"exact {step.hyp}")
-        else:
+        keyword = _KEYWORDS.get(step.__class__)
+        if keyword is None:
             raise MalformedScript(f"unknown step object {step!r}")
+        if isinstance(step, CaseSplit):
+            args = [step.var, "{" + ", ".join(map(str, step.values)) + "}"]
+        elif isinstance(step, Instantiate):
+            args = [step.hyp, print_expr(step.arg)]
+        else:
+            args = [getattr(step, f) for f in step._record_fields]
+        lines.append(" ".join([keyword, *args]))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -134,10 +134,6 @@ class Dimension:
             f = f.numerator
         return _make(tuple(map(_normal, map(mul, self.exponents, repeat(f)))))
 
-    def subtract(self, other: "Dimension") -> "Dimension":
-        """Dimension of a quotient: ``self.combine(other.invert())``."""
-        return self.combine(other.invert())
-
     # -- predicates and rendering ------------------------------------------
 
     @property

@@ -33,7 +33,7 @@ __all__ = [
     "Eq", "Le", "Lt", "Ne", "And", "Or", "Implies",
     "ForallFinite", "ForallFn",
     "VarDecl", "FnDecl", "Statement",
-    "ast_eq", "walk", "children", "FN_NAMES",
+    "ast_eq", "walk", "children", "FN_NAMES", "BINARY", "COMPARISONS",
 ]
 
 FN_NAMES = ("sin", "cos", "log", "exp", "sqrt")
@@ -314,6 +314,22 @@ class ForallFn(Prop):
     body: Prop
     kind_annot: str | None = None
     span: Span = DUMMY_SPAN
+
+
+# -- operators ----------------------------------------------------------------
+
+#: The binary operators, the one place their syntax is defined: node class ->
+#: (canonical spelling, binding power, right-associative).  A higher power
+#: binds tighter; connectives and arithmetic are ranked apart, since a
+#: comparison separates the two.  The parser climbs these powers and the
+#: printer parenthesizes by them.
+BINARY = {
+    Implies: ("->", 1, True), Or: ("∨", 2, False), And: ("∧", 3, False),
+    Add: ("+", 1, False), Sub: ("-", 1, False),
+    Mul: ("*", 2, False), Div: ("/", 2, False), SMul: ("•", 3, True),
+}
+#: Comparison node class -> canonical spelling.
+COMPARISONS = {Eq: "=", Ne: "!=", Le: "<=", Lt: "<"}
 
 
 # -- statements ---------------------------------------------------------------

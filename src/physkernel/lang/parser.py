@@ -1,11 +1,12 @@
 """One-pass precedence parser for the statement language.
 
-Binary operators climb two precedence tables, and every token is read once:
-where a comparison opens with a parenthesis, the token after the group's
-first operand decides whether the group is a proposition or an expression.
+Binary operators climb the binding powers of ``nodes.BINARY``, the operator
+table the printer also reads, and every token is read once: where a
+comparison opens with a parenthesis, the token after the group's first
+operand decides whether the group is a proposition or an expression.
 ``PARSE_DEPTH_BUDGET`` bounds nesting and ``LITERAL_DIGIT_BUDGET`` literals.
-Whitespace and ``#`` comments are insignificant.  The full grammar is
-documented in ``docs/grammar.ebnf``.
+Whitespace and ``#`` comments are insignificant.  The full grammar is in
+``docs/grammar.ebnf``.
 
 Identifier resolution happens during parsing: a bare identifier resolves (in
 priority order) to a declared or quantified variable, a unit, or a constant;
@@ -40,8 +41,10 @@ __all__ = ["parse_statement", "parse_prop", "parse_expression",
 #: Levels of nesting: parenthesized groups and call arguments, unary minus,
 #: right operands of "•" and "->", and "forall" bodies.  The corpus nests 4.
 PARSE_DEPTH_BUDGET = 100
-#: Digits of a literal plus its exponent: Python's int-to-text limit.
+#: Digits of a literal plus its exponent: Python's int-to-text limit.  The
+#: numerator and the denominator of a literal folded from two stay below it.
 LITERAL_DIGIT_BUDGET = 4300
+_LITERAL_LIMIT = 10**LITERAL_DIGIT_BUDGET
 
 _NUMBER_RE = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
 
@@ -133,23 +136,34 @@ _OP_ALIASES = {"*.": "•", "/\\": "∧", "\\/": "∨", "→": "->", "≤": "<="
                "≠": "!=", "∀": "forall", "≥": ">="}
 
 
+def _over_budget(span: Span) -> ParseError:
+    return ParseError("literal longer than LITERAL_DIGIT_BUDGET "
+                      f"({LITERAL_DIGIT_BUDGET} digits)", span=span)
+
+
+def _folded(value: Fraction, span: Span) -> Fraction:
+    """A literal folded from two, if it is within LITERAL_DIGIT_BUDGET."""
+    if max(abs(value.numerator), value.denominator) >= _LITERAL_LIMIT:
+        raise _over_budget(span)
+    return value
+
+
 def _divide(lhs: N.Expr, rhs: N.Expr, span: Span) -> N.Expr:
     if (isinstance(lhs, N.NumLit) and isinstance(rhs, N.NumLit)
             and rhs.value != 0):
-        return N.NumLit(lhs.value / rhs.value, span)
+        return N.NumLit(_folded(lhs.value / rhs.value, span), span)
     return N.Div(lhs, rhs, span)
 
 
-# Binary operators, by canonical spelling: (binding power, right-associative,
-# node constructor).  A higher power binds tighter.
-_CONNECTIVES = {"->": (1, True, N.Implies), "∨": (2, False, N.Or),
-                "∧": (3, False, N.And)}
-_ARITH_OPS = {"+": (1, False, N.Add), "-": (1, False, N.Sub),
-              "*": (2, False, N.Mul), "/": (2, False, _divide),
-              "•": (3, True, N.SMul)}
-# Comparison operators: (node, whether the operands swap).
-_COMPARISONS = {"=": (N.Eq, False), "!=": (N.Ne, False),
-                "<=": (N.Le, False), "<": (N.Lt, False),
+# Binary operators by canonical spelling, from ``nodes.BINARY``: (binding
+# power, right-associative, node constructor).
+_CONNECTIVES = {op: (bp, right, cls) for cls, (op, bp, right)
+                in N.BINARY.items() if issubclass(cls, N.Prop)}
+_ARITH_OPS = {op: (bp, right, _divide if cls is N.Div else cls)
+              for cls, (op, bp, right) in N.BINARY.items()
+              if issubclass(cls, N.Expr)}
+# Comparison operators: (node, whether the operands swap, as ">=" and ">" do).
+_COMPARISONS = {**{op: (cls, False) for cls, op in N.COMPARISONS.items()},
                 ">=": (N.Le, True), ">": (N.Lt, True)}
 
 
@@ -230,9 +244,8 @@ class _Parser:
             if self.at(":="):
                 self.next()
                 if first.text in hyp_names or first.text in self.scope:
-                    raise ParseError(
-                        f"duplicate binder name {first.text!r}",
-                        first.span.line, first.span.col, span=first.span)
+                    raise ParseError(f"duplicate binder name {first.text!r}",
+                                     span=first.span)
                 prop = self.prop()
                 hyps.append((first.text, prop))
                 hyp_names.add(first.text)
@@ -244,9 +257,8 @@ class _Parser:
                 kind = self._kind()
                 for tok in group:
                     if tok.text in self.scope or tok.text in hyp_names:
-                        raise ParseError(
-                            f"duplicate binder name {tok.text!r}",
-                            tok.span.line, tok.span.col, span=tok.span)
+                        raise ParseError(f"duplicate binder name "
+                                         f"{tok.text!r}", span=tok.span)
                     if isinstance(kind, tuple):
                         d = N.FnDecl(tok.text, kind[0], kind[1], tok.span)
                     else:
@@ -277,8 +289,7 @@ class _Parser:
             hints = tuple(difflib.get_close_matches(tok.text, self.db.kinds, n=3))
             raise ParseError(f"unknown kind {tok.text!r}"
                              + (f" (did you mean: {', '.join(hints)}?)"
-                                if hints else ""),
-                             tok.span.line, tok.span.col, span=tok.span)
+                                if hints else ""), span=tok.span)
         self.next()
         return tok.text
 
@@ -329,7 +340,6 @@ class _Parser:
             self.expect("}")
             if len(set(vals)) != len(vals):
                 raise ParseError("duplicate value in quantifier list",
-                                 var_tok.span.line, var_tok.span.col,
                                  span=var_tok.span)
             values = tuple(vals)
         self.expect(",")
@@ -344,9 +354,8 @@ class _Parser:
         span = self._merge(start, body.span)
         if values is not None:
             if annot is not None:
-                raise ParseError(
-                    "a finite quantifier takes no kind annotation",
-                    var_tok.span.line, var_tok.span.col, span=var_tok.span)
+                raise ParseError("a finite quantifier takes no kind "
+                                 "annotation", span=var_tok.span)
             return N.ForallFinite(var_tok.text, values, body, span)
         return N.ForallFn(var_tok.text, body, annot, span)
 
@@ -432,7 +441,7 @@ class _Parser:
         return (-value if neg else value), tok.span
 
     def _signed_rational(self) -> Fraction:
-        value, _ = self._signed_number("expected a number")
+        value, span = self._signed_number("expected a number")
         if self.at("/"):
             self.next()
             den_tok = self.peek()
@@ -442,9 +451,8 @@ class _Parser:
             den = _fraction_of(den_tok)
             if den == 0:
                 raise ParseError("zero denominator in rational literal",
-                                 den_tok.span.line, den_tok.span.col,
                                  span=den_tok.span)
-            value /= den
+            value = _folded(value / den, self._merge(span, den_tok.span))
         return value
 
     def _call_arg(self) -> N.Expr:
@@ -529,17 +537,12 @@ class _Parser:
         if self.at("(") and not isinstance(decl, N.VarDecl):
             if isinstance(decl, N.FnDecl):
                 arg = self._call_arg()
-                return N.Apply(name, arg,
-                               self._merge(tok.span, arg.span))
+                return N.Apply(name, arg, self._merge(tok.span, arg.span))
             if self.db.has_prefix(name):
                 arg = self._call_arg()
-                return N.PrefixApp(name, arg,
-                                   self._merge(tok.span, arg.span))
-            raise ParseError(f"{name!r} is not callable",
-                             tok.span.line, tok.span.col, span=tok.span)
-        if isinstance(decl, N.VarDecl):
-            return N.Var(name, tok.span)
-        if isinstance(decl, N.FnDecl):
+                return N.PrefixApp(name, arg, self._merge(tok.span, arg.span))
+            raise ParseError(f"{name!r} is not callable", span=tok.span)
+        if decl is not None:
             # Bare function variables are only legal beside another function
             # variable in an equality; the statement validator checks that.
             return N.Var(name, tok.span)
@@ -553,7 +556,7 @@ class _Parser:
         raise ParseError(
             f"undeclared identifier {name!r}"
             + (f" (did you mean: {', '.join(hints)}?)" if hints else ""),
-            tok.span.line, tok.span.col, span=tok.span)
+            span=tok.span)
 
 
 def _fraction_of(tok: Token) -> Fraction:
@@ -561,8 +564,7 @@ def _fraction_of(tok: Token) -> Fraction:
     exponent = exponent.lstrip("+-").lstrip("0")[:5]  # 5 digits are past it
     digits = len(mantissa.replace(".", "")) + int(exponent or 0)
     if digits > LITERAL_DIGIT_BUDGET:
-        raise ParseError("literal longer than LITERAL_DIGIT_BUDGET "
-                         f"({LITERAL_DIGIT_BUDGET} digits)", span=tok.span)
+        raise _over_budget(tok.span)
     return Fraction(Decimal(tok.text))
 
 
@@ -585,7 +587,7 @@ def _validate_fn_var_uses(stmt: N.Statement) -> None:
             elif is_fn(node) and node not in allowed:
                 raise ParseError(
                     f"function variable {node.name!r} used as a quantity",
-                    node.span.line, node.span.col, span=node.span)
+                    span=node.span)
 
 
 # -- front matter ---------------------------------------------------------------
@@ -624,8 +626,7 @@ def _split_front_matter(text: str) -> tuple[dict[str, tuple[str, int]], int]:
 def _parse_constant_overrides(text: str, offset: int, db: UnitDatabase):
     """Parse ``name = expr, ...`` from a front-matter constants value."""
     overrides: list[tuple[str, N.Expr]] = []
-    tokens = tokenize(text, offset)
-    p = _Parser(tokens, db)
+    p = _Parser(tokenize(text, offset), db)
     while not p.at("eof"):
         name_tok = p.peek()
         if name_tok.kind != "ident":
@@ -657,8 +658,7 @@ def parse_statement(text: str, db: UnitDatabase | None = None) -> N.Statement:
         constants = _parse_constant_overrides(text[:value_off + len(value)],
                                               value_off, db)
     extra = frozenset(name for name, _ in constants)
-    tokens = tokenize(text, offset)
-    parser = _Parser(tokens, db, extra)
+    parser = _Parser(tokenize(text, offset), db, extra)
     stmt = parser.statement(meta, constants)
     if "name" in meta and meta["name"] != stmt.name:
         raise ParseError(

@@ -2,10 +2,11 @@
 
 The printer is the inverse of the parser on ASTs: for every AST ``x`` the
 reparse of ``print(x)`` is structurally equal to ``x`` (spans aside).  Output
-is deterministic and minimally parenthesized according to the grammar's
-precedence table.  Rational literals print as integers, as exact decimals
-when the denominator is a product of 2s and 5s with a short expansion, and as
-``p/q`` otherwise (the parser folds the latter back into one literal).
+is deterministic and minimally parenthesized by the binding powers of the
+operator table ``nodes.BINARY``, which the parser climbs.  Rational literals
+print as integers, as exact decimals when the denominator is a product of 2s
+and 5s with a short expansion, and as ``p/q`` otherwise (the parser folds the
+latter back into one literal).
 """
 
 from __future__ import annotations
@@ -16,19 +17,17 @@ from . import nodes as N
 
 __all__ = ["print_expr", "print_prop", "print_statement", "render_rational"]
 
-# Precedence levels; a child is parenthesized when its level is below the
-# level its context requires.
-_P_FORALL = 0
-_P_IMPLIES = 1
-_P_OR = 2
-_P_AND = 3
-_P_CMP = 4
-_P_ADD = 10
-_P_MUL = 11
-_P_SMUL = 12
-_P_UNARY = 13
-_P_POW = 14
-_P_ATOM = 15
+# Levels of the forms that are not binary operators, which print at their
+# binding power (``nodes.BINARY``).  A child is parenthesized when its level
+# is below the level its place requires.  A comparison, like a unary minus,
+# binds tighter than every binary operator of its side of the grammar.
+_FORALL = 0
+_UNARY = _CMP = 1 + max(bp for _, bp, _ in N.BINARY.values())
+_POW = _UNARY + 1
+_ATOM = _POW + 1
+# Python's int-to-text limit.  A literal whose decimal expansion passes it
+# prints as p/q; the parser's LITERAL_DIGIT_BUDGET keeps p and q within it.
+_TEXT_LIMIT = 10**4300
 
 
 def render_rational(value: Fraction) -> str:
@@ -46,20 +45,18 @@ def render_rational(value: Fraction) -> str:
     while d % 5 == 0:
         d //= 5
         fives += 1
-    if d == 1:
-        k = max(twos, fives)
-        if k <= 25:
-            digits = str(num * 10**k // den).rjust(k + 1, "0")
-            return f"{digits[:-k]}.{digits[-k:]}"
+    k = max(twos, fives)
+    if d == 1 and k <= 25 and num * 10**k < _TEXT_LIMIT * den:
+        digits = str(num * 10**k // den).rjust(k + 1, "0")
+        return f"{digits[:-k]}.{digits[-k:]}"
     return f"{num}/{den}"
 
 
 def _rat(value: Fraction) -> tuple[str, int]:
     text = render_rational(value)
-    level = _P_ATOM if value >= 0 and value.denominator == 1 else _P_UNARY
     if "/" in text:
-        level = _P_MUL  # prints as a division of literals
-    return text, level
+        return text, N.BINARY[N.Div][1]  # prints as a division of literals
+    return text, _ATOM if value >= 0 and value.denominator == 1 else _UNARY
 
 
 def _exponent(value: Fraction) -> str:
@@ -70,93 +67,66 @@ def _exponent(value: Fraction) -> str:
     return f"({value.numerator}/{value.denominator})"
 
 
-def _wrap(text: str, level: int, required: int) -> str:
+def _text(n: N.Node) -> tuple[str, int]:
+    """The text of an expression or a proposition and the level it prints
+    at.  A binary operator's operand on its associative side may print at
+    its own power; the other operand must bind tighter."""
+    cls = n.__class__
+    op = N.BINARY.get(cls)
+    if op is not None:
+        spelling, bp, right = op
+        lhs, rhs = cls._fields
+        return (f"{_sub(getattr(n, lhs), bp + right)} {spelling} "
+                f"{_sub(getattr(n, rhs), bp + (not right))}", bp)
+    op = N.COMPARISONS.get(cls)
+    if op is not None:
+        return f"{print_expr(n.lhs)} {op} {print_expr(n.rhs)}", _CMP
+    if isinstance(n, N.NumLit):
+        return _rat(n.value)
+    if isinstance(n, (N.Var, N.ConstRef, N.UnitRef)):
+        return n.name, _ATOM
+    if isinstance(n, N.StdUnit):
+        return "std", _ATOM
+    if isinstance(n, N.PrefixApp):
+        return f"{n.prefix}({print_expr(n.arg)})", _ATOM
+    if isinstance(n, N.Neg):
+        return f"-{_sub(n.arg, _UNARY)}", _UNARY
+    if isinstance(n, N.Pow):
+        return f"{_sub(n.base, _ATOM)}**{_exponent(n.exponent)}", _POW
+    if isinstance(n, N.RPow):
+        return f"rpow({print_expr(n.base)}, {print_expr(n.exponent)})", _ATOM
+    if isinstance(n, N.Cast):
+        if isinstance(n.arg, N.StdUnit):
+            return f"unit({n.kind})", _ATOM
+        return f"cast({print_expr(n.arg)}, {n.kind})", _ATOM
+    if isinstance(n, N.Val):
+        return f"val({print_expr(n.arg)})", _ATOM
+    if isinstance(n, N.Norm):
+        return f"norm({print_expr(n.arg)})", _ATOM
+    if isinstance(n, (N.Fn, N.Apply)):
+        return f"{n.fn}({print_expr(n.arg)})", _ATOM
+    if isinstance(n, N.Deriv):
+        return f"deriv({n.fn}, {print_expr(n.at)})", _ATOM
+    if isinstance(n, N.ForallFinite):
+        values = ", ".join(render_rational(v) for v in n.values)
+        return f"forall {n.var} in {{{values}}}, {print_prop(n.body)}", _FORALL
+    if isinstance(n, N.ForallFn):
+        annot = f" : {n.kind_annot}" if n.kind_annot else ""
+        return f"forall {n.var}{annot}, {print_prop(n.body)}", _FORALL
+    raise TypeError(f"not an expression or a proposition node: {n!r}")
+
+
+def _sub(n: N.Node, required: int) -> str:
+    text, level = _text(n)
     return f"({text})" if level < required else text
 
 
-def _expr(e: N.Expr) -> tuple[str, int]:
-    if isinstance(e, N.NumLit):
-        return _rat(e.value)
-    if isinstance(e, N.Var) or isinstance(e, N.ConstRef) or isinstance(e, N.UnitRef):
-        return e.name, _P_ATOM
-    if isinstance(e, N.StdUnit):
-        return "std", _P_ATOM
-    if isinstance(e, N.PrefixApp):
-        return f"{e.prefix}({print_expr(e.arg)})", _P_ATOM
-    if isinstance(e, N.Add):
-        return (f"{_sub(e.lhs, _P_ADD)} + {_sub(e.rhs, _P_ADD + 1)}", _P_ADD)
-    if isinstance(e, N.Sub):
-        return (f"{_sub(e.lhs, _P_ADD)} - {_sub(e.rhs, _P_ADD + 1)}", _P_ADD)
-    if isinstance(e, N.Mul):
-        return (f"{_sub(e.lhs, _P_MUL)} * {_sub(e.rhs, _P_MUL + 1)}", _P_MUL)
-    if isinstance(e, N.Div):
-        return (f"{_sub(e.lhs, _P_MUL)} / {_sub(e.rhs, _P_MUL + 1)}", _P_MUL)
-    if isinstance(e, N.SMul):
-        return (f"{_sub(e.scalar, _P_UNARY)} • {_sub(e.arg, _P_SMUL)}", _P_SMUL)
-    if isinstance(e, N.Neg):
-        return f"-{_sub(e.arg, _P_UNARY)}", _P_UNARY
-    if isinstance(e, N.Pow):
-        return f"{_sub(e.base, _P_ATOM)}**{_exponent(e.exponent)}", _P_POW
-    if isinstance(e, N.RPow):
-        return f"rpow({print_expr(e.base)}, {print_expr(e.exponent)})", _P_ATOM
-    if isinstance(e, N.Cast):
-        if isinstance(e.arg, N.StdUnit):
-            return f"unit({e.kind})", _P_ATOM
-        return f"cast({print_expr(e.arg)}, {e.kind})", _P_ATOM
-    if isinstance(e, N.Val):
-        return f"val({print_expr(e.arg)})", _P_ATOM
-    if isinstance(e, N.Norm):
-        return f"norm({print_expr(e.arg)})", _P_ATOM
-    if isinstance(e, N.Fn):
-        return f"{e.fn}({print_expr(e.arg)})", _P_ATOM
-    if isinstance(e, N.Apply):
-        return f"{e.fn}({print_expr(e.arg)})", _P_ATOM
-    if isinstance(e, N.Deriv):
-        return f"deriv({e.fn}, {print_expr(e.at)})", _P_ATOM
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _sub(e: N.Expr, required: int) -> str:
-    text, level = _expr(e)
-    return _wrap(text, level, required)
-
-
 def print_expr(e: N.Expr) -> str:
-    return _expr(e)[0]
-
-
-_CMP_OPS = {N.Eq: "=", N.Ne: "!=", N.Le: "<=", N.Lt: "<"}
-
-
-def _prop(p: N.Prop) -> tuple[str, int]:
-    for cls, op in _CMP_OPS.items():
-        if isinstance(p, cls):
-            return f"{print_expr(p.lhs)} {op} {print_expr(p.rhs)}", _P_CMP
-    if isinstance(p, N.And):
-        return (f"{_psub(p.lhs, _P_AND)} ∧ {_psub(p.rhs, _P_AND + 1)}", _P_AND)
-    if isinstance(p, N.Or):
-        return (f"{_psub(p.lhs, _P_OR)} ∨ {_psub(p.rhs, _P_OR + 1)}", _P_OR)
-    if isinstance(p, N.Implies):
-        return (f"{_psub(p.lhs, _P_IMPLIES + 1)} -> {_psub(p.rhs, _P_IMPLIES)}",
-                _P_IMPLIES)
-    if isinstance(p, N.ForallFinite):
-        values = ", ".join(render_rational(v) for v in p.values)
-        return (f"forall {p.var} in {{{values}}}, {_psub(p.body, _P_FORALL)}",
-                _P_FORALL)
-    if isinstance(p, N.ForallFn):
-        annot = f" : {p.kind_annot}" if p.kind_annot else ""
-        return (f"forall {p.var}{annot}, {_psub(p.body, _P_FORALL)}",
-                _P_FORALL)
-    raise TypeError(f"not a proposition node: {p!r}")
-
-
-def _psub(p: N.Prop, required: int) -> str:
-    text, level = _prop(p)
-    return _wrap(text, level, required)
+    return _text(e)[0]
 
 
 def print_prop(p: N.Prop) -> str:
-    return _prop(p)[0]
+    return _text(p)[0]
 
 
 def print_statement(stmt: N.Statement, front_matter: bool = False) -> str:

@@ -28,6 +28,7 @@ not adopt the total-division convention (x / 0 = 0) of some proof assistants.
 from __future__ import annotations
 
 import decimal
+import operator
 from decimal import Decimal
 from fractions import Fraction
 from typing import Union
@@ -134,24 +135,13 @@ def _int_text(n: int) -> str:
 # numeric arithmetic over the two tiers
 # ---------------------------------------------------------------------------
 
-def _num_binop(a: NumericValue, b: NumericValue, op: str) -> NumericValue:
+def _num_binop(a: NumericValue, b: NumericValue, exact, approx
+               ) -> NumericValue:
+    """``exact(a, b)`` of two exact values; otherwise ``approx``, an
+    operation of ``_DEC``, of their decimal forms."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "div":
-            return a / b
-    da, db = _to_decimal(a), _to_decimal(b)
-    if op == "add":
-        return _approx(_DEC.add(da, db))
-    if op == "sub":
-        return _approx(_DEC.subtract(da, db))
-    if op == "mul":
-        return _approx(_DEC.multiply(da, db))
-    return _approx(_DEC.divide(da, db))
+        return exact(a, b)
+    return _approx(approx(_to_decimal(a), _to_decimal(b)))
 
 
 def _num_neg(a: NumericValue) -> NumericValue:
@@ -306,11 +296,6 @@ class Quantity:
             object.__setattr__(self, "value", Fraction(self.value))
 
     @classmethod
-    def zero(cls, dim: Dimension) -> "Quantity":
-        """The zero quantity, which exists at every dimension."""
-        return cls(Fraction(0), dim)
-
-    @classmethod
     def scalar(cls, value: NumericValue | int) -> "Quantity":
         return cls(Fraction(value) if isinstance(value, int) else value,
                    DIMENSIONLESS)
@@ -319,21 +304,19 @@ class Quantity:
     def is_zero(self) -> bool:
         return _is_zero(self.value)
 
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.value, Fraction)
-
     # -- additive ----------------------------------------------------------
 
     def add(self, other: "Quantity") -> "Quantity":
         if self.dim != other.dim:
             raise DimensionMismatch(self.dim, other.dim, "addition")
-        return Quantity(_num_binop(self.value, other.value, "add"), self.dim)
+        return Quantity(_num_binop(self.value, other.value, operator.add,
+                                   _DEC.add), self.dim)
 
     def sub(self, other: "Quantity") -> "Quantity":
         if self.dim != other.dim:
             raise DimensionMismatch(self.dim, other.dim, "subtraction")
-        return Quantity(_num_binop(self.value, other.value, "sub"), self.dim)
+        return Quantity(_num_binop(self.value, other.value, operator.sub,
+                                   _DEC.subtract), self.dim)
 
     def neg(self) -> "Quantity":
         return Quantity(_num_neg(self.value), self.dim)
@@ -341,19 +324,22 @@ class Quantity:
     # -- multiplicative -----------------------------------------------------
 
     def mul(self, other: "Quantity") -> "Quantity":
-        return Quantity(_num_binop(self.value, other.value, "mul"),
+        return Quantity(_num_binop(self.value, other.value, operator.mul,
+                                   _DEC.multiply),
                         self.dim.combine(other.dim))
 
     def div(self, other: "Quantity") -> "Quantity":
         if other.is_zero:
             raise DivisionByZero("division by a zero quantity")
-        return Quantity(_num_binop(self.value, other.value, "div"),
+        return Quantity(_num_binop(self.value, other.value, operator.truediv,
+                                   _DEC.divide),
                         self.dim.combine(other.dim.invert()))
 
     def smul(self, scalar: NumericValue | int) -> "Quantity":
         """Scale by a dimensionless numeric value."""
         s = Fraction(scalar) if isinstance(scalar, int) else scalar
-        return Quantity(_num_binop(s, self.value, "mul"), self.dim)
+        return Quantity(_num_binop(s, self.value, operator.mul,
+                                   _DEC.multiply), self.dim)
 
     def pow(self, exponent: Fraction | int) -> "Quantity":
         e = Fraction(exponent)

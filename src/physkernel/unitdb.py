@@ -107,9 +107,6 @@ class UnitDatabase:
             raise self._missing(name, "prefix", self.prefixes)
         return d.factor
 
-    def apply_prefix(self, name: str, q: Quantity) -> Quantity:
-        return q.smul(self.prefix(name))
-
     def constant(self, name: str) -> Quantity:
         d = self.constants.get(name)
         if d is None:

@@ -100,14 +100,15 @@ def test_group_laws_bulk():
         # identity and inverses
         assert da.combine(DIMENSIONLESS) == da
         assert da.combine(da.invert()) == DIMENSIONLESS
-        assert tuple(da.subtract(db_).exponents) == t_div(a, b)
+        assert tuple(da.combine(db_.invert()).exponents) == t_div(a, b)
         # integer and fractional powers distribute over exponents
         k = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         assert tuple(da.scale(k).exponents) == tuple(x * k for x in a)
         # every result is in normal form and renders as the oracle does
         results = {
             a: da, t_mul(a, b): da.combine(db_),
-            tuple(-x for x in a): da.invert(), t_div(a, b): da.subtract(db_),
+            tuple(-x for x in a): da.invert(),
+            t_div(a, b): da.combine(db_.invert()),
             tuple(x * k for x in a): da.scale(k),
             tuple(x * k.numerator for x in a): da.scale(k.numerator),
         }
@@ -181,5 +182,5 @@ def test_overflow_fires_at_exactly_two_to_the_63(sign):
 def test_dimensionless_is_identity_for_every_named_vector():
     for vec in SI_TABLE.values():
         d = mk(vec)
-        assert d.subtract(d) == DIMENSIONLESS
+        assert d.combine(d.invert()) == DIMENSIONLESS
         assert d.scale(Fraction(0)) == DIMENSIONLESS

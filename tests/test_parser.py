@@ -6,6 +6,7 @@ two shapes the parser folds at parse time (a negated literal and a literal
 ratio), since those deliberately normalize to a single literal node.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -200,6 +201,59 @@ def test_operator_precedence_pins():
     assert isinstance(p3.rhs.lhs, N.And)
 
 
+# Binary operators as the grammar defines them, written out here rather than
+# read from the operator table: (node, spelling, binding power, right-assoc).
+ARITH_OPS = [(N.Add, "+", 1, False), (N.Sub, "-", 1, False),
+             (N.Mul, "*", 2, False), (N.Div, "/", 2, False),
+             (N.SMul, "•", 3, True)]
+CONNECTIVES = [(N.Implies, "->", 1, True), (N.Or, "∨", 2, False),
+               (N.And, "∧", 3, False)]
+
+
+def test_binary_operator_parenthesization(db):
+    """Each operator nested on each side of each other one in its table:
+    parentheses exactly when the inner operator binds looser, or equally
+    on the outer operator's non-associative side; the reparse is equal."""
+    arith_leaf = N.Var
+    prop_leaf = lambda name: N.Eq(N.Var(name), N.Var(name))  # noqa: E731
+    for table, leaf, show in ((ARITH_OPS, arith_leaf, print_expr),
+                              (CONNECTIVES, prop_leaf, print_prop)):
+        a, b, c = leaf("x"), leaf("t"), leaf("m")
+        ta, tb, tc = show(a), show(b), show(c)
+        for (outer, o_op, o_bp, o_right), (inner, i_op, i_bp, _) in \
+                itertools.product(table, repeat=2):
+            for side in ("left", "right"):
+                loose = "left" if o_right else "right"
+                parens = i_bp < o_bp or (i_bp == o_bp and side == loose)
+                if side == "left":
+                    tree = outer(inner(a, b), c)
+                    inner_text = f"{ta} {i_op} {tb}"
+                else:
+                    tree = outer(a, inner(b, c))
+                    inner_text = f"{tb} {i_op} {tc}"
+                if parens:
+                    inner_text = f"({inner_text})"
+                expected = (f"{inner_text} {o_op} {tc}" if side == "left"
+                            else f"{ta} {o_op} {inner_text}")
+                assert show(tree) == expected, (outer, inner, side)
+                if table is ARITH_OPS:
+                    tree = N.Eq(N.Var("u"), tree)
+                    expected = f"u = {expected}"
+                assert N.ast_eq(tree, parse_prop(expected, db, VARS)), expected
+
+
+def test_comparisons_print_and_swap(db):
+    for cls, op in ((N.Eq, "="), (N.Ne, "!="), (N.Le, "<="), (N.Lt, "<")):
+        assert print_prop(cls(N.Var("x"), N.Var("x"))) == f"x {op} x"
+    # ">=" and ">" (and "≥") are sugar: the operands swap into "<=" / "<".
+    for text, cls in (("x + x >= t • x", N.Le), ("x + x ≥ t • x", N.Le),
+                      ("x + x > t • x", N.Lt)):
+        p = parse_prop(text, db, VARS)
+        assert isinstance(p, cls)
+        assert isinstance(p.lhs, N.SMul) and isinstance(p.rhs, N.Add)
+        assert print_prop(p) == f"t • x {'<=' if cls is N.Le else '<'} x + x"
+
+
 def test_literal_folds():
     p = parse_prop("u = -3", variables=VARS)
     assert isinstance(p.rhs, N.NumLit) and p.rhs.value == -3
@@ -366,3 +420,27 @@ def test_literal_digit_budget(db):
     with pytest.raises(ParseError, match="LITERAL_DIGIT_BUDGET"):
         parse_prop("u = 1e999999999", db, VARS)
     assert time.process_time() - started < 0.1
+
+
+# A literal folded from two, at each place the parser folds one: a division
+# of literals, a quantifier value and a rational exponent.
+FOLD_SITES = {
+    "division": "u = {}",
+    "quantifier value": "forall v in {{{}}}, u = u",
+    "exponent": "u = u**({})",
+}
+
+
+@pytest.mark.parametrize("site", FOLD_SITES)
+def test_folded_literal_digit_budget(db, site):
+    template = FOLD_SITES[site]
+    for ratio in ("1e4299 / 1e-4299", "1e-4299 / 1e4299", "-1e4299 / 1e-1"):
+        with pytest.raises(ParseError, match="LITERAL_DIGIT_BUDGET"):
+            parse_prop(template.format(ratio), db, VARS)
+    # Within the budget, a folded literal prints and reparses, also where
+    # its decimal expansion would be longer than the budget.
+    for ratio in ("1e4299 / 3", "1e4299 / 4", "9" * 4300 + " / 2"):
+        text = ("theorem folded (u : Real) (h := "
+                + template.format(ratio) + ") : u = u")
+        stmt = parse_statement(text, db)
+        assert N.ast_eq(parse_statement(print_statement(stmt), db), stmt)

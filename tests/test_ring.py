@@ -21,7 +21,7 @@ from physkernel.checker.evaluate import eval_numeric
 from physkernel.checker import ring
 from physkernel.checker.ring import (
     Constraint, RationalFunc, _Xlate, eliminate, poly_add,
-    poly_coeff_eqs, poly_eval, poly_mul, poly_pow, ring_equal,
+    poly_coeff_eqs, poly_mul, poly_pow, ring_equal,
     translate_difference,
 )
 from physkernel.errors import (
@@ -30,6 +30,8 @@ from physkernel.errors import (
 from physkernel.lang import nodes as N
 from physkernel.lang.parser import parse_expression, parse_statement
 from physkernel.quantity import Quantity
+
+from oracles import poly_eval
 
 N_RING_ORACLE_CASES = 600
 N_SAMPLE_POINTS = 10
