@@ -162,3 +162,39 @@ def test_printed_auto_scripts_parse_for_all_corpus_entries(db, corpus_dir):
         assert isinstance(v, Proved)
         text = print_script(v.steps)
         assert parse_script(text, entry.statement, db) == tuple(v.steps)
+
+
+@pytest.mark.parametrize("decls, hyps, goal, script, outcome", [
+    # After x := y + 1, h2 reads y = y + 1: no longer a definition.
+    ("(x y : Real)", "(h1 := x = y + 1) (h2 := y = x)", "x = y + 1",
+     "subst h1\nsubst h2\nring\n", "malformed at 1"),
+    # An inst argument written after a subst is not substituted.
+    ("(x : Real) (f : Real -> Real)",
+     "(hx := x = 2) (hf := forall s, f(s) = s)", "f(x) = x", "subst hx\ninst hf x\nexact hf@1\n", "unknown at 2"),
+    # exact compares the goal with the substituted hypothesis.
+    ("(x y : Real)", "(hx := x = 2) (hy := y = x + 1)", "y = 2 + 1",
+     "subst hx\nexact hy\n", "proved"),
+    # A subst leaves the hypothesis it consumed as it was.
+    ("(u : Real)", "(hu := u = 3)", "u = 3",
+     "subst hu\nexact hu\n", "unknown at 1"),
+    # intro of a substituted implication adds the substituted premise.
+    ("(u : Real)", "(hu := u = 3)", "u = 3 -> u = 3",
+     "subst hu\nintro\nexact h!1\n", "proved"),
+    # cases reads a disjunction as the substitution left it.
+    ("(u v : Real)", "(hv := v = u) (hu := v = 1 ∨ v = -1)", "v * v = 1",
+     "subst hv\ncases u {1, -1}\nring\nring\n", "proved"),
+])
+def test_steps_read_hypotheses_as_substituted(db, decls, hyps, goal, script,
+                                              outcome):
+    s = stmt_of(f"theorem t {decls} {hyps} : {goal}", db)
+    steps = parse_script(script, s, db)
+    try:
+        v = check_derivation(s, steps, db)
+    except MalformedScript as exc:
+        assert outcome == f"malformed at {exc.step_index}"
+        assert "'h2' is not a definitional hypothesis" in str(exc)
+        return
+    if outcome == "proved":
+        assert isinstance(v, Proved), v
+    else:
+        assert v.kind == "unknown" and outcome == f"unknown at {v.failed_step}"
