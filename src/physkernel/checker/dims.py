@@ -10,7 +10,7 @@ goal, verifying the dimensional typing rules and producing a per-entry report.
 from __future__ import annotations
 
 from ..dimension import DIMENSIONLESS, Dimension
-from ..errors import ParseError
+from ..errors import ParseError, typed_depth
 from ..lang import nodes as N
 from ..record import record, replace
 from ..unitdb import UnitDatabase, builtin_database
@@ -257,6 +257,7 @@ def _fill_cast_stds(p: N.Prop, db: UnitDatabase) -> N.Prop:
     return transform(p, visit)
 
 
+@typed_depth
 def resolve_statement(stmt: N.Statement,
                       db: UnitDatabase | None = None) -> N.Statement:
     """Fill in the dimension of every inferable ``std`` occurrence.
@@ -363,6 +364,7 @@ def _check_cmp(p: N.Prop, env: _Env, db: UnitDatabase) -> N.Prop:
     return p
 
 
+@typed_depth
 def check_dimensions(stmt: N.Statement,
                      db: UnitDatabase | None = None) -> DimReport:
     """Per-hypothesis (and goal) dimensional homogeneity report."""

@@ -3,9 +3,14 @@
 Both entry points drive the same small-step engine, so an automatic proof is
 replayable as a script and a script is checked with exactly the machinery
 that found it.  A statement is first gated by the dimension checker; the
-engine then works on a stack of subgoals, each carrying its hypotheses, its
-accumulated variable bindings, and any constraints derived by coefficient
-matching.
+engine then works on a stack of subgoals, each carrying its hypotheses, the
+substitution of the variable definitions it consumed, and any constraints
+derived by coefficient matching.
+
+A ``subst`` of a variable definition only records ``x ↦ rhs``.  A step that
+reads a hypothesis or the goal reads it through the substitution, so it sees
+the tree that rewriting it at every ``subst`` would have left; ``ring``
+translates through the substitution and builds no rewritten tree.
 
 Soundness posture: equality goals close either by exact evaluation (with the
 documented tolerance rule for approximate operands), by rational-function
@@ -20,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import (
-    EliminationBudgetExceeded, MalformedScript, PhysKernelError,
+    EliminationBudgetExceeded, MalformedScript, PhysKernelError, typed_depth,
 )
 from ..lang import nodes as N
 from ..quantity import Quantity, compare_values
@@ -33,7 +38,9 @@ from .dims import DimReport, resolve_statement
 from .dims import _report_resolved as check_dimensions
 from .evaluate import database_for, eval_numeric, eval_prop
 from .evaluate import with_overrides  # noqa: F401  (re-exported)
-from .rewrite import applied_fns, expand_fn, free_vars, rewrite_ground, subst_var
+from .rewrite import (
+    Substitution, applied_fns, expand_fn, free_vars, rewrite_ground, subst_var,
+)
 from .script import (
     CaseSplit, ExactHyp, Instantiate, Intro, NumericCheck, PolyMatch,
     RingCheck, Split, Step, Subst,
@@ -99,26 +106,55 @@ class _Hyp:
     name: str
     prop: N.Prop
     consumed: bool = False
+    at: int = 0  # its position in the subgoal's substitution
 
 
 @record
 class _Subgoal:
+    """A goal and its hypotheses, each a tree at a position (``goal_at``,
+    ``_Hyp.at``) of ``subst``.  Reading a tree replaces it by the read tree
+    at the current position."""
+
     goal: N.Prop
     hyps: list[_Hyp]
     derived: list[ring.Constraint]
-    bindings: dict[str, N.Expr]
+    subst: Substitution
+    goal_at: int = 0
 
     def clone(self, goal: N.Prop | None = None,
               hyps: list[_Hyp] | None = None) -> "_Subgoal":
+        """A copy; a new ``goal`` must be at the current position."""
         return _Subgoal(self.goal if goal is None else goal,
                         list(self.hyps) if hyps is None else hyps,
-                        list(self.derived), dict(self.bindings))
+                        list(self.derived), self.subst, self.goal_at)
+
+    def read_goal(self) -> N.Prop:
+        if self.goal_at != len(self.subst):
+            self.goal = self.subst.read(self.goal, self.goal_at)
+            self.goal_at = len(self.subst)
+        return self.goal
+
+    def read(self, i: int) -> _Hyp:
+        h = self.hyps[i]
+        if h.at != len(self.subst):
+            h = self.hyps[i] = replace(h, prop=self.subst.read(h.prop, h.at),
+                                       at=len(self.subst))
+        return h
+
+    def index(self, name: str) -> int:
+        for i, h in enumerate(self.hyps):
+            if h.name == name:
+                return i
+        raise MalformedScript(f"no hypothesis named '{name}' in scope")
 
     def hyp(self, name: str) -> _Hyp:
-        for h in self.hyps:
-            if h.name == name:
-                return h
-        raise MalformedScript(f"no hypothesis named '{name}' in scope")
+        return self.read(self.index(name))
+
+    def consume(self, i: int) -> None:
+        """Mark hypothesis ``i``, read, as consumed; a definition that a
+        ``subst`` just recorded stays as it read before its own entry."""
+        self.hyps[i] = replace(self.hyps[i], consumed=True,
+                               at=len(self.subst))
 
 
 def _flatten(p: N.Prop, cls: type[N.And | N.Or]):
@@ -134,7 +170,8 @@ class _Session:
     def __init__(self, stmt: N.Statement, db: UnitDatabase):
         self.db = db
         self.subgoals: list[_Subgoal] = [
-            _Subgoal(stmt.goal, [_Hyp(n, p) for n, p in stmt.hyps], [], {})
+            _Subgoal(stmt.goal, [_Hyp(n, p) for n, p in stmt.hyps], [],
+                     Substitution())
         ]
         self.trace: list[Step] = []
         self.sides: list[SideCondition] = []
@@ -256,18 +293,18 @@ class _Session:
         self.subgoals.pop(0)
 
     def _apply_split(self, sg: _Subgoal) -> None:
-        if not isinstance(sg.goal, N.And):
+        g = sg.read_goal()
+        if not isinstance(g, N.And):
             raise MalformedScript("'split' requires a conjunction goal")
-        self.subgoals[0:1] = [sg.clone(goal=sg.goal.lhs),
-                              sg.clone(goal=sg.goal.rhs)]
+        self.subgoals[0:1] = [sg.clone(goal=g.lhs), sg.clone(goal=g.rhs)]
         return None
 
     def _apply_intro(self, sg: _Subgoal) -> None:
-        g = sg.goal
+        g = sg.read_goal()
         if isinstance(g, N.Implies):
             name = f"h!{self.intro_count + 1}"
             self.intro_count += 1
-            sg.hyps = sg.hyps + [_Hyp(name, g.lhs)]
+            sg.hyps = sg.hyps + [_Hyp(name, g.lhs, at=sg.goal_at)]
             sg.goal = g.rhs
             return None
         if isinstance(g, N.ForallFn):
@@ -281,7 +318,7 @@ class _Session:
             "'intro' requires an implication or quantified goal")
 
     def _apply_cases(self, sg: _Subgoal, step: CaseSplit) -> None:
-        g = sg.goal
+        g = sg.read_goal()
         if (isinstance(g, N.ForallFinite) and g.var == step.var
                 and sorted(g.values) == sorted(step.values)):
             branches = [
@@ -294,7 +331,7 @@ class _Session:
         for i, h in enumerate(sg.hyps):
             if h.consumed or not isinstance(h.prop, N.Or):
                 continue
-            leaves = list(_flatten(h.prop, N.Or))
+            leaves = list(_flatten(sg.read(i).prop, N.Or))
             vals = []
             for leaf in leaves:
                 if (isinstance(leaf, N.Eq) and isinstance(leaf.lhs, N.Var)
@@ -308,7 +345,8 @@ class _Session:
                 continue
             branches = []
             for v in step.values:
-                case_hyp = _Hyp(h.name, N.Eq(N.Var(step.var), N.NumLit(v)))
+                case_hyp = _Hyp(h.name, N.Eq(N.Var(step.var), N.NumLit(v)),
+                                at=len(sg.subst))
                 hyps = sg.hyps[:i] + [case_hyp] + sg.hyps[i + 1:]
                 branches.append(sg.clone(hyps=hyps))
             self.subgoals[0:1] = branches
@@ -318,34 +356,40 @@ class _Session:
             "disjunctive hypothesis")
 
     def _apply_subst(self, sg: _Subgoal, step: Subst) -> None:
-        h = sg.hyp(step.hyp)
+        i = sg.index(step.hyp)
+        h = sg.read(i)
         var_def = self._as_var_def(h.prop)
-        fn_def = self._as_fn_def(h.prop)
-        ground = self._as_ground_def(h.prop)
         if var_def is not None:
-            x, rhs = var_def
-            rw = lambda p: subst_var(p, x, rhs)  # noqa: E731
-        elif fn_def is not None:
+            sg.subst = sg.subst.then(*var_def)
+            sg.consume(i)
+            return None
+        if (fn_def := self._as_fn_def(h.prop)) is not None:
             f, v, body = fn_def
             rw = lambda p: expand_fn(p, f, v, body)  # noqa: E731
-        elif ground is not None:
+        elif (ground := self._as_ground_def(h.prop)) is not None:
             pattern, rhs = ground
+            f = pattern.fn
             rw = lambda p: rewrite_ground(p, pattern, rhs)  # noqa: E731
         else:
             raise MalformedScript(
                 f"'{step.hyp}' is not a definitional hypothesis")
-        sg.goal = rw(sg.goal)
-        sg.hyps = [
-            replace(hh, consumed=True) if hh.name == h.name
-            else hh if (prop := rw(hh.prop)) is hh.prop
-            else replace(hh, prop=prop)
-            for hh in sg.hyps
-        ]
-        if var_def is not None:
-            x, rhs = var_def
-            sg.bindings = {k: subst_var(e, x, rhs)
-                           for k, e in sg.bindings.items()}
-            sg.bindings[x] = rhs
+        # Function and ground definitions rewrite at once every tree that, as
+        # read, applies f: one that names f or reads through an entry that
+        # does (no quantifier binds a function's name, so none hides f).
+        entries = sg.subst.entries
+
+        def applies_f(tree, at: int) -> bool:
+            return f in free_vars(tree) or any(
+                f in free_vars(e) for _, e in entries[at:])
+
+        if applies_f(sg.goal, sg.goal_at):
+            sg.goal = rw(sg.read_goal())
+        for j, hh in enumerate(sg.hyps):
+            if j != i and applies_f(hh.prop, hh.at):
+                hh = sg.read(j)
+                if (prop := rw(hh.prop)) is not hh.prop:
+                    sg.hyps[j] = replace(hh, prop=prop)
+        sg.consume(i)
         return None
 
     def _apply_inst(self, sg: _Subgoal, step: Instantiate) -> None:
@@ -356,19 +400,21 @@ class _Session:
         n = self.inst_counts.get(step.hyp, 0) + 1
         self.inst_counts[step.hyp] = n
         prop = subst_var(h.prop.body, h.prop.var, step.arg)
-        sg.hyps = sg.hyps + [_Hyp(f"{step.hyp}@{n}", prop)]
+        sg.hyps = sg.hyps + [_Hyp(f"{step.hyp}@{n}", prop, at=len(sg.subst))]
         return None
 
     def _fn_def_of(self, sg: _Subgoal, fname: str):
-        for h in sg.hyps:
-            d = self._as_fn_def(h.prop)
+        for i, h in enumerate(sg.hyps):
+            if not isinstance(h.prop, N.ForallFn):
+                continue
+            d = self._as_fn_def(sg.read(i).prop)
             if d is not None and d[0] == fname:
                 return d
         return None
 
     def _apply_polymatch(self, sg: _Subgoal, step: PolyMatch) -> None:
-        h = sg.hyp(step.hyp)
-        p = h.prop
+        i = sg.index(step.hyp)
+        p = sg.read(i).prop
         if not self._is_fn_equality(p):
             raise MalformedScript(
                 f"'{step.hyp}' is not a function-equality hypothesis")
@@ -396,11 +442,7 @@ class _Session:
         for eq in match.eqs:
             sg.derived.append(ring.Constraint(
                 eq.poly, f"{step.hyp}[{step.param}^{eq.degree}]"))
-        sg.hyps = [
-            replace(hh, consumed=True)
-            if hh.name == h.name else hh
-            for hh in sg.hyps
-        ]
+        sg.consume(i)
         return None
 
     def _is_fn_equality(self, p: N.Prop) -> bool:
@@ -417,7 +459,8 @@ class _Session:
             raise _StepFailure(
                 "ring arithmetic cannot decide function equality")
         try:
-            goal_tr = ring.translate_difference(g.lhs, g.rhs, self.db)
+            goal_tr = ring.translate_difference(g.lhs, g.rhs, self.db,
+                                                sg.subst, sg.goal_at)
         except PhysKernelError as exc:
             raise _StepFailure(str(exc)) from exc
         if goal_tr.rf.is_zero:
@@ -435,7 +478,8 @@ class _Session:
                     continue
                 label = h.name if len(leaves) == 1 else f"{h.name}[{j}]"
                 try:
-                    tr = ring.translate_difference(leaf.lhs, leaf.rhs, self.db)
+                    tr = ring.translate_difference(leaf.lhs, leaf.rhs, self.db,
+                                                   sg.subst, h.at)
                 except PhysKernelError:
                     continue
                 if tr.rf.is_zero:
@@ -469,7 +513,7 @@ class _Session:
 
     def _closure_env(self, sg: _Subgoal) -> dict[str, Quantity]:
         env: dict[str, Quantity] = {}
-        pending = dict(sg.bindings)
+        pending = sg.subst.bindings()
         for _ in range(len(pending) + 1):
             for name, expr in list(pending.items()):
                 if name in env:
@@ -479,7 +523,7 @@ class _Session:
         return env
 
     def _apply_numeric(self, sg: _Subgoal) -> Refuted | None:
-        g = sg.goal
+        g = sg.read_goal()
         if isinstance(g, (N.ForallFn, N.ForallFinite)):
             raise MalformedScript(
                 "'numeric' cannot decide a quantified goal")
@@ -505,9 +549,10 @@ class _Session:
         return self._refute(sg)
 
     def _refute(self, sg: _Subgoal) -> Refuted:
-        for h in sg.hyps:
+        for i, h in enumerate(sg.hyps):
             if h.consumed:
                 continue  # definitional; true under the forced assignment
+            h = sg.read(i)
             if isinstance(h.prop, (N.ForallFn, N.ForallFinite)):
                 raise _StepFailure(
                     f"goal is exactly false, but the quantified hypothesis "
@@ -540,7 +585,7 @@ class _Session:
 
     def _apply_exact(self, sg: _Subgoal, step: ExactHyp) -> None:
         h = sg.hyp(step.hyp)
-        if not N.ast_eq(h.prop, sg.goal):
+        if not N.ast_eq(h.prop, sg.read_goal()):
             raise _StepFailure(
                 f"hypothesis '{step.hyp}' is not syntactically identical "
                 "to the goal")
@@ -573,9 +618,10 @@ def _orient(session: _Session, sg: _Subgoal) -> list[str]:
         seen.add(start)
         return any(reaches(n, target, seen) for n in edges.get(start, ()))
 
-    for h in sg.hyps:
+    for i, h in enumerate(sg.hyps):
         if h.consumed:
             continue
+        h = sg.read(i)
         var_def = session._as_var_def(h.prop)
         fn_def = session._as_fn_def(h.prop)
         if var_def is not None:
@@ -638,6 +684,7 @@ def _prepare(stmt: N.Statement, db: UnitDatabase | None):
     return result
 
 
+@typed_depth
 def check_derivation(stmt: N.Statement, steps,
                      db: UnitDatabase | None = None) -> Verdict:
     """Replay a derivation script against a statement."""
@@ -667,6 +714,7 @@ def check_derivation(stmt: N.Statement, steps,
                   session.eval_count)
 
 
+@typed_depth
 def auto_prove(stmt: N.Statement, db: UnitDatabase | None = None) -> Verdict:
     """Search for a proof; any Proved verdict carries a replayable script."""
     full_db, resolved, report = _prepare(stmt, db)
@@ -688,10 +736,10 @@ def auto_prove(stmt: N.Statement, db: UnitDatabase | None = None) -> Verdict:
 
 
 def _structural_step(session: _Session, sg: _Subgoal) -> Step | None:
-    for h in sg.hyps:
-        if not h.consumed and N.ast_eq(h.prop, sg.goal):
+    g = sg.read_goal()
+    for i, h in enumerate(sg.hyps):
+        if not h.consumed and N.ast_eq(sg.read(i).prop, g):
             return ExactHyp(h.name)
-    g = sg.goal
     if isinstance(g, N.And):
         return Split()
     if isinstance(g, N.ForallFinite):
@@ -731,7 +779,7 @@ def _leaf(session: _Session, sg: _Subgoal) -> Verdict | None:
     if not isinstance(g, (N.Eq, N.Ne, N.Le, N.Lt)):
         return Unknown(f"no automatic rule applies to this goal shape "
                        f"({type(g).__name__})")
-    if not free_vars(g):
+    if not free_vars(sg.read_goal()):
         try:
             outcome = session.apply(NumericCheck())
         except _StepFailure as f:

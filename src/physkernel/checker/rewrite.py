@@ -2,7 +2,9 @@
 
 Substitution skips every subtree in which the name is not free, using the
 free-variable set each node caches, so rewriting a proposition that does
-not mention the name returns it unchanged in O(1).
+not mention the name returns it unchanged in O(1).  :class:`Substitution`
+records variable definitions and applies them only to the trees that are
+read.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..lang import nodes as N
+from ..record import replace
 
 
 def transform(node, fn: Callable):
@@ -136,3 +139,76 @@ def applied_fns(node) -> set[str]:
 
     visit(node)
     return out
+
+
+class Substitution:
+    """Variable definitions ``x ↦ rhs`` in the order they were recorded,
+    applied to a tree only when the tree is read.
+
+    A tree's position is the number of entries the log had when the tree was
+    made.  Reading it at that position gives what rewriting it with
+    :func:`subst_var` by each later entry in turn would give, in one
+    simultaneous pass: a free ``x`` becomes the right-hand side of the first
+    later entry for ``x``, itself read at the position after that entry.
+    Each right-hand side is stored as it read when its entry was recorded.  A
+    log never changes (``then`` returns a longer one), so its reads are
+    memoised, and ``translations`` holds the ring translator's memo of each
+    entry (for one unit database).
+    """
+
+    def __init__(self, entries: tuple[tuple[str, N.Expr], ...] = ()):
+        self.entries = entries
+        self.translations: dict = {}
+        self._pending: dict = {}  # at -> (name -> entry index, names)
+        self._rhs: dict = {}  # j -> entry j's right-hand side, read
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def then(self, name: str, rhs: N.Expr) -> "Substitution":
+        return Substitution(self.entries + ((name, rhs),))
+
+    def pending(self, at: int) -> tuple[dict[str, int], frozenset[str]]:
+        """Each name a tree at position ``at`` reads through, to the index
+        of its first entry from ``at`` on; and the set of those names."""
+        found = self._pending.get(at)
+        if found is None:
+            first = {}
+            for j in range(len(self.entries) - 1, at - 1, -1):
+                first[self.entries[j][0]] = j
+            found = self._pending[at] = first, frozenset(first)
+        return found
+
+    def rhs(self, j: int) -> N.Expr:
+        """Entry ``j``'s right-hand side, read at position ``j + 1``."""
+        e = self._rhs.get(j)
+        if e is None:
+            e = self._rhs[j] = self.read(self.entries[j][1], j + 1)
+        return e
+
+    def read(self, node, at: int):
+        """``node``, made at position ``at``, with the later entries applied."""
+        first, names = self.pending(at)
+
+        def visit(n):
+            if free_vars(n).isdisjoint(names):
+                return n
+            if isinstance(n, N.Var):
+                return self.rhs(first[n.name])
+            if isinstance(n, (N.ForallFn, N.ForallFinite)) and n.var in names:
+                # The binder stops the entries for its name; the others
+                # rewrite the body in turn, as subst_var would have.
+                body = n.body
+                for name, rhs in self.entries[at:]:
+                    if name != n.var:
+                        body = subst_var(body, name, rhs)
+                return replace(n, body=body)
+            return None
+
+        return node if not names else transform(node, visit)
+
+    def bindings(self) -> dict[str, N.Expr]:
+        """Each defined name's last entry, read: the value that rewriting
+        every earlier definition with each later one would leave it."""
+        last = {name: j for j, (name, _) in enumerate(self.entries)}
+        return {name: self.rhs(j) for name, j in last.items()}

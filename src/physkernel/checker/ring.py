@@ -8,6 +8,12 @@ the printed syntax of the subterm, so structurally identical occurrences share
 an atom while everything else stays independent; that keeps the translation
 conservative.  ``ring_equal`` rejects a side that needs an opaque atom.
 
+A translation may read its tree through a :class:`~.rewrite.Substitution`:
+a defined variable translates as its definition's right-hand side, which is
+translated once per substitution, side conditions and opaque atoms
+included.  A subterm is printed under the substitution only where a label
+needs its text, so labels read as if the tree had been rewritten first.
+
 Polynomials are ``Poly`` dicts, sparse maps from monomials to exact rational
 coefficients, from translation through elimination to the prover's side
 conditions; a dict is never mutated after it is built, so records and
@@ -44,7 +50,7 @@ from ..lang.printer import print_expr
 from ..quantity import render_numeric
 from ..record import record
 from ..unitdb import CONSTANT_ALIASES, UnitDatabase, builtin_database
-from .rewrite import free_vars, subst_var
+from .rewrite import Substitution, free_vars
 
 # Atom ranks; atoms are (rank, name) so the full atom set is orderable.
 _VAR, _CONST, _BASE, _OPAQUE = 0, 1, 2, 3
@@ -294,13 +300,50 @@ class Translation:
     opaque_vars: dict[Atom, frozenset[str]]
 
 
+_NO_SUBST = Substitution()
+
+
 class _Xlate:
-    def __init__(self, db: UnitDatabase):
+    """Translates trees at position ``at`` of ``subst`` (see ``Substitution``)."""
+
+    def __init__(self, db: UnitDatabase, subst: Substitution | None = None,
+                 at: int = 0):
         self.db = db
+        self.subst = _NO_SUBST if subst is None else subst
         self.sides: list[tuple[RationalFunc, str]] = []
         self.opaque_vars: dict[Atom, frozenset[str]] = {}
+        self._move(at)
+
+    def _move(self, at: int) -> None:
+        self.at = at
+        self.pending = self.subst.pending(at)[0]
+
+    def _label(self, e: N.Expr) -> str:
+        """The label text of ``e``: printed as the substitution reads it."""
+        return print_expr(self.subst.read(e, self.at))
+
+    def _defined(self, j: int) -> RationalFunc:
+        """Entry ``j``'s right-hand side, translated once; every use records
+        its side conditions and opaque atoms again."""
+        memo = self.subst.translations
+        if j not in memo:
+            outer = self.at, self.sides, self.opaque_vars
+            self.sides, self.opaque_vars = [], {}
+            self._move(j + 1)
+            try:
+                rf = self.tr(self.subst.entries[j][1])
+                memo[j] = rf, self.sides, self.opaque_vars
+            finally:
+                self._move(outer[0])
+                self.sides, self.opaque_vars = outer[1], outer[2]
+        rf, sides, opaque_vars = memo[j]
+        self.sides.extend(sides)
+        for key, names in opaque_vars.items():
+            self.opaque_vars.setdefault(key, names)
+        return rf
 
     def _opaque(self, e: N.Expr) -> RationalFunc:
+        e = self.subst.read(e, self.at)
         key: Atom = (_OPAQUE, print_expr(e))
         self.opaque_vars.setdefault(key, frozenset(free_vars(e)))
         return RationalFunc.atom(key)
@@ -321,7 +364,10 @@ class _Xlate:
         if isinstance(e, N.NumLit):
             return RationalFunc.const(e.value)
         if isinstance(e, N.Var):
-            return RationalFunc.atom((_VAR, e.name))
+            j = self.pending.get(e.name)
+            if j is None:
+                return RationalFunc.atom((_VAR, e.name))
+            return self._defined(j)
         if isinstance(e, N.ConstRef):
             name = CONSTANT_ALIASES.get(e.name, e.name)
             return RationalFunc.atom((_CONST, name))
@@ -347,8 +393,8 @@ class _Xlate:
             if denom.is_zero:
                 raise DivisionByZero(
                     f"division by the symbolically zero term "
-                    f"{print_expr(e.rhs)}")
-            self.sides.append((denom, print_expr(e.rhs)))
+                    f"{self._label(e.rhs)}")
+            self.sides.append((denom, self._label(e.rhs)))
             return self.tr(e.lhs).div(denom)
         if isinstance(e, N.Neg):
             return self.tr(e.arg).neg()
@@ -363,8 +409,8 @@ class _Xlate:
                 if base.is_zero:
                     raise DivisionByZero(
                         f"negative power of the symbolically zero term "
-                        f"{print_expr(e.base)}")
-                self.sides.append((base, print_expr(e.base)))
+                        f"{self._label(e.base)}")
+                self.sides.append((base, self._label(e.base)))
             return base.pow(n)
         if isinstance(e, N.Cast):
             return self.tr(e.arg)
@@ -374,11 +420,16 @@ class _Xlate:
 
 
 def translate_difference(lhs: N.Expr, rhs: N.Expr,
-                         db: UnitDatabase | None = None) -> Translation:
+                         db: UnitDatabase | None = None,
+                         subst: Substitution | None = None,
+                         at: int = 0) -> Translation:
     """Translate ``lhs - rhs`` with abstraction; its numerator is zero iff
-    the sides agree wherever the recorded denominators do not vanish."""
+    the sides agree wherever the recorded denominators do not vanish.
+
+    The sides are read at position ``at`` of ``subst``.
+    """
     db = db or builtin_database()
-    x = _Xlate(db)
+    x = _Xlate(db, subst, at)
     rf = x.tr(lhs).sub(x.tr(rhs))
     return Translation(rf, x.sides, x.opaque_vars)
 
@@ -389,23 +440,31 @@ def ring_equal(lhs: N.Expr, rhs: N.Expr,
     """Exact symbolic equality in the ring fragment.
 
     ``env`` is an acyclic definitional substitution applied to both sides
-    before translation.  The fragment is +, -, *, / and integer powers over
-    variables, constants and units; a side that needs an opaque atom for a
-    subterm outside it is rejected with UnsupportedNode naming the first such
-    subterm.
+    before translation; a cyclic ``env`` is rejected with UnsupportedNode.
+    The fragment is +, -, *, / and integer powers over variables, constants
+    and units; a side that needs an opaque atom for a subterm outside it is
+    rejected with UnsupportedNode naming the first such subterm.
     """
     db = db or builtin_database()
-    if env:
-        for _ in range(len(env) + 1):
-            for name, repl in env.items():
-                lhs = subst_var(lhs, name, repl)
-                rhs = subst_var(rhs, name, repl)
-    x = _Xlate(db)
+    x = _Xlate(db, _env_substitution(env or {}))
     left, right = x.tr(lhs), x.tr(rhs)
     if x.opaque_vars:
         term = next(iter(x.opaque_vars))[1]
         raise UnsupportedNode(f"{term} is outside the ring fragment")
     return left.equal(right)
+
+
+def _env_substitution(env: Mapping[str, N.Expr]) -> Substitution:
+    """``env`` as a log in which each definition precedes those it mentions."""
+    order, left = [], dict(env)
+    while left:
+        ready = [name for name in left
+                 if not any(name in free_vars(e) for e in left.values())]
+        if not ready:
+            raise UnsupportedNode(f"env is cyclic: {', '.join(sorted(left))} "
+                                  "cannot all be substituted out")
+        order += [(name, left.pop(name)) for name in ready]
+    return Substitution(tuple(order))
 
 
 # -- polynomial coefficient matching ----------------------------------------------

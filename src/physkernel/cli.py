@@ -264,10 +264,6 @@ def main(argv: list[str] | None = None) -> int:
     except PhysKernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except RecursionError:
-        print("error: input nests too deeply for the checker's recursion "
-              f"limit ({sys.getrecursionlimit()})", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except Exception:  # a bug, not a verdict: never exit as Unknown (1)
         import traceback
         traceback.print_exc()

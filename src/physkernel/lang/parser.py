@@ -571,23 +571,33 @@ def _fraction_of(tok: Token) -> Fraction:
 # -- statement-level validation ------------------------------------------------
 
 def _validate_fn_var_uses(stmt: N.Statement) -> None:
-    """Bare function-variable uses are legal only in f = g equalities."""
+    """Bare function-variable uses are legal only in f = g equalities.
+
+    A quantifier that binds a function variable's name makes it a quantity
+    inside its body.  Nodes are visited in preorder, so the first offending
+    use is the one reported.
+    """
     fn_names = {d.name for d in stmt.decls if isinstance(d, N.FnDecl)}
     if not fn_names:
         return
-
-    def is_fn(e: N.Node) -> bool:
-        return isinstance(e, N.Var) and e.name in fn_names
-
     allowed: set[N.Var] = set()  # sides of an f = g, met before its sides
-    for prop in (*(h for _, h in stmt.hyps), stmt.goal):
-        for node in N.walk(prop):
-            if isinstance(node, N.Eq) and is_fn(node.lhs) and is_fn(node.rhs):
-                allowed.update((node.lhs, node.rhs))
-            elif is_fn(node) and node not in allowed:
-                raise ParseError(
-                    f"function variable {node.name!r} used as a quantity",
-                    span=node.span)
+    # (node, the function names not hidden by an enclosing quantifier)
+    stack = [(p, fn_names) for p in (stmt.goal, *reversed(
+        [h for _, h in stmt.hyps]))]
+    while stack:
+        node, fns = stack.pop()
+        if isinstance(node, (N.ForallFn, N.ForallFinite)):
+            fns = fns - {node.var}
+        if (isinstance(node, N.Eq) and isinstance(node.lhs, N.Var)
+                and isinstance(node.rhs, N.Var)
+                and {node.lhs.name, node.rhs.name} <= fns):
+            allowed.update((node.lhs, node.rhs))
+        elif (isinstance(node, N.Var) and node.name in fns
+                and node not in allowed):
+            raise ParseError(
+                f"function variable {node.name!r} used as a quantity",
+                span=node.span)
+        stack.extend((c, fns) for c in reversed([*N.children(node)]))
 
 
 # -- front matter ---------------------------------------------------------------

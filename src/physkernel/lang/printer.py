@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ..errors import typed_depth
 from . import nodes as N
 
 __all__ = ["print_expr", "print_prop", "print_statement", "render_rational"]
@@ -121,14 +122,17 @@ def _sub(n: N.Node, required: int) -> str:
     return f"({text})" if level < required else text
 
 
+@typed_depth
 def print_expr(e: N.Expr) -> str:
     return _text(e)[0]
 
 
+@typed_depth
 def print_prop(p: N.Prop) -> str:
     return _text(p)[0]
 
 
+@typed_depth
 def print_statement(stmt: N.Statement, front_matter: bool = False) -> str:
     """Canonical statement text; optionally with its front-matter block."""
     lines: list[str] = []

@@ -360,6 +360,17 @@ def test_bare_function_variables_only_in_function_equalities(db):
         assert (e.span.start, e.span.end) == (col - 1, col)
 
 
+def test_a_quantifier_hides_the_function_variable_it_shadows(db):
+    from physkernel.checker.prover import Proved, auto_prove
+    stmt = parse_statement(FN_HEAD + "forall f in {1}, f • x = x", db)
+    assert isinstance(auto_prove(stmt, db), Proved)
+    # Outside the binder, the bare name is still the function variable.
+    goal = "(forall f in {1}, f • x = x) ∧ f • x = x"
+    col = len(FN_HEAD) + goal.rindex("f") + 1
+    e = _error(FN_HEAD + goal, db)
+    assert str(e) == f"1:{col}: function variable 'f' used as a quantity"
+
+
 def test_each_token_is_read_once(db, monkeypatch):
     # Parentheses before a comparison operator are read once, not once per
     # reading tried.

@@ -15,9 +15,9 @@ from physkernel.checker.script import (
     ExactHyp, Intro, MalformedScript, NumericCheck, RingCheck, Split, Subst,
     parse_script, print_script,
 )
-from physkernel.errors import ParseError
+from physkernel.errors import NestingTooDeep, ParseError
 from physkernel.lang.parser import parse_statement
-from physkernel.lang.printer import print_prop
+from physkernel.lang.printer import print_prop, print_statement
 
 
 def stmt_of(body: str, db):
@@ -400,3 +400,23 @@ def test_huge_coefficients_are_reported_by_size(db):
     assert isinstance(refuted, Refuted)
     assert refuted.env == (("n", "-<20001-bit integer>"),)
     assert time.process_time() - start < 1
+
+
+def _repeated_sum(terms: int, db):
+    return parse_statement("theorem repeated_sum (x : Length) : "
+                           f"{' + '.join(['x'] * terms)} = {terms} • x", db)
+
+
+def test_deep_sums_prove_or_raise_a_typed_error(db):
+    # A long sum parses (left-associative chains do not nest in the parser)
+    # into a tree as deep as it is long.
+    assert isinstance(auto_prove(_repeated_sum(400, db), db), Proved)
+    deep = _repeated_sum(1200, db)
+    for run in (lambda: auto_prove(deep, db),
+                lambda: check_derivation(deep, (RingCheck(),), db),
+                lambda: print_prop(deep.goal),
+                lambda: print_statement(_repeated_sum(600, db))):
+        with pytest.raises(NestingTooDeep,
+                           match="nests too deeply for the checker's "
+                                 r"recursion limit \(\d+\)"):
+            run()

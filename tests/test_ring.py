@@ -181,6 +181,28 @@ def test_ring_equal_with_definitional_env(db):
     assert not ring_equal(a, parse_expression("g", db, u, {}), env=env, db=db)
 
 
+@pytest.mark.parametrize("env_text", [
+    {"a": "a + 1"},
+    {"a": "b + 1", "b": "2 * a", "c": "3"},
+])
+def test_ring_equal_rejects_a_cyclic_env(db, env_text):
+    u = {"a": "Real", "b": "Real", "c": "Real"}
+    env = {name: parse_expression(text, db, u, {})
+           for name, text in env_text.items()}
+    a = parse_expression("a", db, u, {})
+    with pytest.raises(UnsupportedNode, match="env is cyclic"):
+        ring_equal(a, a, env=env, db=db)
+
+
+def test_ring_equal_env_in_any_order(db):
+    u = {"a": "Real", "b": "Real", "c": "Real"}
+    env = {"c": parse_expression("b * b", db, u, {}),
+           "a": parse_expression("c + b", db, u, {}),
+           "b": parse_expression("3", db, u, {})}
+    a = parse_expression("a", db, u, {})
+    assert ring_equal(a, parse_expression("12", db, u, {}), env=env, db=db)
+
+
 def test_units_and_constants_are_ring_atoms(db):
     v = {"x": "Length", "t": "Time"}
 

@@ -180,6 +180,16 @@ def test_printed_auto_scripts_parse_for_all_corpus_entries(db, corpus_dir):
     # intro of a substituted implication adds the substituted premise.
     ("(u : Real)", "(hu := u = 3)", "u = 3 -> u = 3",
      "subst hu\nintro\nexact h!1\n", "proved"),
+    # A quantifier that binds a defined name stops its definition.
+    ("(t : Time) (v : Speed) (f : Time -> Length)",
+     "(ht := t = 3 • second) (hv := v = 2 • meter / second)"
+     " (hf := forall t, f(t) = v * t)",
+     "f(2 • second) = 2 • meter / second * (2 • second)",
+     "subst ht\nsubst hv\ninst hf 2 • second\nexact hf@1\n", "proved"),
+    # A function definition unfolds what a recorded definition brings in.
+    ("(x : Real) (f : Real -> Real)",
+     "(hx := x = f(2)) (hf := forall s, f(s) = s + 1)", "x = 3",
+     "subst hx\nsubst hf\nnumeric\n", "proved"),
     # cases reads a disjunction as the substitution left it.
     ("(u v : Real)", "(hv := v = u) (hu := v = 1 ∨ v = -1)", "v * v = 1",
      "subst hv\ncases u {1, -1}\nring\nring\n", "proved"),
