@@ -2,7 +2,9 @@
 
 Substitution skips every subtree in which the name is not free, using the
 free-variable set each node caches, so rewriting a proposition that does
-not mention the name returns it unchanged in O(1).  :class:`Substitution`
+not mention the name returns it unchanged in O(1).  A quantifier that would
+capture a free name of the inserted tree has its bound name renamed to
+``<name>!<k>``, a name the parser never reads.  :class:`Substitution`
 records variable definitions and applies them only to the trees that are
 read.
 """
@@ -64,14 +66,30 @@ def free_vars(node) -> frozenset[str]:
     return names
 
 
+def _rename_binder(q, avoid: frozenset[str]):
+    """Quantifier ``q`` with its bound name renamed to ``<name>!<k>``, free
+    neither in its body nor in ``avoid``: a tree with free names ``avoid``
+    can then be inserted in the body without being captured."""
+    taken = free_vars(q.body) | avoid
+    k = 1
+    while f"{q.var}!{k}" in taken:
+        k += 1
+    fresh = f"{q.var}!{k}"
+    return replace(q, var=fresh, body=subst_var(q.body, q.var, N.Var(fresh)))
+
+
 def subst_var(node, name: str, replacement: N.Expr):
-    """Substitute ``replacement`` for every free occurrence of variable ``name``."""
+    """Substitute ``replacement`` for every free occurrence of variable
+    ``name``, renaming a binder that would capture one of its names."""
+    names = free_vars(replacement)
 
     def visit(n):
         if name not in free_vars(n):  # absent, or bound by a quantifier
             return n
         if isinstance(n, N.Var):
             return replacement
+        if isinstance(n, (N.ForallFn, N.ForallFinite)) and n.var in names:
+            return subst_var(_rename_binder(n, names), name, replacement)
         return None
 
     return transform(node, visit)
@@ -81,8 +99,10 @@ def expand_fn(node, fname: str, binder: str, body: N.Expr):
     """Unfold ``fname`` applications: ``fname(arg)`` becomes ``body[binder := arg]``.
 
     Arguments are expanded before the body is instantiated, so nested
-    applications unfold in one pass.  ``body`` must not apply ``fname``.
+    applications unfold in one pass.  ``body`` must not apply ``fname``.  A
+    binder that would capture a free name of ``body`` is renamed.
     """
+    names = free_vars(body) - {binder}
 
     def visit(n):
         # An expression binds no name, so every head in it is free there.
@@ -91,14 +111,19 @@ def expand_fn(node, fname: str, binder: str, body: N.Expr):
         if isinstance(n, N.Apply) and n.fn == fname:
             arg = transform(n.arg, visit)
             return subst_var(body, binder, arg)
+        if (isinstance(n, (N.ForallFn, N.ForallFinite)) and n.var in names
+                and fname in free_vars(n.body)):
+            return expand_fn(_rename_binder(n, names), fname, binder, body)
         return None
 
     return transform(node, visit)
 
 
 def rewrite_ground(node, pattern: N.Expr, replacement: N.Expr):
-    """Replace every subtree structurally equal to ``pattern``."""
+    """Replace every subtree structurally equal to ``pattern``, renaming a
+    binder that would capture a free name of ``replacement``."""
     names = free_vars(pattern)
+    inserted = free_vars(replacement)
 
     def visit(n):
         if isinstance(n, N.Expr):
@@ -108,6 +133,10 @@ def rewrite_ground(node, pattern: N.Expr, replacement: N.Expr):
                 return n
             if N.ast_eq(n, pattern):
                 return replacement
+        elif (isinstance(n, (N.ForallFn, N.ForallFinite)) and n.var in inserted
+                and names <= free_vars(n.body)):
+            return rewrite_ground(_rename_binder(n, inserted), pattern,
+                                  replacement)
         return None
 
     return transform(node, visit)
@@ -149,11 +178,12 @@ class Substitution:
     made.  Reading it at that position gives what rewriting it with
     :func:`subst_var` by each later entry in turn would give, in one
     simultaneous pass: a free ``x`` becomes the right-hand side of the first
-    later entry for ``x``, itself read at the position after that entry.
-    Each right-hand side is stored as it read when its entry was recorded.  A
-    log never changes (``then`` returns a longer one), so its reads are
-    memoised, and ``translations`` holds the ring translator's memo of each
-    entry (for one unit database).
+    later entry for ``x``, itself read at the position after that entry
+    (up to the names given to renamed binders).  Each right-hand side is
+    stored as it read when its entry was recorded.  A log never changes
+    (``then`` returns a longer one), so its reads are memoised, and
+    ``translations`` holds the ring translator's memo of each entry (for
+    one unit database).
     """
 
     def __init__(self, entries: tuple[tuple[str, N.Expr], ...] = ()):
@@ -195,7 +225,9 @@ class Substitution:
                 return n
             if isinstance(n, N.Var):
                 return self.rhs(first[n.name])
-            if isinstance(n, (N.ForallFn, N.ForallFinite)) and n.var in names:
+            if not isinstance(n, (N.ForallFn, N.ForallFinite)):
+                return None
+            if n.var in names:
                 # The binder stops the entries for its name; the others
                 # rewrite the body in turn, as subst_var would have.
                 body = n.body
@@ -203,6 +235,10 @@ class Substitution:
                     if name != n.var:
                         body = subst_var(body, name, rhs)
                 return replace(n, body=body)
+            inserted = frozenset().union(*(
+                free_vars(self.rhs(first[x])) for x in free_vars(n) & names))
+            if n.var in inserted:
+                return self.read(_rename_binder(n, inserted | names), at)
             return None
 
         return node if not names else transform(node, visit)

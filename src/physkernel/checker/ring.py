@@ -24,7 +24,10 @@ integral, a ``Fraction`` otherwise, so integer arithmetic builds no
 ``Fraction``.  Floats never enter.  Equality of rational functions is decided
 exactly by cross-multiplication (the ring is an integral domain).
 ``canonical`` cancels the common monomial factor and makes the denominator
-monic, in exact arithmetic, for display.
+monic, in exact arithmetic, for display.  An integer power expands by a
+binomial split (``poly_pow``), so its cost grows with the terms of the
+result; no budget bounds it yet, and a base of many atoms can make a huge
+result (``(a+b+c+d)**200`` has about 1.4M terms).
 
 ``eliminate`` reduces a goal to zero by substituting pivots solved from
 constraint equations.  It searches only the constraints connected to the goal
@@ -130,15 +133,41 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
 
 
 def poly_pow(p: Poly, n: int) -> Poly:
+    """``p ** n`` by the binomial split ``p = t + r`` of one term ``t``:
+    ``sum C(n, k) t^k r^(n-k)``.  The powers of ``r`` are built by repeated
+    multiplication, so the cost grows with the terms of the result, not
+    with the products of dense intermediate squares."""
     if n < 0:
         raise ValueError("poly_pow expects a non-negative exponent")
-    out = poly_const(1)
-    while n:  # square-and-multiply
-        if n & 1:
-            out = poly_mul(out, p)
-        n >>= 1
-        if n:
-            p = poly_mul(p, p)
+    if n == 0:
+        return poly_const(1)
+    if n == 1:
+        return p
+    if len(p) <= 1:  # zero or one monomial
+        return {tuple([(a, e * n) for a, e in m]): _coeff(c ** n)
+                for m, c in p.items()}
+    items = iter(p.items())
+    tm, tc = next(items)
+    r = dict(items)
+    r_pows = [poly_const(1), r]
+    for _ in range(n - 1):
+        r_pows.append(poly_mul(r_pows[-1], r))
+    out: Poly = {}
+    # C(n, k) and t^k.  t^0 is the empty monomial, not t's atoms to the
+    # power 0: _mono_mul returns its other operand unfiltered.
+    binom, tk_mono, tk_coeff = 1, _ONE, 1
+    for k in range(n + 1):
+        scale = binom * tk_coeff
+        for m, c in r_pows[n - k].items():
+            key = _mono_mul(tk_mono, m)
+            nc = out.get(key, 0) + scale * c
+            if nc == 0:
+                out.pop(key, None)
+            else:
+                out[key] = nc if type(nc) is int else _coeff(nc)
+        binom = binom * (n - k) // (k + 1)
+        tk_mono = tuple([(a, e * (k + 1)) for a, e in tm])
+        tk_coeff *= tc
     return out
 
 

@@ -71,14 +71,27 @@ def _exponent(value: Fraction) -> str:
 def _text(n: N.Node) -> tuple[str, int]:
     """The text of an expression or a proposition and the level it prints
     at.  A binary operator's operand on its associative side may print at
-    its own power; the other operand must bind tighter."""
+    its own power; the other operand must bind tighter.  A chain of
+    left-associative operators of one power (a long sum) is printed by
+    walking its left spine in a loop, so its length costs no recursion."""
     cls = n.__class__
     op = N.BINARY.get(cls)
     if op is not None:
         spelling, bp, right = op
-        lhs, rhs = cls._fields
-        return (f"{_sub(getattr(n, lhs), bp + right)} {spelling} "
-                f"{_sub(getattr(n, rhs), bp + (not right))}", bp)
+        if right:
+            lhs, rhs = cls._fields
+            return (f"{_sub(getattr(n, lhs), bp + 1)} {spelling} "
+                    f"{_sub(getattr(n, rhs), bp)}", bp)
+        parts = [_sub(n.rhs, bp + 1), spelling]
+        n = n.lhs
+        op = N.BINARY.get(n.__class__)
+        while op is not None and op[1] == bp and not op[2]:
+            parts += (_sub(n.rhs, bp + 1), op[0])
+            n = n.lhs
+            op = N.BINARY.get(n.__class__)
+        parts.append(_sub(n, bp))
+        parts.reverse()
+        return " ".join(parts), bp
     op = N.COMPARISONS.get(cls)
     if op is not None:
         return f"{print_expr(n.lhs)} {op} {print_expr(n.rhs)}", _CMP

@@ -242,6 +242,28 @@ def test_binary_operator_parenthesization(db):
                 assert N.ast_eq(tree, parse_prop(expected, db, VARS)), expected
 
 
+def _preorder(node):
+    """Each node's class and non-node syntax fields, in preorder: equal
+    lists mean equal trees (each class has a fixed number of children), and
+    building them needs no recursion."""
+    return [(type(n), [getattr(n, f) for f in n._syntax
+                       if not isinstance(getattr(n, f), N.Node)])
+            for n in N.walk(node)]
+
+
+def test_a_long_chain_prints_without_recursion(db):
+    # 3000 terms nest 3000 deep, three times the recursion limit; the
+    # printer walks the left spine of a chain of one power in a loop.
+    terms = [f"{k} • x" if k % 3 else "x * t / t" for k in range(3000)]
+    text = " + ".join(terms[:1500]) + " - " + " - ".join(terms[1500:])
+    stmt = parse_statement(
+        f"theorem long (x : Length) (t : Time) : {text} = x", db)
+    printed = print_prop(stmt.goal)
+    reparsed = parse_prop(printed, db, VARS, FNS)
+    assert printed == f"{text} = x"
+    assert _preorder(reparsed) == _preorder(stmt.goal)
+
+
 def test_comparisons_print_and_swap(db):
     for cls, op in ((N.Eq, "="), (N.Ne, "!="), (N.Le, "<="), (N.Lt, "<")):
         assert print_prop(cls(N.Var("x"), N.Var("x"))) == f"x {op} x"

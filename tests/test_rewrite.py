@@ -17,7 +17,8 @@ import pytest
 from physkernel.checker.dims import resolve_statement
 from physkernel.checker.prover import database_for
 from physkernel.checker.rewrite import (
-    applied_fns, expand_fn, free_vars, rewrite_ground, subst_var, transform,
+    Substitution, applied_fns, expand_fn, free_vars, rewrite_ground,
+    subst_var, transform,
 )
 from physkernel.corpus import load_corpus
 from physkernel.lang import nodes as N
@@ -202,6 +203,28 @@ def test_substitution_stops_at_a_binder_of_the_same_name(quantifier):
     got = subst_var(q, "y", REPLACEMENT)
     assert got.var == "x" and got.body.rhs.lhs is REPLACEMENT
     assert got.body.lhs is body.lhs and got.body.rhs.rhs is body.rhs.rhs
+
+
+@pytest.mark.parametrize("quantifier", [
+    lambda var, body: N.ForallFn(var, body),
+    lambda var, body: N.ForallFinite(var, (Fraction(1),), body),
+], ids=["forall", "forall-in"])
+def test_substitution_renames_a_binder_that_would_capture(quantifier):
+    # (forall t, x = t)[x := t + r!] is forall t!1, t + r! = t!1.
+    q = quantifier("t", N.Eq(N.Var("x"), N.Var("t")))
+    t_plus = N.Add(N.Var("t"), N.Var("r!"))
+    got = subst_var(q, "x", t_plus)
+    assert got.var == "t!1" and got.body.lhs is t_plus
+    assert got.body.rhs.name == "t!1" and free_vars(got) == {"t", "r!"}
+    # The fresh name avoids the body's free names and the replacement's.
+    q = quantifier("t", N.Eq(N.Var("x"), N.Add(N.Var("t"), N.Var("t!1"))))
+    got = subst_var(q, "x", t_plus)
+    assert got.var == "t!2" and free_vars(got) == {"t", "r!", "t!1"}
+    # A substitution read through the log renames the same way.
+    read = Substitution((("x", t_plus),)).read(q, 0)
+    assert repr(read) == repr(got)
+    # A binder that captures nothing is left as it is.
+    assert subst_var(q, "x", N.Var("y")).var == "t"
 
 
 def test_unfolding_under_a_binder_matches_the_oracle():

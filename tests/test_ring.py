@@ -7,6 +7,7 @@ rewriting of itself (commuted, distributed, expanded; must be equal) and an
 expression against a shifted copy (must differ everywhere).
 """
 
+import math
 import os
 import pathlib
 import random
@@ -645,6 +646,54 @@ def test_int_coefficients_match_the_fraction_oracle(db, monkeypatch):
         assert all(type(c) is Fraction
                    for part in (oracle.num, oracle.den) for c in part.values())
         assert (rf.num, rf.den) == (oracle.num, oracle.den)
+
+
+_U, _W, _LENGTH = (ring._VAR, "u"), (ring._VAR, "w"), (ring._BASE, "LENGTH")
+
+
+@pytest.mark.parametrize("p", [
+    # One term: a negative base-dimension exponent, a Fraction coefficient.
+    {((_U, 1), (_LENGTH, -2)): Fraction(-3, 2)},
+    # A constant monomial in the base: the k = 0 term has no atoms.
+    {(): Fraction(1, 2), ((_U, 1),): 1, ((_W, 1),): -1},
+    {((_U, 1),): 2, (): 3},
+    # Colliding monomials: (1 + u + u^2)^n.
+    {(): 1, ((_U, 1),): 1, ((_U, 2),): 1},
+    # Alternating signs: (u - w)^n.
+    {((_U, 1),): 1, ((_W, 1),): -1},
+    # Exponents that cancel between the split term and the rest.
+    {((_U, 1), (_LENGTH, 1)): 1, ((_LENGTH, -1),): Fraction(2, 3)},
+], ids=["one-term", "constant-first", "constant-last", "colliding",
+        "alternating", "cancelling"])
+def test_poly_pow_binomial_split_matches_repeated_multiplication(p):
+    assert poly_pow(p, 0) == {(): 1}
+    assert poly_pow(p, 1) is p
+    for n in range(2, 9):
+        powered = poly_pow(p, n)
+        assert powered == _frac_pow(p, n)
+        _assert_normal(powered)
+        for m in powered:
+            atoms = [a for a, _ in m]
+            assert atoms == sorted(set(atoms)) and all(e for _, e in m), m
+
+
+def test_poly_pow_work_is_linear_in_the_exponent(monkeypatch):
+    # Square-and-multiply made O(n^2) monomial products for (u + w)^n; the
+    # binomial split makes about 2n.  A count, not a timing.
+    calls = 0
+    mono_mul = ring._mono_mul
+
+    def counted(m1, m2):
+        nonlocal calls
+        calls += 1
+        return mono_mul(m1, m2)
+
+    monkeypatch.setattr(ring, "_mono_mul", counted)
+    n = 1500
+    powered = poly_pow({((_U, 1),): 1, ((_W, 1),): 1}, n)
+    assert calls <= 4 * n
+    assert len(powered) == n + 1
+    assert powered[((_U, 750), (_W, 750))] == math.comb(n, 750)
 
 
 def test_exact_coefficient_corners(db):

@@ -208,3 +208,33 @@ def test_steps_read_hypotheses_as_substituted(db, decls, hyps, goal, script,
         assert isinstance(v, Proved), v
     else:
         assert v.kind == "unknown" and outcome == f"unknown at {v.failed_step}"
+
+
+CAPTURE_DECLS = ("(t : Time) (x : Length) (v : Speed) (f : Time -> Length)"
+                 " (hx := x = v * t)")
+
+
+@pytest.mark.parametrize("hyps, goal, script, proved", [
+    # x := v * t under forall t: the binder is renamed, so hf says f is the
+    # constant v * t, not f(t) = v * t.
+    ("(hf := forall t, f(t) = x)", "f(1 • second) = v * (1 • second)",
+     "subst hx\ninst hf 1 • second\nexact hf@1\n", False),
+    ("(hf := forall t, f(t) = x)", "forall t, f(t) = v * t",
+     "subst hx\nexact hf\n", False),
+    # The goal and the hypothesis are renamed alike.
+    ("(hf := forall t, f(t) = x)", "forall t, f(t) = x",
+     "subst hx\nexact hf\n", True),
+    # Unfolding a function whose body names t under forall t.
+    ("(hf := forall s, f(s) = v * t)", "forall t, f(t) = v * t",
+     "subst hf\nintro\nring\n", False),
+    # Rewriting a ground application by a right-hand side that names t.
+    ("(hf := f(1 • second) = v * t)", "forall t, f(1 • second) = v * t",
+     "subst hf\nintro\nring\n", False),
+])
+def test_substitution_renames_a_binder_it_would_capture(db, hyps, goal,
+                                                        script, proved):
+    s = stmt_of(f"theorem t {CAPTURE_DECLS} {hyps} : {goal}", db)
+    v = check_derivation(s, parse_script(script, s, db), db)
+    assert isinstance(v, Proved) == proved, v
+    if not proved:
+        assert not isinstance(auto_prove(s, db), Proved)
