@@ -229,12 +229,11 @@ class Substitution:
                 return None
             if n.var in names:
                 # The binder stops the entries for its name; the others
-                # rewrite the body in turn, as subst_var would have.
-                body = n.body
+                # rewrite the quantifier in turn, as subst_var would have,
+                # renaming the binder where a right-hand side names it.
                 for name, rhs in self.entries[at:]:
-                    if name != n.var:
-                        body = subst_var(body, name, rhs)
-                return replace(n, body=body)
+                    n = subst_var(n, name, rhs)
+                return n
             inserted = frozenset().union(*(
                 free_vars(self.rhs(first[x])) for x in free_vars(n) & names))
             if n.var in inserted:

@@ -134,9 +134,9 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
 
 def poly_pow(p: Poly, n: int) -> Poly:
     """``p ** n`` by the binomial split ``p = t + r`` of one term ``t``:
-    ``sum C(n, k) t^k r^(n-k)``.  The powers of ``r`` are built by repeated
-    multiplication, so the cost grows with the terms of the result, not
-    with the products of dense intermediate squares."""
+    ``sum C(n, j) t^(n-j) r^j``.  The powers of ``r`` are built by repeated
+    multiplication, one at a time, so the cost grows with the terms of the
+    result, not with the products of dense intermediate squares."""
     if n < 0:
         raise ValueError("poly_pow expects a non-negative exponent")
     if n == 0:
@@ -149,25 +149,24 @@ def poly_pow(p: Poly, n: int) -> Poly:
     items = iter(p.items())
     tm, tc = next(items)
     r = dict(items)
-    r_pows = [poly_const(1), r]
-    for _ in range(n - 1):
-        r_pows.append(poly_mul(r_pows[-1], r))
     out: Poly = {}
-    # C(n, k) and t^k.  t^0 is the empty monomial, not t's atoms to the
-    # power 0: _mono_mul returns its other operand unfiltered.
-    binom, tk_mono, tk_coeff = 1, _ONE, 1
-    for k in range(n + 1):
-        scale = binom * tk_coeff
-        for m, c in r_pows[n - k].items():
+    binom, rj = 1, poly_const(1)  # C(n, j) and r^j
+    for j in range(n + 1):
+        k = n - j
+        # t^0 is the empty monomial, not t's atoms to the power 0:
+        # _mono_mul returns its other operand unfiltered.
+        tk_mono = tuple([(a, e * k) for a, e in tm]) if k else _ONE
+        scale = binom * tc ** k
+        for m, c in rj.items():
             key = _mono_mul(tk_mono, m)
             nc = out.get(key, 0) + scale * c
             if nc == 0:
                 out.pop(key, None)
             else:
                 out[key] = nc if type(nc) is int else _coeff(nc)
-        binom = binom * (n - k) // (k + 1)
-        tk_mono = tuple([(a, e * (k + 1)) for a, e in tm])
-        tk_coeff *= tc
+        if k:
+            binom = binom * k // (j + 1)
+            rj = poly_mul(rj, r)
     return out
 
 

@@ -16,8 +16,10 @@ from physkernel.checker.script import (
     parse_script, print_script,
 )
 from physkernel.errors import NestingTooDeep, ParseError
+from physkernel.lang import nodes as N
 from physkernel.lang.parser import parse_statement
 from physkernel.lang.printer import print_prop, print_statement
+from physkernel.record import replace
 
 
 def stmt_of(body: str, db):
@@ -421,6 +423,19 @@ def test_deep_sums_prove_or_raise_a_typed_error(db):
     # The printers walk a chain in a loop: they print what the prover cannot.
     assert print_prop(deep.goal).count(" + ") == 1199
     assert print_statement(deep).count(" + ") == 1199
+    # A right-nested chain (here of implications, which the parser's depth
+    # budget rejects but the checker can build) still recurses once per
+    # level in the printers.
+    goal = N.Eq(N.Var("x"), N.Var("x"))
+    for _ in range(1200):
+        goal = N.Implies(N.Eq(N.Var("x"), N.Var("x")), goal)
+    tall = replace(deep, goal=goal)
+    for run in (lambda: print_prop(tall.goal),
+                lambda: print_statement(tall)):
+        with pytest.raises(NestingTooDeep,
+                           match="nests too deeply for the checker's "
+                                 r"recursion limit \(\d+\)"):
+            run()
 
 
 def test_a_large_power_proves_and_replays(db):

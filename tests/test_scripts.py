@@ -221,6 +221,9 @@ CAPTURE_DECLS = ("(t : Time) (x : Length) (v : Speed) (f : Time -> Length)"
      "subst hx\ninst hf 1 • second\nexact hf@1\n", False),
     ("(hf := forall t, f(t) = x)", "forall t, f(t) = v * t",
      "subst hx\nexact hf\n", False),
+    # A later definition of t does not reach past the binder either.
+    ("(ht := t = 5 • second) (hf := forall t, f(t) = x)",
+     "forall t, f(t) = v * t", "subst hx\nsubst ht\nexact hf\n", False),
     # The goal and the hypothesis are renamed alike.
     ("(hf := forall t, f(t) = x)", "forall t, f(t) = x",
      "subst hx\nexact hf\n", True),
