@@ -374,8 +374,8 @@ class _Session:
             raise MalformedScript(
                 f"'{step.hyp}' is not a definitional hypothesis")
         # Function and ground definitions rewrite at once every tree that, as
-        # read, applies f: one that names f or reads through an entry that
-        # does (no quantifier binds a function's name, so none hides f).
+        # read, applies f: one in which f is free or that reads through an
+        # entry in which it is (a rewrite reaches only free occurrences).
         entries = sg.subst.entries
 
         def applies_f(tree, at: int) -> bool:

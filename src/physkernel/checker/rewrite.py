@@ -1,9 +1,12 @@
 """Capture-aware rewriting over expression and proposition trees.
 
-Substitution skips every subtree in which the name is not free, using the
-free-variable set each node caches, so rewriting a proposition that does
-not mention the name returns it unchanged in O(1).  A quantifier that would
-capture a free name of the inserted tree has its bound name renamed to
+Every rewrite here (:func:`subst_var`, :func:`expand_fn`,
+:func:`rewrite_ground` and :meth:`Substitution.read`) is a leaf rule over
+one walk, which keeps the one binder rule: a rewrite reaches only the free
+occurrences of its names.  A subtree in which none of them is free, by the
+free-variable set each node caches, is returned unchanged in O(1).  A
+quantifier hides the name it binds from its body.  A quantifier whose bound
+name is free in what would be inserted in its body has that name renamed to
 ``<name>!<k>``, a name the parser never reads.  :class:`Substitution`
 records variable definitions and applies them only to the trees that are
 read.
@@ -49,125 +52,116 @@ def transform(node, fn: Callable):
 def free_vars(node) -> frozenset[str]:
     """Names of free variables (including function heads in Apply/Deriv).
 
-    Built bottom-up from the children's sets and cached on the node.
+    Built bottom-up from the children's sets and cached on the node, with
+    an explicit stack, so a deep tree cannot exhaust the recursion limit.
     """
     cached = node.__dict__.get("_free_vars")
     if cached is not None:
         return cached
-    if isinstance(node, N.Var):
-        names = frozenset((node.name,))
-    else:
-        names = frozenset().union(*map(free_vars, N.children(node)))
-        if isinstance(node, (N.Apply, N.Deriv)):
-            names = names | {node.fn}
-        elif isinstance(node, (N.ForallFn, N.ForallFinite)):
-            names = names - {node.var}
-    node.__dict__["_free_vars"] = names
-    return names
+    inner = []  # (node, its children), parents first; a leaf's set at once
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if "_free_vars" in n.__dict__:
+            continue
+        kids = [*N.children(n)]
+        if kids:
+            inner.append((n, kids))
+            stack += kids
+        else:
+            n.__dict__["_free_vars"] = frozenset(
+                (n.name,) if isinstance(n, N.Var) else ())
+    for n, kids in reversed(inner):
+        names = kids[0]._free_vars
+        for c in kids[1:]:
+            names = names | c._free_vars
+        if isinstance(n, (N.Apply, N.Deriv)):
+            names = names | {n.fn}
+        elif isinstance(n, (N.ForallFn, N.ForallFinite)):
+            names = names - {n.var}
+        n.__dict__["_free_vars"] = names
+    return node._free_vars
 
 
-def _rename_binder(q, avoid: frozenset[str]):
-    """Quantifier ``q`` with its bound name renamed to ``<name>!<k>``, free
-    neither in its body nor in ``avoid``: a tree with free names ``avoid``
-    can then be inserted in the body without being captured."""
-    taken = free_vars(q.body) | avoid
-    k = 1
-    while f"{q.var}!{k}" in taken:
-        k += 1
-    fresh = f"{q.var}!{k}"
-    return replace(q, var=fresh, body=subst_var(q.body, q.var, N.Var(fresh)))
+def _rewrite(node, names: frozenset[str], leaf: Callable, inserted: Callable):
+    """Rewrite the free occurrences of ``names`` in ``node`` by the binder
+    rule (see the module docstring).
+
+    ``leaf(n, names)`` rewrites a node other than a quantifier in which one
+    of ``names`` is free, as ``transform``'s ``fn`` does; ``names`` is then
+    the set still free at ``n``.  ``inserted(hit)`` is the set of names free
+    in what rewriting the names ``hit`` inserts.
+    """
+    def visit(n):
+        free = free_vars(n)
+        if free.isdisjoint(names):
+            return n
+        if not isinstance(n, (N.ForallFn, N.ForallFinite)):
+            return leaf(n, names)
+        avoid = inserted(names & free)
+        if n.var in avoid:  # to <var>!<k>, free in neither body nor avoid
+            taken, k = free_vars(n.body) | avoid, 1
+            while f"{n.var}!{k}" in taken:
+                k += 1
+            fresh = f"{n.var}!{k}"
+            n = replace(n, var=fresh,
+                        body=subst_var(n.body, n.var, N.Var(fresh)))
+        body = _rewrite(n.body, names - {n.var}, leaf, inserted)
+        return n if body is n.body else replace(n, body=body)
+
+    return transform(node, visit)
 
 
 def subst_var(node, name: str, replacement: N.Expr):
     """Substitute ``replacement`` for every free occurrence of variable
-    ``name``, renaming a binder that would capture one of its names."""
-    names = free_vars(replacement)
-
-    def visit(n):
-        if name not in free_vars(n):  # absent, or bound by a quantifier
-            return n
-        if isinstance(n, N.Var):
-            return replacement
-        if isinstance(n, (N.ForallFn, N.ForallFinite)) and n.var in names:
-            return subst_var(_rename_binder(n, names), name, replacement)
-        return None
-
-    return transform(node, visit)
+    ``name``."""
+    inserted = free_vars(replacement)
+    return _rewrite(
+        node, frozenset((name,)),
+        lambda n, _: replacement if isinstance(n, N.Var) else None,
+        lambda _: inserted)
 
 
 def expand_fn(node, fname: str, binder: str, body: N.Expr):
-    """Unfold ``fname`` applications: ``fname(arg)`` becomes ``body[binder := arg]``.
+    """Unfold the free ``fname`` applications: ``fname(arg)`` becomes
+    ``body[binder := arg]``.
 
     Arguments are expanded before the body is instantiated, so nested
-    applications unfold in one pass.  ``body`` must not apply ``fname``.  A
-    binder that would capture a free name of ``body`` is renamed.
+    applications unfold in one pass.  ``body`` must not apply ``fname``.
     """
-    names = free_vars(body) - {binder}
+    inserted = free_vars(body) - {binder}
 
-    def visit(n):
-        # An expression binds no name, so every head in it is free there.
-        if isinstance(n, N.Expr) and fname not in free_vars(n):
-            return n
+    def leaf(n, _):
         if isinstance(n, N.Apply) and n.fn == fname:
-            arg = transform(n.arg, visit)
-            return subst_var(body, binder, arg)
-        if (isinstance(n, (N.ForallFn, N.ForallFinite)) and n.var in names
-                and fname in free_vars(n.body)):
-            return expand_fn(_rename_binder(n, names), fname, binder, body)
+            return subst_var(body, binder, expand_fn(n.arg, fname, binder,
+                                                     body))
         return None
 
-    return transform(node, visit)
+    return _rewrite(node, frozenset((fname,)), leaf, lambda _: inserted)
 
 
 def rewrite_ground(node, pattern: N.Expr, replacement: N.Expr):
-    """Replace every subtree structurally equal to ``pattern``, renaming a
-    binder that would capture a free name of ``replacement``."""
+    """Replace every subtree structurally equal to ``pattern`` in which the
+    pattern's names are free."""
     names = free_vars(pattern)
     inserted = free_vars(replacement)
 
-    def visit(n):
-        if isinstance(n, N.Expr):
-            # An expression binds no name: a match needs all of the
-            # pattern's names free in it.
-            if not names <= free_vars(n):
-                return n
-            if N.ast_eq(n, pattern):
-                return replacement
-        elif (isinstance(n, (N.ForallFn, N.ForallFinite)) and n.var in inserted
-                and names <= free_vars(n.body)):
-            return rewrite_ground(_rename_binder(n, inserted), pattern,
-                                  replacement)
+    def leaf(n, live):
+        # A match needs every name of the pattern free, here and above.
+        if live != names or not names <= free_vars(n):
+            return n
+        if isinstance(n, N.Expr) and N.ast_eq(n, pattern):
+            return replacement
         return None
 
-    return transform(node, visit)
+    return _rewrite(node, names, leaf,
+                    lambda hit: inserted if hit == names else frozenset())
 
 
 def applied_fns(node) -> set[str]:
-    """Function names appearing as Apply or Deriv heads, outside the scope
-    of a quantifier that binds the same name.
-
-    ``node`` is an expression or a proposition; none of their fields holds a
-    tuple of nodes, so the walk reads ``_fields`` directly (faster than
-    :func:`~physkernel.lang.nodes.children`).
-    """
-    out: set[str] = set()
-    bound: list[str] = []  # binders of the enclosing quantifiers
-
-    def visit(n) -> None:
-        if isinstance(n, (N.Apply, N.Deriv)) and n.fn not in bound:
-            out.add(n.fn)
-        binds = isinstance(n, (N.ForallFn, N.ForallFinite))
-        if binds:
-            bound.append(n.var)
-        for name in n._fields:
-            child = getattr(n, name)
-            if isinstance(child, N.Node):
-                visit(child)
-        if binds:
-            bound.pop()
-
-    visit(node)
-    return out
+    """Function names applied (as Apply or Deriv heads) free in ``node``."""
+    heads = {n.fn for n in N.walk(node) if isinstance(n, (N.Apply, N.Deriv))}
+    return heads & free_vars(node)
 
 
 class Substitution:
@@ -220,27 +214,14 @@ class Substitution:
         """``node``, made at position ``at``, with the later entries applied."""
         first, names = self.pending(at)
 
-        def visit(n):
-            if free_vars(n).isdisjoint(names):
-                return n
-            if isinstance(n, N.Var):
-                return self.rhs(first[n.name])
-            if not isinstance(n, (N.ForallFn, N.ForallFinite)):
-                return None
-            if n.var in names:
-                # The binder stops the entries for its name; the others
-                # rewrite the quantifier in turn, as subst_var would have,
-                # renaming the binder where a right-hand side names it.
-                for name, rhs in self.entries[at:]:
-                    n = subst_var(n, name, rhs)
-                return n
-            inserted = frozenset().union(*(
-                free_vars(self.rhs(first[x])) for x in free_vars(n) & names))
-            if n.var in inserted:
-                return self.read(_rename_binder(n, inserted | names), at)
-            return None
+        def leaf(n, _):
+            return self.rhs(first[n.name]) if isinstance(n, N.Var) else None
 
-        return node if not names else transform(node, visit)
+        def inserted(hit):
+            return frozenset().union(
+                *(free_vars(self.rhs(first[x])) for x in hit))
+
+        return _rewrite(node, names, leaf, inserted)
 
     def bindings(self) -> dict[str, N.Expr]:
         """Each defined name's last entry, read: the value that rewriting

@@ -365,17 +365,23 @@ class Statement:
 # -- structural helpers --------------------------------------------------------
 
 def ast_eq(a, b) -> bool:
-    """Structural equality of AST values, ignoring source spans."""
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    names = getattr(type(a), "_syntax", None)
-    if names is not None:
-        return all(ast_eq(getattr(a, f), getattr(b, f)) for f in names)
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(map(ast_eq, a, b))
-    return a == b
+    """Structural equality of AST values, ignoring source spans.  An explicit
+    stack of pairs, so a deep tree cannot exhaust the recursion limit."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        names = getattr(type(a), "_syntax", None)
+        if names is not None:
+            stack += [(getattr(a, f), getattr(b, f)) for f in names]
+        elif isinstance(a, tuple) and len(a) == len(b):
+            stack += zip(a, b)
+        elif a != b:
+            return False
+    return True
 
 
 def children(node) -> Iterator:
@@ -397,4 +403,7 @@ def walk(node) -> Iterator:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed([*children(node)]))
+        for name in reversed(node._fields):  # children(), without a generator
+            v = getattr(node, name)
+            if isinstance(v, Node):
+                stack.append(v)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from physkernel.checker.rewrite import free_vars
 from physkernel.errors import ParseError
 from physkernel.lang import nodes as N
 from physkernel.lang import parser
@@ -242,18 +243,10 @@ def test_binary_operator_parenthesization(db):
                 assert N.ast_eq(tree, parse_prop(expected, db, VARS)), expected
 
 
-def _preorder(node):
-    """Each node's class and non-node syntax fields, in preorder: equal
-    lists mean equal trees (each class has a fixed number of children), and
-    building them needs no recursion."""
-    return [(type(n), [getattr(n, f) for f in n._syntax
-                       if not isinstance(getattr(n, f), N.Node)])
-            for n in N.walk(node)]
-
-
 def test_a_long_chain_prints_without_recursion(db):
     # 3000 terms nest 3000 deep, three times the recursion limit; the
-    # printer walks the left spine of a chain of one power in a loop.
+    # printer walks the left spine of a chain of one power in a loop, and
+    # ast_eq and free_vars walk with an explicit stack.
     terms = [f"{k} • x" if k % 3 else "x * t / t" for k in range(3000)]
     text = " + ".join(terms[:1500]) + " - " + " - ".join(terms[1500:])
     stmt = parse_statement(
@@ -261,7 +254,8 @@ def test_a_long_chain_prints_without_recursion(db):
     printed = print_prop(stmt.goal)
     reparsed = parse_prop(printed, db, VARS, FNS)
     assert printed == f"{text} = x"
-    assert _preorder(reparsed) == _preorder(stmt.goal)
+    assert N.ast_eq(reparsed, stmt.goal)
+    assert free_vars(stmt.goal) == {"x", "t"}
 
 
 def test_comparisons_print_and_swap(db):

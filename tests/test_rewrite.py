@@ -22,6 +22,7 @@ from physkernel.checker.rewrite import (
 )
 from physkernel.corpus import load_corpus
 from physkernel.lang import nodes as N
+from physkernel.lang.printer import print_prop
 from physkernel.record import replace
 
 
@@ -69,7 +70,8 @@ class _Oracle:
     @staticmethod
     def expand_fn(node, fname, binder, body):
         def visit(n, shadowed):
-            if isinstance(n, N.Apply) and n.fn == fname:
+            if (isinstance(n, N.Apply) and n.fn == fname
+                    and fname not in shadowed):
                 arg = _Oracle.transform(n.arg, visit, shadowed)
                 return _Oracle.subst_var(body, binder, arg)
             return None
@@ -77,8 +79,11 @@ class _Oracle:
 
     @staticmethod
     def rewrite_ground(node, pattern, replacement):
+        names = _Oracle.names(pattern, False)
+
         def visit(n, shadowed):
-            if isinstance(n, N.Expr) and _Oracle.ast_eq(n, pattern):
+            if (isinstance(n, N.Expr) and shadowed.isdisjoint(names)
+                    and _Oracle.ast_eq(n, pattern)):
                 return replacement
             return None
         return _Oracle.transform(node, visit)
@@ -228,17 +233,32 @@ def test_substitution_renames_a_binder_that_would_capture(quantifier):
 
 
 def test_unfolding_under_a_binder_matches_the_oracle():
-    # Unfolding and ground rewriting look through binders, as they always
-    # did: pruning on free variables happens only inside expressions.
+    # A quantifier hides the name it binds: unfolding f leaves a bound f
+    # alone, and rewriting f(t) leaves it alone under a binder of f or t.
     f_t = N.Apply("f", N.Var("t"))
     for binder in ("f", "t"):
         q = N.ForallFn(binder, N.Eq(f_t, N.Var("t")))
         got = expand_fn(q, "f", BINDER, BODY)
         assert repr(got) == repr(_Oracle.expand_fn(q, "f", BINDER, BODY))
-        assert got is not q
+        assert (got is q) == (binder == "f")
         got = rewrite_ground(q, f_t, REPLACEMENT)
         assert repr(got) == repr(_Oracle.rewrite_ground(q, f_t, REPLACEMENT))
-        assert got.body.lhs is REPLACEMENT
+        assert got is q
+    # A free f(t) beside the quantifier that binds t is rewritten.
+    p = N.And(N.Eq(f_t, N.Var("x")), q)
+    got = rewrite_ground(p, f_t, REPLACEMENT)
+    assert got.lhs.lhs is REPLACEMENT and got.rhs is q
+    assert repr(got) == repr(_Oracle.rewrite_ground(p, f_t, REPLACEMENT))
+
+
+def test_a_read_under_a_binder_of_a_defined_name_keeps_the_binder():
+    # x := y + 1, then y := 3: the x under forall y reads as 3 + 1, and the
+    # bound y is neither replaced nor renamed.
+    y = N.Var("y")
+    log = Substitution((("x", N.Add(y, N.NumLit(Fraction(1)))),
+                        ("y", N.NumLit(Fraction(3)))))
+    got = log.read(N.ForallFn("y", N.Eq(N.Var("x"), y)), 0)
+    assert print_prop(got) == "forall y, 3 + 1 = y"
 
 
 def test_substituting_an_absent_name_returns_the_same_object(db, corpus_dir):

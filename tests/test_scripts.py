@@ -241,3 +241,14 @@ def test_substitution_renames_a_binder_it_would_capture(db, hyps, goal,
     assert isinstance(v, Proved) == proved, v
     if not proved:
         assert not isinstance(auto_prove(s, db), Proved)
+
+
+def test_a_ground_definition_does_not_reach_a_bound_name(db):
+    # hg is about the declared t; the goal's t is bound, so f(t) there is
+    # not hg's f(t), and ring cannot close the goal after intro.
+    s = stmt_of("theorem bad (t : Time) (x : Length) (f : Time -> Length)"
+                " (hg := f(t) = x) : forall t, f(t) = x", db)
+    v = check_derivation(s, parse_script("subst hg\nintro\nring\n", s, db),
+                         db)
+    assert v.kind == "unknown" and v.failed_step == 2, v
+    assert auto_prove(s, db).kind == "unknown"
