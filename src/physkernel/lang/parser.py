@@ -5,8 +5,13 @@ table the printer also reads, and every token is read once: where a
 comparison opens with a parenthesis, the token after the group's first
 operand decides whether the group is a proposition or an expression.
 ``PARSE_DEPTH_BUDGET`` bounds nesting and ``LITERAL_DIGIT_BUDGET`` literals.
-Whitespace and ``#`` comments are insignificant.  The full grammar is in
-``docs/grammar.ebnf``.
+The full grammar is in ``docs/grammar.ebnf``.
+
+The scanner matches one compiled pattern, one alternative per kind of
+lexeme, once per token; lines and columns come from offsets.  Non-ASCII
+identifiers (``μ_s``, ``θ``, ``x²``) go through the ``str`` predicates
+``_ident_start`` and ``_ident_cont``.  A token stores the spelling the parser
+matches and builds its ``Span`` only when a node or an error asks for it.
 
 Identifier resolution happens during parsing: a bare identifier resolves (in
 priority order) to a declared or quantified variable, a unit, or a constant;
@@ -24,13 +29,12 @@ Corpus front matter (``name:``, ``level:``, ``topic:``, ``source:``,
 
 from __future__ import annotations
 
-import difflib
 import re
 from decimal import Decimal
 from fractions import Fraction
 
 from ..errors import ParseError
-from ..record import record, replace
+from ..record import replace
 from ..unitdb import UnitDatabase, builtin_database
 from . import nodes as N
 from .nodes import Span
@@ -46,26 +50,58 @@ PARSE_DEPTH_BUDGET = 100
 LITERAL_DIGIT_BUDGET = 4300
 _LITERAL_LIMIT = 10**LITERAL_DIGIT_BUDGET
 
-_NUMBER_RE = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
-
 # Longest match first.
 _OPERATORS = [
     "**", "*.", ":=", "->", "/\\", "\\/", "!=", "<=", ">=",
     "(", ")", "{", "}", ",", ":", "=", "<", ">", "+", "-", "*", "/",
     "•", "∧", "∨", "→", "≤", "≥", "≠", "∀",
 ]
+# Alias normalization: every alias maps to its canonical operator.
+_OP_ALIASES = {"*.": "•", "/\\": "∧", "\\/": "∨", "→": "->", "≤": "<=",
+               "≠": "!=", "∀": "forall", "≥": ">="}
+# Operators and keywords: spelling -> (token kind, the spelling the parser
+# matches).  Any other token matches its kind.
+_SPELLINGS = {op: ("op", _OP_ALIASES.get(op, op)) for op in _OPERATORS}
+_SPELLINGS.update((word, ("keyword", word)) for word in [
+    "theorem", "forall", "in", "cast", "unit", "std", "val", "norm",
+    "deriv", "rpow", *N.FN_NAMES])
 
-_KEYWORDS = frozenset(
-    ["theorem", "forall", "in", "cast", "unit", "std", "val", "norm",
-     "deriv", "rpow", *N.FN_NAMES]
-)
+# One alternative per kind of lexeme, and the blanks after it.  "other" is
+# one character no other takes: an identifier start, or an error.  An ASCII
+# identifier that a non-ASCII character follows also starts with "other"
+# (the lookahead also keeps the match from backing off to a shorter one).
+# ``\s`` is ``str.isspace`` and ``\d`` a Unicode decimal digit.
+_LEXEME_RE = re.compile("(?:" + "|".join([
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_]|[^\x00-\x7f]))",
+    "(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")",
+    r"(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)",
+    r"(?P<newline>\n)",
+    r"(?P<comment>\#[^\n]*)",
+    r"(?P<space>\s)",
+    r"(?P<other>.)",
+]) + r")[^\S\n]*", re.DOTALL)
 
 
-@record(frozen=True)
 class Token:
-    kind: str  # "ident" | "number" | "op" | "keyword" | "eof"
-    text: str
-    span: Span
+    """A lexeme: its kind ("ident" | "number" | "op" | "keyword" | "eof"),
+    its text, the spelling the parser matches (an operator's canonical form,
+    a keyword, or else the kind) and where it starts and ends."""
+
+    __slots__ = ("kind", "text", "canon", "start", "end", "line", "col")
+
+    def __init__(self, kind: str, text: str, canon: str, start: int,
+                 end: int, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.canon = canon
+        self.start = start
+        self.end = end
+        self.line = line
+        self.col = col
+
+    @property
+    def span(self) -> Span:
+        return Span(self.start, self.end, self.line, self.col)
 
 
 def _ident_start(ch: str) -> bool:
@@ -77,63 +113,41 @@ def _ident_cont(ch: str) -> bool:
 
 
 def tokenize(text: str, start: int = 0) -> list[Token]:
+    """The tokens of ``text[start:]`` and a closing "eof" token.  A comment
+    does not advance the column of the "eof" token after it."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    for ch in text[:start]:
-        if ch == "\n":
-            line, col = line + 1, 1
-        else:
-            col += 1
+    append = tokens.append
+    match = _LEXEME_RE.match
+    line = text.count("\n", 0, start) + 1
+    line_start = text.rfind("\n", 0, start) + 1
     i = start
-    n = len(text)
+    n = end_col_at = len(text)
     while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        bline, bcol = line, col
-        if ch.isdigit():
-            m = _NUMBER_RE.match(text, i)
-            tok = m.group(0)
-            tokens.append(Token("number", tok, Span(i, m.end(), bline, bcol)))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if _ident_start(ch):
-            j = i + 1
-            while j < n and _ident_cont(text[j]):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in _KEYWORDS else "ident"
-            tokens.append(Token(kind, word, Span(i, j, bline, bcol)))
-            col += j - i
-            i = j
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("op", op, Span(i, i + len(op), bline, bcol)))
-                col += len(op)
-                i += len(op)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col,
-                             span=Span(i, i + 1, bline, bcol))
-    tokens.append(Token("eof", "", Span(n, n, line, col)))
+        m = match(text, i)
+        kind = m.lastgroup
+        after = m.end()
+        if kind == "newline":
+            line += 1
+            line_start = i + 1
+        elif kind == "comment":
+            if after == n:
+                end_col_at = i
+        elif kind != "space":
+            word = m[kind]
+            j = i + len(word)
+            if kind == "other":
+                if not _ident_start(text[i]):
+                    raise ParseError(
+                        f"unexpected character {text[i]!r}",
+                        span=Span(i, i + 1, line, i - line_start + 1))
+                while j < n and _ident_cont(text[j]):
+                    j += 1
+                word, kind, after = text[i:j], "ident", j
+            kind, canon = _SPELLINGS.get(word, (kind, kind))
+            append(Token(kind, word, canon, i, j, line, i - line_start + 1))
+        i = after
+    append(Token("eof", "", "eof", n, n, line, end_col_at - line_start + 1))
     return tokens
-
-
-# Alias normalization: every alias maps to its canonical operator.
-_OP_ALIASES = {"*.": "•", "/\\": "∧", "\\/": "∨", "→": "->", "≤": "<=",
-               "≠": "!=", "∀": "forall", "≥": ">="}
 
 
 def _over_budget(span: Span) -> ParseError:
@@ -167,14 +181,6 @@ _COMPARISONS = {**{op: (cls, False) for cls, op in N.COMPARISONS.items()},
                 ">=": (N.Le, True), ">": (N.Lt, True)}
 
 
-def _canon(tok: Token) -> str:
-    if tok.kind == "op":
-        return _OP_ALIASES.get(tok.text, tok.text)
-    if tok.kind == "keyword":
-        return tok.text
-    return tok.kind
-
-
 class _Parser:
     def __init__(self, tokens: list[Token], db: UnitDatabase,
                  extra_constants: frozenset[str] = frozenset()):
@@ -187,11 +193,11 @@ class _Parser:
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def at(self, what: str) -> bool:
-        return _canon(self.peek()) == what
+        return self.tokens[self.pos].canon == what
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -199,18 +205,22 @@ class _Parser:
         return t
 
     def expect(self, what: str) -> Token:
-        t = self.peek()
-        if _canon(t) != what:
+        t = self.tokens[self.pos]
+        if t.canon != what:
             raise self.err(f"unexpected {t.text!r}" if t.text else
                            "unexpected end of input", (what,))
         return self.next()
 
+    def _ident(self, message: str) -> Token:
+        if self.peek().kind != "ident":
+            raise self.err(message, ("identifier",))
+        return self.next()
+
     def err(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        t = self.peek()
-        return ParseError(message, t.span.line, t.span.col, expected, t.span)
+        return ParseError(message, expected=expected, span=self.peek().span)
 
     @staticmethod
-    def _merge(a: Span, b: Span) -> Span:
+    def _merge(a: Span | Token, b: Span | Token) -> Span:
         return Span(a.start, b.end, a.line, a.col)
 
     def _nested(self, parse, *args):
@@ -227,20 +237,14 @@ class _Parser:
 
     def statement(self, meta: dict[str, str],
                   constants: tuple[tuple[str, N.Expr], ...]) -> N.Statement:
-        start = self.expect("theorem").span
-        name_tok = self.peek()
-        if name_tok.kind != "ident":
-            raise self.err("expected a theorem name", ("identifier",))
-        self.next()
+        start = self.expect("theorem")
+        name_tok = self._ident("expected a theorem name")
         decls: list = []
         hyps: list[tuple[str, N.Prop]] = []
         hyp_names: set[str] = set()
         while self.at("("):
             self.next()
-            first = self.peek()
-            if first.kind != "ident":
-                raise self.err("expected a binder name", ("identifier",))
-            self.next()
+            first = self._ident("expected a binder name")
             if self.at(":="):
                 self.next()
                 if first.text in hyp_names or first.text in self.scope:
@@ -268,7 +272,7 @@ class _Parser:
             self.expect(")")
         self.expect(":")
         goal = self.prop()
-        end = self.expect("eof").span
+        end = self.expect("eof")
         return N.Statement(
             name=name_tok.text,
             decls=tuple(decls),
@@ -282,15 +286,10 @@ class _Parser:
         )
 
     def _kind_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.err("expected a kind name", ("identifier",))
+        tok = self._ident("expected a kind name")
         if not self.db.has_kind(tok.text):
-            hints = tuple(difflib.get_close_matches(tok.text, self.db.kinds, n=3))
-            raise ParseError(f"unknown kind {tok.text!r}"
-                             + (f" (did you mean: {', '.join(hints)}?)"
-                                if hints else ""), span=tok.span)
-        self.next()
+            raise ParseError(_hinted(f"unknown kind {tok.text!r}", tok.text,
+                                     self.db.kinds), span=tok.span)
         return tok.text
 
     def _kind(self):
@@ -311,7 +310,7 @@ class _Parser:
                 raise self.err("expected a comparison operator",
                                tuple(_COMPARISONS))
         while True:
-            op = _canon(self.peek())
+            op = self.peek().canon
             bp, right, build = _CONNECTIVES.get(op, (0, False, None))
             if bp < min_bp:
                 return lhs
@@ -320,11 +319,8 @@ class _Parser:
             lhs = build(lhs, rhs, self._merge(lhs.span, rhs.span))
 
     def _forall(self) -> N.Prop:
-        start = self.expect("forall").span
-        var_tok = self.peek()
-        if var_tok.kind != "ident":
-            raise self.err("expected a quantified variable name", ("identifier",))
-        self.next()
+        start = self.expect("forall")
+        var_tok = self._ident("expected a quantified variable name")
         annot: str | None = None
         if self.at(":"):
             self.next()
@@ -367,18 +363,18 @@ class _Parser:
         if self.at("forall"):
             return self._forall()
         if self.at("("):
-            start = self.next().span
+            start = self.next()
             inner = self._nested(self._cmp)
             if isinstance(inner, N.Prop):
                 inner = self._nested(self.prop, 1, inner)
                 self.expect(")")
                 return inner
-            end = self.expect(")").span
+            end = self.expect(")")
             group = replace(inner, span=self._merge(start, end))
             lhs = self._arith(lhs=self._power(group))
         else:
             lhs = self._arith()
-        op = _canon(self.peek())
+        op = self.peek().canon
         if op not in _COMPARISONS:
             return lhs
         self.next()
@@ -395,7 +391,7 @@ class _Parser:
         if lhs is None:
             lhs = self._unary()
         while True:
-            op = _canon(self.peek())
+            op = self.peek().canon
             bp, right, build = _ARITH_OPS.get(op, (0, False, None))
             if bp < min_bp:
                 return lhs
@@ -407,7 +403,7 @@ class _Parser:
     def _unary(self) -> N.Expr:
         if not self.at("-"):
             return self._power(self._atom())
-        start = self.next().span
+        start = self.next()
         arg = self._nested(self._unary)
         span = self._merge(start, arg.span)
         if isinstance(arg, N.NumLit):
@@ -422,14 +418,14 @@ class _Parser:
         exponent, end = self._exponent()
         return N.Pow(base, exponent, self._merge(base.span, end))
 
-    def _exponent(self) -> tuple[Fraction, Span]:
+    def _exponent(self) -> tuple[Fraction, Token]:
         if self.at("("):
             self.next()
             value = self._signed_rational()
-            return value, self.expect(")").span
+            return value, self.expect(")")
         return self._signed_number("expected an exponent literal")
 
-    def _signed_number(self, message: str) -> tuple[Fraction, Span]:
+    def _signed_number(self, message: str) -> tuple[Fraction, Token]:
         neg = self.at("-")
         if neg:
             self.next()
@@ -438,10 +434,10 @@ class _Parser:
             raise self.err(message, ("number",))
         self.next()
         value = _fraction_of(tok)
-        return (-value if neg else value), tok.span
+        return (-value if neg else value), tok
 
     def _signed_rational(self) -> Fraction:
-        value, span = self._signed_number("expected a number")
+        value, tok = self._signed_number("expected a number")
         if self.at("/"):
             self.next()
             den_tok = self.peek()
@@ -452,7 +448,7 @@ class _Parser:
             if den == 0:
                 raise ParseError("zero denominator in rational literal",
                                  span=den_tok.span)
-            value = _folded(value / den, self._merge(span, den_tok.span))
+            value = _folded(value / den, self._merge(tok, den_tok))
         return value
 
     def _call_arg(self) -> N.Expr:
@@ -463,59 +459,59 @@ class _Parser:
 
     def _atom(self) -> N.Expr:
         tok = self.peek()
-        t = _canon(tok)
+        t = tok.canon
         if tok.kind == "number":
             self.next()
             return N.NumLit(_fraction_of(tok), tok.span)
         if t == "(":
             self.next()
             inner = self._nested(self._arith)
-            end = self.expect(")").span
-            return replace(inner, span=self._merge(tok.span, end))
+            end = self.expect(")")
+            return replace(inner, span=self._merge(tok, end))
         if t == "std":
             self.next()
             return N.StdUnit(None, tok.span)
         if t in N.FN_NAMES:
             self.next()
             arg = self._call_arg()
-            return N.Fn(t, arg, self._merge(tok.span, arg.span))
+            return N.Fn(t, arg, self._merge(tok, arg.span))
         if t == "val" or t == "norm":
             self.next()
             arg = self._call_arg()
             cls = N.Val if t == "val" else N.Norm
-            return cls(arg, self._merge(tok.span, arg.span))
+            return cls(arg, self._merge(tok, arg.span))
         if t == "cast":
             self.next()
             self.expect("(")
             arg = self._nested(self._arith)
             self.expect(",")
             kind = self._kind_name()
-            end = self.expect(")").span
-            return N.Cast(arg, kind, self._merge(tok.span, end))
+            end = self.expect(")")
+            return N.Cast(arg, kind, self._merge(tok, end))
         if t == "unit":
             self.next()
             self.expect("(")
             kind = self._kind_name()
-            end = self.expect(")").span
+            end = self.expect(")")
             # unit(Kind) is the standard unit at a named kind's dimension.
             return N.Cast(N.StdUnit(None, tok.span), kind,
-                          self._merge(tok.span, end))
+                          self._merge(tok, end))
         if t == "rpow":
             self.next()
             self.expect("(")
             base = self._nested(self._arith)
             self.expect(",")
             exponent = self._nested(self._arith)
-            end = self.expect(")").span
-            return N.RPow(base, exponent, self._merge(tok.span, end))
+            end = self.expect(")")
+            return N.RPow(base, exponent, self._merge(tok, end))
         if t == "deriv":
             self.next()
             self.expect("(")
             fn = self._fn_var_name()
             self.expect(",")
             at = self._nested(self._arith)
-            end = self.expect(")").span
-            return N.Deriv(fn, at, self._merge(tok.span, end))
+            end = self.expect(")")
+            return N.Deriv(fn, at, self._merge(tok, end))
         if tok.kind == "ident":
             self.next()
             return self._resolve_ident(tok)
@@ -537,10 +533,10 @@ class _Parser:
         if self.at("(") and not isinstance(decl, N.VarDecl):
             if isinstance(decl, N.FnDecl):
                 arg = self._call_arg()
-                return N.Apply(name, arg, self._merge(tok.span, arg.span))
+                return N.Apply(name, arg, self._merge(tok, arg.span))
             if self.db.has_prefix(name):
                 arg = self._call_arg()
-                return N.PrefixApp(name, arg, self._merge(tok.span, arg.span))
+                return N.PrefixApp(name, arg, self._merge(tok, arg.span))
             raise ParseError(f"{name!r} is not callable", span=tok.span)
         if decl is not None:
             # Bare function variables are only legal beside another function
@@ -552,11 +548,15 @@ class _Parser:
             return N.ConstRef(name, tok.span)
         pool = (list(self.scope) + list(self.db.units)
                 + list(self.db.constants))
-        hints = tuple(difflib.get_close_matches(name, pool, n=3))
-        raise ParseError(
-            f"undeclared identifier {name!r}"
-            + (f" (did you mean: {', '.join(hints)}?)" if hints else ""),
-            span=tok.span)
+        raise ParseError(_hinted(f"undeclared identifier {name!r}", name,
+                                 pool), span=tok.span)
+
+
+def _hinted(message: str, name: str, pool) -> str:
+    """``message`` and the names of ``pool`` closest to ``name``."""
+    import difflib  # only an error message needs it
+    hints = difflib.get_close_matches(name, pool, n=3)
+    return message + (f" (did you mean: {', '.join(hints)}?)" if hints else "")
 
 
 def _fraction_of(tok: Token) -> Fraction:
@@ -565,6 +565,8 @@ def _fraction_of(tok: Token) -> Fraction:
     digits = len(mantissa.replace(".", "")) + int(exponent or 0)
     if digits > LITERAL_DIGIT_BUDGET:
         raise _over_budget(tok.span)
+    if tok.text.isdecimal():
+        return Fraction(int(tok.text))
     return Fraction(Decimal(tok.text))
 
 
@@ -638,10 +640,7 @@ def _parse_constant_overrides(text: str, offset: int, db: UnitDatabase):
     overrides: list[tuple[str, N.Expr]] = []
     p = _Parser(tokenize(text, offset), db)
     while not p.at("eof"):
-        name_tok = p.peek()
-        if name_tok.kind != "ident":
-            raise p.err("expected a constant name", ("identifier",))
-        p.next()
+        name_tok = p._ident("expected a constant name")
         p.expect("=")
         expr = p._arith()
         overrides.append((name_tok.text, expr))

@@ -19,7 +19,6 @@ produce a derived view that records what was overridden.
 
 from __future__ import annotations
 
-import difflib
 import enum
 from fractions import Fraction
 
@@ -92,6 +91,7 @@ class UnitDatabase:
     # -- lookups -------------------------------------------------------------
 
     def _missing(self, name: str, category: str, pool) -> UnknownIdentifier:
+        import difflib  # only an error message needs it
         hints = tuple(difflib.get_close_matches(name, pool, n=3))
         return UnknownIdentifier(name, category, hints)
 

@@ -87,3 +87,13 @@ def test_huge_residual_coefficient_is_unknown_not_internal(tmp_path):
     assert out.stdout == ("unknown: the goal does not follow by ring"
                           " arithmetic; residual: n - <20001-bit integer>\n")
     assert out.stderr == ""
+
+
+def test_a_digit_like_character_is_bad_input(tmp_path):
+    # "²" is a digit to str.isdigit, but no number starts with it.
+    path = tmp_path / "square.phys"
+    path.write_text("theorem t (x : Length) : x = ² • meter\n",
+                    encoding="utf-8")
+    out = _cli("check", str(path))
+    assert out.returncode == 3, out.stderr[-500:]
+    assert out.stderr == "error: 1:30: unexpected character '²'\n"

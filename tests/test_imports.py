@@ -57,7 +57,7 @@ def test_every_exported_name_is_its_home_module_object(package):
 
 
 #: Modules a subcommand must not load; every one of them must not load these.
-NEVER = {"dataclasses", "inspect"}
+NEVER = {"dataclasses", "inspect", "difflib"}
 NO_PROVER = {"physkernel.checker.prover", "physkernel.checker.ring",
              "physkernel.checker.script", "physkernel.harness",
              "physkernel.corpus"}

@@ -6,7 +6,9 @@ two shapes the parser folds at parse time (a negated literal and a literal
 ratio), since those deliberately normalize to a single literal node.
 """
 
+import ast
 import itertools
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -20,6 +22,8 @@ from physkernel.lang import parser
 from physkernel.lang.parser import parse_prop, parse_statement
 from physkernel.lang.printer import (print_expr, print_prop,
                                      print_statement)
+
+from oracles import tokenize_by_character
 
 N_ROUNDTRIP_CASES = 600
 
@@ -326,6 +330,8 @@ BAD_INPUTS = [
     (HEAD + "x = x -> forall u in {1/0}, x = x",
      "zero denominator in rational literal", 1, 50, ()),
     (HEAD + "x = 3 $", "unexpected character '$'", 1, 32, ()),
+    (HEAD + "x = ² • meter", "unexpected character '²'", 1, 30, ()),
+    (HEAD + "x = ① • meter", "unexpected character '①'", 1, 30, ()),
 ]
 
 
@@ -402,6 +408,77 @@ def test_each_token_is_read_once(db, monkeypatch):
     n_tokens = len(parser.tokenize(text))  # eof included
     parse_prop(text, db, VARS)
     assert (len(calls), n_tokens) == (204, 204)
+
+
+def test_digit_like_characters_continue_identifiers_only(db):
+    # "²" is a digit to str.isdigit but no decimal digit; "٣" is one.
+    assert [(t.kind, t.text) for t in parser.tokenize("x² = ٣")] == [
+        ("ident", "x²"), ("op", "="), ("number", "٣"), ("eof", "")]
+    assert parse_prop("u = ٣.٥", db, VARS).rhs.value == Fraction(7, 2)
+
+
+# -- the scanner against a character-at-a-time reference -------------------------
+
+def _error_of(e: ParseError):
+    return str(e), (e.span.start, e.span.end, e.span.line, e.span.col)
+
+
+def _scanned(text, start):
+    try:
+        return [(t.kind, t.text, t.start, t.end, t.line, t.col)
+                for t in parser.tokenize(text, start)]
+    except ParseError as e:
+        return _error_of(e)
+
+
+def _by_character(text, start):
+    try:
+        return tokenize_by_character(text, start)
+    except ParseError as e:
+        return _error_of(e)
+
+
+def _assert_scans_like_reference(text, start=0):
+    got = _scanned(text, start)
+    try:
+        want = _by_character(text, start)
+    except AttributeError:
+        # The reference crashes where a digit-like "²" starts a token; the
+        # scanner must reject it where the reference rejects "$".
+        assert isinstance(got, tuple), (text, start)
+        at = got[1][0]
+        ch = text[at]
+        assert ch.isdigit() and not ch.isdecimal(), (text, start)
+        message, span = _by_character(text[:at] + "$" + text[at + 1:], start)
+        want = (message.replace("'$'", repr(ch)), span)
+    assert got == want, (text, start)
+
+
+_FRAGMENTS = [*parser._OPERATORS, " ", "\t", "\r", "\n", "# note", "#", "x",
+              "ab", "_", "v1", "theorem", "forall", "in", "0", "12", "3.5",
+              "1e3", "2E-4", ".", "e", "@", "μ", "μ_s", "θ", "é℘",
+              "e\u0301", "٣", "²", "½"]  # e and a combining accent
+
+
+def test_scanner_matches_the_character_reference(corpus_dir):
+    corpus = [p.read_text(encoding="utf-8")
+              for p in sorted(corpus_dir.rglob("*.phys"))]
+    texts = list(corpus)
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        texts += [node.value for node in ast.walk(ast.parse(path.read_text(
+            encoding="utf-8"))) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)]
+    for text in texts:
+        _assert_scans_like_reference(text)
+    rng = random.Random(16)
+    for k in range(20_000):
+        text = "".join(rng.choices(_FRAGMENTS, k=rng.randint(1, 6)))
+        _assert_scans_like_reference(text)
+        if k % 500 == 0:
+            _assert_scans_like_reference(text, rng.randint(1, len(text)))
+    for text in corpus:
+        for start in (1, len(text) // 3, len(text) // 2):
+            _assert_scans_like_reference(text, start)
 
 
 DEPTH_SHAPES = {
