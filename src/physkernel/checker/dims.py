@@ -266,6 +266,14 @@ def resolve_statement(stmt: N.Statement,
     """
     db = db or builtin_database()
     env = _build_env(stmt, db)
+    props = [prop for _, prop in stmt.hyps] + [stmt.goal]
+    if not any(isinstance(n, N.StdUnit) and n.dim is None
+               for prop in props for n in N.walk(prop)):
+        # Nothing to fill in.  Walking the connectives still rejects a
+        # quantifier whose kind cannot be inferred, as resolving does.
+        for prop in props:
+            _walk_prop(prop, env, db, lambda p, env, db: p)
+        return stmt
     changed = False
     hyps = []
     for name, prop in stmt.hyps:

@@ -158,10 +158,16 @@ def rewrite_ground(node, pattern: N.Expr, replacement: N.Expr):
                     lambda hit: inserted if hit == names else frozenset())
 
 
-def applied_fns(node) -> set[str]:
-    """Function names applied (as Apply or Deriv heads) free in ``node``."""
-    heads = {n.fn for n in N.walk(node) if isinstance(n, (N.Apply, N.Deriv))}
-    return heads & free_vars(node)
+def applied_fns(node) -> frozenset[str]:
+    """Function names applied (as Apply or Deriv heads) free in ``node``.
+
+    Cached on the node, as ``free_vars`` is, so a tree is walked once.
+    """
+    cached = node.__dict__.get("_applied_fns")
+    if cached is None:
+        cached = node.__dict__["_applied_fns"] = free_vars(node) & {
+            n.fn for n in N.walk(node) if isinstance(n, (N.Apply, N.Deriv))}
+    return cached
 
 
 class Substitution:

@@ -17,8 +17,15 @@ needs its text, so labels read as if the tree had been rewritten first.
 Polynomials are ``Poly`` dicts, sparse maps from monomials to exact rational
 coefficients, from translation through elimination to the prover's side
 conditions; a dict is never mutated after it is built, so records and
-rational functions share them freely.  A monomial is a sorted tuple of
-(atom, exponent) pairs with no zero exponent.
+rational functions share them freely, and a result may be one of the
+operands.  The kernel skips work whose answer is known: ``poly_mul`` returns
+the other operand of a unit (``{(): 1}``) and maps the other operand's
+monomials for a one-term one, ``poly_pow`` of a two-term polynomial builds
+each term's monomial directly, ``RationalFunc.add`` and ``mul`` work on the
+numerators alone over unit denominators, and a substitution builds each
+power of its solution once.  Each still builds the terms of the plain
+product loop, in the same order.  A monomial is a sorted tuple of (atom,
+exponent) pairs with no zero exponent.
 Every coefficient is in one normal form (``_coeff``): an ``int`` when it is
 integral, a ``Fraction`` otherwise, so integer arithmetic builds no
 ``Fraction``.  Floats never enter.  Equality of rational functions is decided
@@ -64,6 +71,7 @@ Coeff = int | Fraction  # normal form: an int when integral (see ``_coeff``)
 Poly = dict[Monomial, Coeff]
 
 _ONE: Monomial = ()
+_UNIT: Poly = {_ONE: 1}  # compared with, never handed out
 
 
 # -- polynomial primitives ----------------------------------------------------
@@ -120,6 +128,19 @@ def poly_sub(p: Poly, q: Poly) -> Poly:
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
+    """``p * q``; the result may be an operand: a unit operand returns the
+    other.  A one-term operand maps the other's monomials, since multiplying
+    by a fixed monomial is injective: no two products collide or cancel."""
+    if len(p) == 1:
+        (m1, c1), = p.items()
+        if not m1 and c1 == 1:
+            return q
+        return {_mono_mul(m1, m2): _coeff(c1 * c2) for m2, c2 in q.items()}
+    if len(q) == 1:
+        (m2, c2), = q.items()
+        if not m2 and c2 == 1:
+            return p
+        return {_mono_mul(m1, m2): _coeff(c1 * c2) for m1, c1 in p.items()}
     out: Poly = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -136,7 +157,12 @@ def poly_pow(p: Poly, n: int) -> Poly:
     """``p ** n`` by the binomial split ``p = t + r`` of one term ``t``:
     ``sum C(n, j) t^(n-j) r^j``.  The powers of ``r`` are built by repeated
     multiplication, one at a time, so the cost grows with the terms of the
-    result, not with the products of dense intermediate squares."""
+    result, not with the products of dense intermediate squares.
+
+    The result may be the operand itself: ``p ** 1`` is ``p``.  When ``r``
+    is one term (``p`` has two), every term ``t^(n-j) r^j`` of the sum has
+    a monomial of its own, built from the two terms' exponents at once.
+    """
     if n < 0:
         raise ValueError("poly_pow expects a non-negative exponent")
     if n == 0:
@@ -150,7 +176,21 @@ def poly_pow(p: Poly, n: int) -> Poly:
     tm, tc = next(items)
     r = dict(items)
     out: Poly = {}
-    binom, rj = 1, poly_const(1)  # C(n, j) and r^j
+    binom = 1  # C(n, j)
+    if len(r) == 1:
+        (rm, rc), = r.items()
+        t_exps, r_exps = dict(tm), dict(rm)
+        # (atom, its exponent in t, in r) over both terms' atoms, sorted.
+        exps = [(a, t_exps.get(a, 0), r_exps.get(a, 0))
+                for a in sorted({*t_exps, *r_exps})]
+        for j in range(n + 1):
+            k = n - j
+            out[tuple([(a, e) for a, et, er in exps
+                       if (e := et * k + er * j)])] = _coeff(
+                binom * tc ** k * rc ** j)
+            binom = binom * k // (j + 1)
+        return out
+    rj = poly_const(1)  # r^j
     for j in range(n + 1):
         k = n - j
         # t^0 is the empty monomial, not t's atoms to the power 0:
@@ -247,6 +287,8 @@ class RationalFunc:
         return not self.num
 
     def add(self, other: "RationalFunc") -> "RationalFunc":
+        if self.den == _UNIT and other.den == _UNIT:
+            return RationalFunc(poly_add(self.num, other.num), self.den)
         return RationalFunc(
             poly_add(poly_mul(self.num, other.den),
                      poly_mul(other.num, self.den)),
@@ -259,6 +301,8 @@ class RationalFunc:
         return self.add(other.neg())
 
     def mul(self, other: "RationalFunc") -> "RationalFunc":
+        if self.den == _UNIT and other.den == _UNIT:
+            return RationalFunc(poly_mul(self.num, other.num), self.den)
         return RationalFunc(poly_mul(self.num, other.num),
                             poly_mul(self.den, other.den))
 
@@ -312,7 +356,7 @@ class RationalFunc:
         return RationalFunc(poly_scale(num, inv), poly_scale(den, inv))
 
     def render(self) -> str:
-        if self.den == poly_const(1):
+        if self.den == _UNIT:
             return poly_render(self.num)
         return f"({poly_render(self.num)}) / ({poly_render(self.den)})"
 
@@ -615,37 +659,49 @@ def _pivots(c: Constraint, preferred: set[Atom]) -> list[EliminationStep]:
     return out
 
 
-def _check_terms(rf: RationalFunc) -> RationalFunc:
-    for p in (rf.num, rf.den):
+def _check_terms(num: Poly, den: Poly) -> None:
+    for p in (num, den):
         if len(p) > ELIM_TERM_BUDGET:
             raise EliminationBudgetExceeded(
                 "ELIM_TERM_BUDGET", ELIM_TERM_BUDGET,
                 f"built a polynomial of {len(p)} terms")
-    return rf
 
 
 def _subst_poly(p: Poly, atom: Atom, d: int, sol: RationalFunc) -> RationalFunc:
     """Replace atom^d by ``sol`` throughout ``p`` (atom^e -> atom^(e mod d) sol^(e//d)).
 
-    The running sum is held to ``ELIM_TERM_BUDGET``, since its denominator
-    grows with every term.
+    Each power of ``sol`` is built once.  The terms are summed as
+    ``RationalFunc.add`` sums them, over the product of their denominators,
+    and every partial sum is held to ``ELIM_TERM_BUDGET``, since its
+    denominator grows with every term.
     """
-    total = RationalFunc({})
+    powers: dict[int, RationalFunc] = {}
+    num: Poly = {}
+    den = poly_const(1)
     for m, c in p.items():
-        e = poly_degree_in(m, atom)
-        q, r = divmod(e, d)
-        base: Poly = {_mono_mul(
-            tuple((a, k) for a, k in m if a != atom),
-            ((atom, r),) if r else _ONE,
-        ): c}
-        total = _check_terms(total.add(RationalFunc(base).mul(sol.pow(q))))
-    return total
+        q, r = divmod(poly_degree_in(m, atom), d)
+        power = powers.get(q)
+        if power is None:
+            power = powers[q] = sol.pow(q)
+        # m with atom^e replaced by atom^r: the atoms keep their order.
+        if r:
+            m = tuple([(a, r if a == atom else k) for a, k in m])
+        elif q:
+            m = tuple([ak for ak in m if ak[0] != atom])
+        base: Poly = {m: c}
+        num = poly_add(poly_mul(num, power.den),
+                       poly_mul(poly_mul(base, power.num), den))
+        den = poly_mul(den, power.den)
+        _check_terms(num, den)
+    return RationalFunc(num, den)
 
 
 def _subst_rf(rf: RationalFunc, atom: Atom, d: int,
               sol: RationalFunc) -> RationalFunc:
-    return _check_terms(_subst_poly(rf.num, atom, d, sol).div(
-        _subst_poly(rf.den, atom, d, sol)))
+    out = _subst_poly(rf.num, atom, d, sol).div(
+        _subst_poly(rf.den, atom, d, sol))
+    _check_terms(out.num, out.den)
+    return out
 
 
 #: Search nodes (calls of ``_search``) one ``eliminate`` may visit.  No

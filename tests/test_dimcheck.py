@@ -224,6 +224,34 @@ def test_quantified_variable_kinds(db):
         """, db), db)
 
 
+def test_a_statement_without_std_resolves_to_itself(db, monkeypatch):
+    from physkernel.checker import dims
+
+    def rebuild(*args):
+        raise AssertionError("a statement without std was rebuilt")
+
+    monkeypatch.setattr(dims, "transform", rebuild)
+    s = stmt_of("""
+        theorem no_std
+        (x : Length) (t : Time) (f : Time -> Length)
+        (h := forall u, f(u) = cast(x, Length))
+        (h2 := x = t)
+        : x = 2 • meter
+    """, db)
+    assert resolve_statement(s, db) is s
+    report = check_dimensions(s, db)
+    assert [e.homogeneous for e in report.entries] == [True, False, True]
+    # A quantifier whose kind cannot be inferred is still rejected, even
+    # behind a mismatch that the report alone would stop at.
+    with pytest.raises(ParseError, match="cannot infer the kind"):
+        resolve_statement(stmt_of("""
+            theorem unknowable
+            (x : Length) (t : Time)
+            (h := x = t ∧ (forall w, w = w))
+            : x = x
+        """, db), db)
+
+
 def test_every_corpus_statement_is_homogeneous(db, corpus_dir):
     for path in sorted(corpus_dir.rglob("*.phys")):
         s = parse_statement(path.read_text(encoding="utf-8"), db)

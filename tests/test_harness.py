@@ -172,6 +172,41 @@ def test_run_eval_prepares_each_statement_once(db, corpus_dir, monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_eval_walks_each_classified_tree_once(db, corpus_dir,
+                                                  monkeypatch):
+    # Proving and replaying the corpus asks prover.applied_fns about the
+    # same hypothesis trees again and again; the answer is cached on the
+    # tree, so each distinct tree is walked once.
+    from physkernel.checker import prover
+    from physkernel.lang import nodes
+
+    walks = inner = 0
+    trees = []
+    walk, applied_fns = nodes.walk, prover.applied_fns
+
+    def counting_walk(node):
+        nonlocal walks
+        walks += 1
+        return walk(node)
+
+    def recording(node):
+        nonlocal inner
+        trees.append(node)
+        before = walks
+        result = applied_fns(node)
+        inner += walks - before
+        return result
+
+    monkeypatch.setattr(nodes, "walk", counting_walk)
+    monkeypatch.setattr(prover, "applied_fns", recording)
+    # Fresh trees: no earlier test has cached a classification on them.
+    entries = load_corpus(corpus_dir, db)
+    report, _ = run_eval(entries, BuiltinProver(db), db=db)
+    distinct = len({id(t) for t in trees})
+    assert len(trees) > 2 * distinct > 0
+    assert inner == distinct
+
+
 G_TEXT = "theorem g_value\n  : g = 9.8 • meter / second**2\n"
 
 

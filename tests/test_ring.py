@@ -26,13 +26,16 @@ from physkernel.checker.ring import (
     translate_difference,
 )
 from physkernel.errors import (
-    DivisionByZero, NotPolynomial, UnsupportedNode,
+    DivisionByZero, EliminationBudgetExceeded, NotPolynomial, UnsupportedNode,
 )
 from physkernel.lang import nodes as N
 from physkernel.lang.parser import parse_expression, parse_statement
 from physkernel.quantity import Quantity
 
-from oracles import poly_eval
+from oracles import (
+    RationalFuncLoop, poly_eval, poly_mul_loop, poly_pow_loop,
+    subst_poly_loop,
+)
 
 N_RING_ORACLE_CASES = 600
 N_SAMPLE_POINTS = 10
@@ -694,6 +697,92 @@ def test_poly_pow_work_is_linear_in_the_exponent(monkeypatch):
     assert calls <= 4 * n
     assert len(powered) == n + 1
     assert powered[((_U, 750), (_W, 750))] == math.comb(n, 750)
+
+
+# -- the kernel's fast paths against the plain product loop -------------------
+
+N_KERNEL_CASES = 2000
+#: Sorted, as a monomial's atoms are; the base dimension may have a negative
+#: exponent, and _U is the atom substituted.
+_KERNEL_ATOMS = (_U, _W, (ring._CONST, "c"), _LENGTH, (ring._OPAQUE, "sin(w)"))
+#: Products of these are integral often enough to test the normal form.
+_KERNEL_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
+                  Fraction(3, 2), Fraction(2, 3))
+
+
+def _kernel_poly(rng, atoms=_KERNEL_ATOMS):
+    """The unit, the constant -1, one term, two terms (a one-term binomial
+    remainder) or zero to four terms."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return {(): 1}
+    if kind == 1:
+        return {(): -1}
+    p = {}
+    for _ in range(kind - 1 if kind < 4 else rng.randint(0, 4)):
+        m = tuple((a, rng.choice((-2, -1, 1, 2)) if a == _LENGTH
+                   else rng.randint(1, 3 if a != _U else 5))
+                  for a in atoms if rng.random() < 0.4)
+        p[m] = rng.choice(_KERNEL_COEFFS)
+    return p
+
+
+def _terms(p):
+    """Terms in order, with each coefficient's type (its normal form)."""
+    return [(m, c, type(c)) for m, c in p.items()]
+
+
+def _outcome(f, *args):
+    try:
+        rf = f(*args)
+    except (DivisionByZero, EliminationBudgetExceeded) as e:
+        return type(e), str(e)
+    return _terms(rf.num), _terms(rf.den)
+
+
+def test_kernel_fast_paths_match_the_product_loop(monkeypatch):
+    # The unit and one-term paths of poly_mul, the two-term path of
+    # poly_pow, the unit-denominator paths of RationalFunc.add and mul, and
+    # _subst_poly's shared powers must build the same terms, in the same
+    # order and normal form, as the loop oracles (pivots, budget messages
+    # and reports depend on the order), and must mutate no operand, even one
+    # they return.  A budget of 4 makes _subst_poly stop at a partial sum.
+    rng = random.Random(0x4E1)
+    seen = {"unit": 0, "one-term": 0, "binomial": 0, "budget": 0,
+            "division": 0, "substituted": 0}
+    for budget in (4, ring.ELIM_TERM_BUDGET):
+        monkeypatch.setattr(ring, "ELIM_TERM_BUDGET", budget)
+        for _ in range(N_KERNEL_CASES // 2):
+            p, q, pd, qd = (_kernel_poly(rng) for _ in range(4))
+            pd, qd = pd or None, qd or None
+            subst = _kernel_poly(rng)
+            sol_num, sol_den = (_kernel_poly(rng, _KERNEL_ATOMS[1:])
+                                for _ in range(2))
+            sol_den = sol_den or None
+            inputs = [p, q, pd or {}, qd or {}, subst, sol_num, sol_den or {}]
+            before = [_terms(part) for part in inputs]
+            n = rng.randint(0, 6)
+            assert _terms(poly_mul(p, q)) == _terms(poly_mul_loop(p, q))
+            assert _terms(poly_pow(p, n)) == _terms(poly_pow_loop(p, n))
+            a, b = RationalFunc(p, pd), RationalFunc(q, qd)
+            a_loop, b_loop = RationalFuncLoop(p, pd), RationalFuncLoop(q, qd)
+            for op in ("add", "mul", "div"):
+                assert (_outcome(getattr(a, op), b)
+                        == _outcome(getattr(a_loop, op), b_loop))
+            assert _outcome(a.pow, n - 3) == _outcome(a_loop.pow, n - 3)
+            d = rng.randint(1, 3)
+            got = _outcome(ring._subst_poly, subst, _U, d,
+                           RationalFunc(sol_num, sol_den))
+            assert got == _outcome(subst_poly_loop, subst, _U, d,
+                                   RationalFuncLoop(sol_num, sol_den))
+            assert [_terms(part) for part in inputs] == before
+            seen["unit"] += {(): 1} in (p, q, pd, qd)
+            seen["one-term"] += len(p) == 1 or len(q) == 1
+            seen["binomial"] += len(p) == 2 and n >= 2
+            seen["budget"] += got[0] is EliminationBudgetExceeded
+            seen["division"] += not q
+            seen["substituted"] += any(_U in dict(m) for m in subst)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_exact_coefficient_corners(db):
