@@ -666,8 +666,7 @@ def _orient(session: _Session, sg: _Subgoal) -> list[str]:
 # replay finds its set-up here.  Statements and databases are frozen and
 # never mutated, and _prepare is a deterministic function of the two, so an
 # identity hit returns what recomputing would; nothing from the prover's
-# search is kept.  Reading or replacing the tuple is atomic, so threads may
-# share it: a miss only recomputes.
+# search is kept.
 _last_prepared: tuple = (None, None, None)
 
 

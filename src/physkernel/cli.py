@@ -232,9 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=1,
                    help="attempts per entry (default 1)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers (default 1); helps only with"
-                        " --prover-cmd, as the built-in prover holds the"
-                        " interpreter lock")
+                   help="external prover processes run at once (default 1);"
+                        " the built-in prover runs one entry at a time")
     p.add_argument("--timeout", type=float, default=60.0,
                    help="per-attempt timeout for external provers, seconds")
     p.add_argument("--report", metavar="FILE",

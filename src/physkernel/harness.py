@@ -18,6 +18,8 @@ Two bindings ship with the package:
   response must echo the ``id`` and give either a ``"script"`` string or
   an ``"error"``.  A crash, malformed response, or timeout counts as a
   failed attempt, and the subprocess is restarted for the next request.
+  Up to ``jobs`` of them run at once, driven by one ``selectors`` loop in
+  the calling thread (POSIX only: it selects on pipes).
 
 Reports are deliberately timing-free and field-ordered so that the same
 run always serializes to the same bytes; wall-clock numbers live only in
@@ -28,6 +30,7 @@ rendered with half-up rounding to two decimals.
 from __future__ import annotations
 
 import json
+import os
 import time
 from fractions import Fraction
 
@@ -82,8 +85,9 @@ class ProverBinding:
     """Interface for anything that proposes derivation scripts.
 
     ``name`` identifies the binding in reports; ``deterministic`` lets the
-    harness skip retries that are guaranteed to repeat a failure.  Call
-    ``session()`` once per worker thread; sessions are not thread-safe.
+    harness skip retries that are guaranteed to repeat a failure.
+    ``run_eval`` makes its attempts in one ``session()``, one at a time,
+    but drives an :class:`ExternalProver`'s processes itself.
     """
 
     name: str = "unnamed"
@@ -140,92 +144,135 @@ class ExternalProver(ProverBinding):
         self.timeout = timeout
         self.deterministic = deterministic
 
-    def session(self) -> ProverSession:
-        return _ExternalSession(self)
+
+class _Slot:
+    """One prover process of the external loop and its attempt in flight."""
+
+    proc = None
+    buf = b""  # the part of a reply line read so far
+    entry: int | None = None  # the attempt's entry index; None when done
+    attempt = 0
+    rid = ""  # the request's id
+    started = 0.0
 
 
-# Only this session runs processes and threads, so it imports their modules
-# itself: the built-in prover's runs never load them.
-class _ExternalSession(ProverSession):
-    def __init__(self, binding: ExternalProver):
-        self.binding = binding
-        self.proc: subprocess.Popen | None = None
-        self.lines: queue.Queue[str | None] | None = None  # set by _spawn
+def _run_external(binding: ExternalProver, entries, jobs: int,
+                  settle) -> None:
+    """Run every entry's attempts on up to ``jobs`` prover processes.
 
-    def _spawn(self) -> None:
-        import queue
-        import subprocess
-        import threading
-        self.proc = subprocess.Popen(
-            self.binding.argv, stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-        self.lines = queue.Queue()
+    ``settle(i, started, script, reason)`` logs an attempt at entry ``i``
+    and says whether the entry gets another, which goes to the same slot.
+    After an exception, such as Ctrl-C's KeyboardInterrupt, every process
+    is killed at once; after a normal end each has 2 s to exit.
+    """
+    import selectors  # only here: runs of the built-in prover load neither
+    import subprocess
 
-        def pump(proc: subprocess.Popen, out: queue.Queue) -> None:
-            assert proc.stdout is not None
-            for line in proc.stdout:
-                out.put(line)
-            out.put(None)
+    sel = selectors.DefaultSelector()
+    todo = iter(range(len(entries)))
+    slots = [_Slot() for _ in range(min(jobs, len(entries)))]
 
-        threading.Thread(target=pump, args=(self.proc, self.lines),
-                         daemon=True).start()
-
-    def _kill(self) -> None:
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait()
-        self.proc = None
-
-    def attempt(self, entry: CorpusEntry, attempt_no: int) -> str:
-        import queue
-        if self.proc is None or self.proc.poll() is not None:
-            self._spawn()
-        assert self.proc is not None and self.proc.stdin is not None
-        request = {"id": f"{entry.name}#{attempt_no}",
-                   "statement": entry.text, "attempt": attempt_no}
+    def stop(s: _Slot, grace: float = 0.0) -> None:
+        """Close the process's input; kill it if it runs ``grace`` s on."""
+        if s.proc is None:
+            return
+        s.proc.stdin.close()
         try:
-            self.proc.stdin.write(json.dumps(request) + "\n")
-            self.proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            self._kill()
-            raise PhysKernelError(f"prover process died: {exc}") from None
+            s.proc.wait(timeout=grace)
+        except subprocess.TimeoutExpired:
+            s.proc.kill()
+            s.proc.wait()
+        sel.unregister(s.proc.stdout)
+        s.proc.stdout.close()
+        s.proc, s.buf = None, b""
+
+    def send(s: _Slot) -> str | None:
+        """Send the slot's attempt: None, or why it could not be sent."""
+        s.started = time.monotonic()
+        if s.proc is None or s.proc.poll() is not None:
+            stop(s)
+            try:
+                s.proc = subprocess.Popen(  # unbuffered: no flush to fail
+                    binding.argv, bufsize=0, stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+            except OSError as exc:
+                return str(exc)
+            sel.register(s.proc.stdout, selectors.EVENT_READ, s)
+        entry = entries[s.entry]
+        s.rid = f"{entry.name}#{s.attempt}"
+        request = {"id": s.rid, "statement": entry.text,
+                   "attempt": s.attempt}
         try:
-            line = self.lines.get(timeout=self.binding.timeout)
-        except queue.Empty:
-            self._kill()
-            raise PhysKernelError(
-                f"prover timed out after {self.binding.timeout}s") from None
-        if line is None:
-            self._kill()
-            raise PhysKernelError("prover process exited without replying")
+            s.proc.stdin.write(json.dumps(request).encode() + b"\n")
+        except OSError as exc:
+            stop(s)
+            return f"prover process died: {exc}"
+        return None
+
+    def step(s: _Slot, script: str | None = None,
+             reason: str | None = None) -> None:
+        """Settle the slot's attempt, if any, and send it the next one."""
+        while True:
+            if s.entry is not None and settle(s.entry, s.started, script,
+                                              reason):
+                s.attempt += 1
+            else:
+                s.entry, s.attempt = next(todo, None), 1
+                if s.entry is None:  # no work left: let the process exit
+                    if s.proc is not None:
+                        s.proc.stdin.close()
+                    return
+            script, reason = None, send(s)
+            if reason is None:
+                return
+
+    def reply(s: _Slot, line: bytes) -> tuple[str | None, str | None]:
+        """The script in a reply line, or why the attempt failed."""
         try:
-            reply = json.loads(line)
-        except json.JSONDecodeError as exc:
-            self._kill()
-            raise PhysKernelError(f"malformed prover reply: {exc}") from None
-        if not isinstance(reply, dict) or reply.get("id") != request["id"]:
-            self._kill()
-            raise PhysKernelError("prover reply id does not match request")
-        if "error" in reply:
-            raise PhysKernelError(f"prover reported: {reply['error']}")
-        script = reply.get("script")
+            obj = json.loads(line.decode())
+        except ValueError as exc:
+            stop(s)
+            return None, f"malformed prover reply: {exc}"
+        if not isinstance(obj, dict) or obj.get("id") != s.rid:
+            stop(s)
+            return None, "prover reply id does not match request"
+        if "error" in obj:
+            return None, f"prover reported: {obj['error']}"
+        script = obj.get("script")
         if not isinstance(script, str):
-            raise PhysKernelError("prover reply carries no script")
-        return script
+            return None, "prover reply carries no script"
+        return script, None
 
-    def close(self) -> None:
-        import subprocess
-        if self.proc is not None and self.proc.stdin is not None:
-            try:
-                self.proc.stdin.close()
-            except OSError:
-                pass
-        if self.proc is not None:
-            try:
-                self.proc.wait(timeout=2)
-            except subprocess.TimeoutExpired:
-                self._kill()
-        self.proc = None
+    grace = 0.0
+    try:
+        for s in slots:
+            step(s)
+        while busy := [s for s in slots if s.entry is not None]:
+            wait = (min(s.started for s in busy) + binding.timeout
+                    - time.monotonic())
+            for key, _ in sel.select(max(wait, 0.0)):
+                s = key.data
+                data = os.read(key.fd, 65536)
+                if not data:
+                    stop(s)
+                    step(s, None, "prover process exited without replying")
+                s.buf += data
+                # A line past the reply is read as the next request's reply.
+                while s.entry is not None and b"\n" in s.buf:
+                    end = s.buf.index(b"\n") + 1
+                    line, s.buf = s.buf[:end], s.buf[end:]
+                    step(s, *reply(s, line))
+            expired = time.monotonic() - binding.timeout
+            for s in busy:
+                if s.entry is not None and s.started <= expired:
+                    stop(s)
+                    step(s, None, f"prover timed out after {binding.timeout}s")
+        grace = 2.0
+    finally:
+        deadline = time.monotonic() + grace
+        for s in slots:
+            stop(s, max(deadline - time.monotonic(), 0.0))
+        sel.close()
 
 
 # -- verification ----------------------------------------------------------------
@@ -337,12 +384,12 @@ def run_eval(entries, binding: ProverBinding, k: int = 1, jobs: int = 1,
              ) -> tuple[EvalReport, tuple[AttemptRecord, ...]]:
     """Evaluate a binding over corpus entries with pass@k semantics.
 
-    Returns the deterministic report and the timed attempt log.  ``jobs``
-    parallelizes across entries; each worker thread gets its own prover
-    session, so external bindings run one subprocess per worker.  An
-    exception in the calling thread, such as Ctrl-C's KeyboardInterrupt,
-    surfaces without waiting for the workers, which stop before their next
-    entry.
+    Returns the deterministic report and the timed attempt log, both in
+    entry order.  ``jobs`` is the number of :class:`ExternalProver`
+    processes that run at once; any other binding runs its attempts one
+    after another in one session, whatever ``jobs`` is.  Everything runs
+    in the calling thread, so an exception there, such as Ctrl-C's
+    KeyboardInterrupt, ends the run at once.
     """
     entries = tuple(entries)
     if k < 1:
@@ -350,95 +397,46 @@ def run_eval(entries, binding: ProverBinding, k: int = 1, jobs: int = 1,
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     db = db or builtin_database()
+    logs: list[list[AttemptRecord]] = [[] for _ in entries]
 
-    def evaluate(session: ProverSession,
-                 entry: CorpusEntry) -> tuple[EntryResult, list[AttemptRecord]]:
-        log: list[AttemptRecord] = []
-        passed = False
-        for attempt_no in range(1, k + 1):
-            started = time.monotonic()
-            reason: str | None = None
+    def settle(i: int, started: float, script: str | None,
+               reason: str | None) -> bool:
+        """Verify and log an attempt at entry ``i``: does it get another?"""
+        entry, log = entries[i], logs[i]
+        if reason is None:
             try:
-                script = session.attempt(entry, attempt_no)
-                ok = verify_script_text(entry, script, db)
-                if not ok:
+                if not verify_script_text(entry, script, db):
                     reason = "script did not verify"
             except Exception as exc:
-                ok = False
                 reason = str(exc) or type(exc).__name__
-            wall_ms = (time.monotonic() - started) * 1000.0
-            log.append(AttemptRecord(entry.name, attempt_no, ok, reason,
-                                     wall_ms))
-            if ok:
-                passed = True
-                break
-            if binding.deterministic:
-                break
-        result = EntryResult(entry.name, entry.topic,
-                             entry.level or _UNLEVELED, entry.tier.value,
-                             passed, len(log))
-        return result, log
+        wall_ms = (time.monotonic() - started) * 1000.0
+        log.append(AttemptRecord(entry.name, len(log) + 1, reason is None,
+                                 reason, wall_ms))
+        return (reason is not None and not binding.deterministic
+                and len(log) < k)
 
-    results: dict[str, EntryResult] = {}
-    logs: dict[str, list[AttemptRecord]] = {}
-
-    if jobs == 1:
+    if isinstance(binding, ExternalProver):
+        _run_external(binding, entries, jobs, settle)
+    else:
         session = binding.session()
         try:
-            for entry in entries:
-                results[entry.name], logs[entry.name] = evaluate(session,
-                                                                 entry)
+            for i, entry in enumerate(entries):
+                for n in range(1, k + 1):
+                    started = time.monotonic()
+                    try:
+                        script, reason = session.attempt(entry, n), None
+                    except Exception as exc:
+                        script, reason = None, str(exc) or type(exc).__name__
+                    if not settle(i, started, script, reason):
+                        break
         finally:
             session.close()
-    else:
-        import queue
-        import threading
 
-        # Each worker hands every finished entry, and at its end its error or
-        # None, to this thread, which waits for nothing else: Ctrl-C
-        # surfaces at once, or when the next entry ends if no signal wakes
-        # this thread, and the workers stop before their next entry.
-        stop = threading.Event()
-        done: queue.SimpleQueue = queue.SimpleQueue()
-
-        def worker(chunk: tuple[CorpusEntry, ...]) -> None:
-            error = None
-            try:
-                session = binding.session()
-                try:
-                    for entry in chunk:
-                        if stop.is_set():
-                            break
-                        done.put((entry, evaluate(session, entry)))
-                finally:
-                    session.close()
-            except BaseException as exc:  # re-raised in the caller's thread
-                error = exc
-            done.put((None, error))
-
-        threads = [threading.Thread(target=worker, args=(chunk,))
-                   for chunk in (entries[i::jobs] for i in range(jobs))
-                   if chunk]
-        for t in threads:
-            t.start()
-        running = len(threads)
-        try:
-            while running:
-                entry, outcome = done.get()
-                if entry is not None:
-                    results[entry.name], logs[entry.name] = outcome
-                elif outcome is not None:
-                    raise outcome
-                else:
-                    running -= 1
-        finally:
-            stop.set()
-        for t in threads:
-            t.join()
-
-    ordered = tuple(results[e.name] for e in entries)
-    attempt_log = tuple(rec for e in entries for rec in logs[e.name])
-    return EvalReport(binding.name, k, ordered), attempt_log
+    results = tuple(EntryResult(e.name, e.topic, e.level or _UNLEVELED,
+                                e.tier.value, log[-1].passed, len(log))
+                    for e, log in zip(entries, logs))
+    attempt_log = tuple(rec for log in logs for rec in log)
+    return EvalReport(binding.name, k, results), attempt_log
 
 
 # -- rendering and comparison ----------------------------------------------------

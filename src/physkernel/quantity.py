@@ -64,8 +64,8 @@ GUARD_DIGITS = 10
 REL_TOL = Fraction(1, 10**30)
 
 # The one context every decimal operation rounds in, built once.  Operations
-# only write its status flags, which nothing reads; its traps are those of a
-# fresh Context; and the threads of ``run_eval(jobs=...)`` run under the GIL.
+# only write its status flags, which nothing reads, and its traps are those
+# of a fresh Context.
 _DEC = decimal.Context(prec=PRECISION + GUARD_DIGITS)
 
 # 111 significant digits of pi, at least PRECISION + GUARD_DIGITS; the test

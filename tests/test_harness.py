@@ -1,14 +1,15 @@
 """Evaluation harness: pass@k semantics, reports, external prover protocol."""
 
-import _thread
 import functools
 import json
 import os
 import pathlib
+import shlex
+import shutil
+import signal
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 from fractions import Fraction
 
@@ -19,12 +20,12 @@ from physkernel.checker.prover import (
 )
 from physkernel.checker.script import parse_script
 from physkernel.corpus import CorpusEntry, Tier, load_corpus
-from physkernel.errors import MismatchedModels, PhysKernelError
+from physkernel.errors import MismatchedModels
 from physkernel.harness import (
     BuiltinProver, EvalReport, ExternalProver, aggregate, improvement_delta,
     percent, render_attempt_log, render_report, run_eval, verify_script_text,
 )
-from physkernel.harness import EntryResult, ProverBinding, ProverSession
+from physkernel.harness import EntryResult, ProverBinding
 from physkernel.lang.parser import parse_overrides, parse_statement
 from physkernel.record import replace
 from physkernel.unitdb import builtin_database
@@ -73,6 +74,10 @@ MOCK_PROVER = textwrap.dedent("""\
         elif mode == "slow":
             time.sleep(5)
             out = {"id": req["id"], "script": "exact hu\\n"}
+        elif mode == "not-utf8":
+            sys.stdout.buffer.write(b"\\xff\\n")
+            sys.stdout.flush()
+            continue
         print(json.dumps(out), flush=True)
 """)
 
@@ -272,54 +277,6 @@ def test_parallel_jobs_do_not_change_the_report(db, corpus_dir):
     assert serial.to_json() == parallel.to_json()
 
 
-class _SlowBinding(ProverBinding):
-    """Each attempt takes ``seconds`` and fails; ``hook`` runs as it starts."""
-
-    name = "slow"
-    deterministic = True
-
-    def __init__(self, seconds: float, hook=lambda started: None):
-        self.seconds, self.hook = seconds, hook
-        self.started: list[str] = []
-        self.lock = threading.Lock()
-
-    def session(self) -> ProverSession:
-        binding = self
-
-        class _S(ProverSession):
-            def attempt(self, entry, attempt_no):
-                with binding.lock:
-                    binding.started.append(entry.name)
-                    binding.hook(len(binding.started))
-                time.sleep(binding.seconds)
-                raise PhysKernelError("no script")
-
-        return _S()
-
-
-def test_ctrl_c_stops_a_parallel_run_within_one_attempt(db, corpus_dir):
-    entries = load_corpus(corpus_dir, db)
-    interrupted = []
-
-    def interrupt_at_the_third_attempt(started):
-        if started == 3:  # both workers are past their first entry
-            interrupted.append(time.monotonic())
-            _thread.interrupt_main()
-
-    binding = _SlowBinding(0.2, interrupt_at_the_third_attempt)
-    threads = threading.active_count()
-    with pytest.raises(KeyboardInterrupt):
-        run_eval(entries, binding, k=1, jobs=2, db=db)
-    # The interrupt surfaces when the attempts under way end, not when the
-    # workers' whole share of the corpus does (0.6 s later).
-    assert time.monotonic() - interrupted[0] < 0.2 + 0.15
-    deadline = time.monotonic() + 2
-    while threading.active_count() > threads and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert threading.active_count() == threads
-    assert len(binding.started) < len(entries)  # the workers stopped early
-
-
 def test_a_failed_worker_fails_a_parallel_run(db, corpus_dir):
     class _NoSession(ProverBinding):
         def session(self):
@@ -406,6 +363,13 @@ def test_external_prover_malformed_reply(db, tiny_entry, mock_prover):
     assert "malformed prover reply" in log[0].reason
 
 
+def test_external_prover_reply_that_is_not_utf8(db, tiny_entry, mock_prover):
+    binding = mock_prover("not-utf8", timeout=30)
+    report, log = run_eval([tiny_entry], binding, k=1, db=db)
+    assert not report.results[0].passed
+    assert "malformed prover reply" in log[0].reason
+
+
 def test_external_prover_id_mismatch(db, tiny_entry, mock_prover):
     report, log = run_eval([tiny_entry], mock_prover("wrong-id"), k=1, db=db)
     assert not report.results[0].passed
@@ -436,6 +400,102 @@ def test_pass_at_k_uses_extra_attempts(db, tiny_entry, mock_prover):
     assert at_3.results[0].passed
     assert at_3.results[0].attempts_used == 2  # stop at first success
     assert [rec.attempt for rec in log] == [1, 2]
+
+
+def _tiny_entries(db, count):
+    entries = []
+    for n in range(count):
+        name = f"tiny_{n}"
+        text = TINY_TEXT.replace("tiny_pass", name)
+        entries.append(CorpusEntry(name, "mechanics", Tier.AUTO,
+                                   pathlib.Path(f"{name}.phys"), text,
+                                   parse_statement(text, db)))
+    return entries
+
+
+def test_external_jobs_do_not_change_the_report_or_the_log(db, mock_prover):
+    # Three processes answer in whatever order they finish; the report and
+    # the attempt log stay in entry-then-attempt order.
+    entries = _tiny_entries(db, 6)
+    binding = mock_prover("flaky")
+    (serial, serial_log), (parallel, parallel_log) = (
+        run_eval(entries, binding, k=3, jobs=jobs, db=db) for jobs in (1, 3))
+    assert serial.to_json() == parallel.to_json()
+
+    def timeless(log):
+        return [(r.entry, r.attempt, r.passed, r.reason) for r in log]
+
+    assert timeless(serial_log) == timeless(parallel_log)
+    assert timeless(serial_log) == [
+        (e.name, a, a == 2, None if a == 2 else "prover reported: warming up")
+        for e in entries for a in (1, 2)]
+
+
+NEVER_ANSWERS = textwrap.dedent("""\
+    import os
+    import signal
+    import sys
+    import time
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for line in sys.stdin:
+        open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+        time.sleep(60)
+""")
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ctrl_c_ends_eval_at_once_and_leaves_no_prover_running(
+        tmp_path, corpus_dir, jobs):
+    # The provers ignore SIGINT and never answer.  SIGINT goes to the CLI
+    # process alone once every prover has a request; the CLI must exit
+    # within 1 s and take every prover with it.
+    corpus, pids = tmp_path / "corpus", tmp_path / "pids"
+    (corpus / "mechanics").mkdir(parents=True)
+    pids.mkdir()
+    names = ("crate_friction_coefficients",
+             "uniform_acceleration_coefficients")
+    for name in names:
+        shutil.copy(corpus_dir / "mechanics" / f"{name}.phys",
+                    corpus / "mechanics")
+    (corpus / "manifest.json").write_text(json.dumps(
+        {"entries": {n: {"expected": "auto"} for n in names}}))
+    stub = tmp_path / "never_answers.py"
+    stub.write_text(NEVER_ANSWERS, encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    cli = subprocess.Popen(
+        [sys.executable, "-m", "physkernel.cli", "eval", str(corpus),
+         "--jobs", str(jobs), "--prover-cmd",
+         shlex.join([sys.executable, str(stub), str(pids)])],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while len(os.listdir(pids)) < jobs:
+            assert cli.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        cli.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        cli.wait(timeout=10)
+        assert time.monotonic() - sent < 1.0
+        assert [p for p in os.listdir(pids) if _running(int(p))] == []
+    finally:
+        if cli.poll() is None:
+            cli.kill()
+            cli.wait()
+        for pid in os.listdir(pids):
+            if _running(int(pid)):
+                os.kill(int(pid), signal.SIGKILL)
 
 
 # -- run-to-run comparison ------------------------------------------------------------

@@ -27,7 +27,9 @@ ENTRY = CORPUS / "electromagnetism" / "parallel_plate_capacitance.phys"
 SCRIPT = SRC.parent / "bench" / "scripts"
 
 
-def test_no_module_imports_dataclasses():
+def _imports() -> list[tuple[str, str]]:
+    """Each module that a module under ``src/`` imports, by where."""
+    found = []
     for path in sorted((SRC / "physkernel").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -36,8 +38,22 @@ def test_no_module_imports_dataclasses():
                 names = [node.module or ""]
             else:
                 continue
-            assert not any(n.split(".")[0] == "dataclasses" for n in names), (
-                f"{path.relative_to(SRC)}:{node.lineno}")
+            where = f"{path.relative_to(SRC)}:{node.lineno}"
+            found += [(where, name) for name in names]
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    assert [(where, name) for where, name in _imports()
+            if name.split(".")[0] == "dataclasses"] == []
+
+
+def test_no_module_imports_threads():
+    # The harness drives external provers from one selectors loop in the
+    # calling thread; nothing else in the package runs concurrently.
+    banned = {"threading", "_thread", "queue", "concurrent"}
+    assert [(where, name) for where, name in _imports()
+            if name.split(".")[0] in banned] == []
 
 
 @pytest.mark.parametrize("package", [physkernel, physkernel.checker,
@@ -94,7 +110,8 @@ def _bare_modules() -> frozenset[str]:
     (["units"], NO_PROVER | {"physkernel.lang.parser"}),
     (["prove", str(ENTRY)], NO_HARNESS),
     (["verify-script", str(ENTRY), str(_script_of(ENTRY))], NO_HARNESS),
-    (["eval", str(CORPUS)], {"subprocess", "concurrent.futures"}),
+    (["eval", str(CORPUS)], {"subprocess", "selectors",
+                             "concurrent.futures"}),
 ])
 def test_each_subcommand_loads_only_what_it_runs(argv, absent):
     status, loaded = _modules_after("import json, sys\n"
