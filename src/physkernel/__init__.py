@@ -57,9 +57,9 @@ _lazy_exports(globals(), {
     "unitdb": "Topic UnitDatabase builtin_database",
     "errors": "CorpusValidationError DimensionMismatch DivisionByZero"
               " DomainError EliminationBudgetExceeded InvalidCast"
-              " MalformedScript MismatchedModels NestingTooDeep"
-              " NotPolynomial ParseError PhysKernelError UnboundVariable"
-              " UnknownIdentifier UnsupportedNode",
+              " MalformedScript MismatchedModels NotPolynomial ParseError"
+              " PhysKernelError UnboundVariable UnknownIdentifier"
+              " UnsupportedNode",
     "lang.nodes": "Statement ast_eq",
     "lang.parser": "parse_expression parse_prop parse_statement",
     "lang.printer": "print_expr print_prop print_statement",

@@ -10,11 +10,11 @@ goal, verifying the dimensional typing rules and producing a per-entry report.
 from __future__ import annotations
 
 from ..dimension import DIMENSIONLESS, Dimension
-from ..errors import ParseError, typed_depth
+from ..errors import ParseError
 from ..lang import nodes as N
 from ..record import record, replace
 from ..unitdb import UnitDatabase, builtin_database
-from .rewrite import transform
+from .rewrite import REBUILD, transform
 
 _CMP_NOTE = {
     N.Eq: "equation sides", N.Ne: "disequation sides",
@@ -32,117 +32,107 @@ class _MismatchSignal(Exception):
         self.note = note
 
 
-@record(frozen=True)
-class _Env:
-    vars: dict[str, Dimension]
-    fns: dict[str, tuple[Dimension, Dimension]]
-
-
-def _build_env(stmt: N.Statement, db: UnitDatabase) -> _Env:
-    env = _Env({}, {})
-    for decl in stmt.decls:
-        if isinstance(decl, N.VarDecl):
-            env.vars[decl.name] = db.kind(decl.kind)
-        else:
-            env.fns[decl.name] = (db.kind(decl.arg_kind),
-                                  db.kind(decl.result_kind))
-    return env
-
-
 # -- expression dimensions ------------------------------------------------------
+#
+# The fold rules of ``expr_dim``: each takes a node and its children's
+# dimensions and raises ``_MismatchSignal`` at a violation.  A scalar and a
+# real power's base are checked before the other operand is walked.
 
 
-def expr_dim(e: N.Expr, env: _Env, db: UnitDatabase) -> Dimension:
+def _expect(found: Dimension, expected: Dimension, span: N.Span,
+            note: str) -> Dimension:
+    if found != expected:
+        raise _MismatchSignal(span, expected, found, note)
+    return expected
+
+
+def _std(e: N.StdUnit) -> Dimension:
+    if e.dim is None:
+        raise _MismatchSignal(e.span, None, None,
+                              "the dimension of 'std' could not be inferred")
+    return e.dim
+
+
+_DIM_RULES = {
+    N.NumLit: lambda e: DIMENSIONLESS,
+    N.StdUnit: _std,
+    N.PrefixApp: lambda e, dim: dim,
+    N.Neg: lambda e, dim: dim,
+    N.Add: lambda e, left, right: _expect(
+        right, left, e.rhs.span, "addition requires equal dimensions"),
+    N.Sub: lambda e, left, right: _expect(
+        right, left, e.rhs.span, "subtraction requires equal dimensions"),
+    N.Mul: lambda e, left, right: left.combine(right),
+    N.Div: lambda e, left, right: left.combine(right.invert()),
+    N.SMul: ("scalar", lambda e, dim: _expect(
+        dim, DIMENSIONLESS, e.scalar.span, "scalar position of •"),
+        "arg", lambda e, scalar, arg: arg),
+    N.Pow: lambda e, base: base.scale(e.exponent),
+    N.RPow: ("base", lambda e, dim: _expect(
+        dim, DIMENSIONLESS, e.base.span, "base of a real power"),
+        "exponent", lambda e, base, dim: _expect(
+            dim, DIMENSIONLESS, e.exponent.span, "exponent of a real power")),
+    N.Val: lambda e, dim: DIMENSIONLESS,
+    N.Norm: lambda e, dim: DIMENSIONLESS,
+    N.Fn: lambda e, dim: _expect(
+        dim, DIMENSIONLESS, e.arg.span, f"argument of {e.fn}"),
+}
+
+
+class _Env:
+    """The names a statement declares, with their dimensions, and the rules
+    of ``expr_dim``.  The rules close over the two tables and the unit
+    database, not over the env, so an env makes no reference cycle."""
+
+    def __init__(self, stmt: N.Statement, db: UnitDatabase):
+        self.db = db
+        self.vars = vars = {}
+        self.fns = fns = {}
+        for decl in stmt.decls:
+            if decl.__class__ is N.VarDecl:
+                vars[decl.name] = db.kind(decl.kind)
+            else:
+                fns[decl.name] = (db.kind(decl.arg_kind),
+                                  db.kind(decl.result_kind))
+
+        def var(e: N.Var) -> Dimension:
+            try:
+                return vars[e.name]
+            except KeyError:
+                raise ParseError(
+                    f"'{e.name}' is a function and cannot be used as a "
+                    "quantity here", span=e.span) from None
+
+        def applied(e: N.Apply | N.Deriv, found: Dimension) -> Dimension:
+            arg_dim, result_dim = fns[e.fn]
+            if e.__class__ is N.Apply:
+                _expect(found, arg_dim, e.arg.span, f"argument of {e.fn}")
+                return result_dim
+            _expect(found, arg_dim, e.at.span, f"derivative point of {e.fn}")
+            return result_dim.combine(arg_dim.invert())
+
+        def cast_kind(e: N.Cast) -> Dimension | None:
+            """A cast's kind, looked up before its argument is walked; a
+            cast of std takes it without walking the argument."""
+            kind = db.kind(e.kind)
+            return kind if e.arg.__class__ is N.StdUnit else None
+
+        self.rules = {
+            **_DIM_RULES, N.Var: var, N.Apply: applied, N.Deriv: applied,
+            N.ConstRef: lambda e: db.constant(e.name).dim,
+            N.UnitRef: lambda e: db.unit(e.name).dim,
+            N.Cast: lambda e, dim: _expect(
+                dim, db.kind(e.kind), e.arg.span, f"cast to {e.kind}"),
+        }
+        self.pre = {N.Cast: cast_kind}
+
+
+def expr_dim(e: N.Expr, env: _Env) -> Dimension:
     """Dimension of ``e``, raising ``_MismatchSignal`` at the first violation."""
-    if isinstance(e, N.NumLit):
-        return DIMENSIONLESS
-    if isinstance(e, N.ConstRef):
-        return db.constant(e.name).dim
-    if isinstance(e, N.Var):
-        try:
-            return env.vars[e.name]
-        except KeyError:
-            raise ParseError(f"'{e.name}' is a function and cannot be used "
-                             "as a quantity here", span=e.span) from None
-    if isinstance(e, N.UnitRef):
-        return db.unit(e.name).dim
-    if isinstance(e, N.StdUnit):
-        if e.dim is None:
-            raise _MismatchSignal(e.span, None, None,
-                                  "the dimension of 'std' could not be inferred")
-        return e.dim
-    if isinstance(e, N.PrefixApp):
-        return expr_dim(e.arg, env, db)
-    if isinstance(e, (N.Add, N.Sub)):
-        left = expr_dim(e.lhs, env, db)
-        right = expr_dim(e.rhs, env, db)
-        if left != right:
-            word = "addition" if isinstance(e, N.Add) else "subtraction"
-            raise _MismatchSignal(e.rhs.span, left, right,
-                                  f"{word} requires equal dimensions")
-        return left
-    if isinstance(e, N.Mul):
-        return expr_dim(e.lhs, env, db).combine(expr_dim(e.rhs, env, db))
-    if isinstance(e, N.Div):
-        return expr_dim(e.lhs, env, db).combine(
-            expr_dim(e.rhs, env, db).invert())
-    if isinstance(e, N.Neg):
-        return expr_dim(e.arg, env, db)
-    if isinstance(e, N.SMul):
-        scalar = expr_dim(e.scalar, env, db)
-        if not scalar.is_dimensionless:
-            raise _MismatchSignal(e.scalar.span, DIMENSIONLESS, scalar,
-                                  "scalar position of •")
-        return expr_dim(e.arg, env, db)
-    if isinstance(e, N.Pow):
-        return expr_dim(e.base, env, db).scale(e.exponent)
-    if isinstance(e, N.RPow):
-        base = expr_dim(e.base, env, db)
-        if not base.is_dimensionless:
-            raise _MismatchSignal(e.base.span, DIMENSIONLESS, base,
-                                  "base of a real power")
-        exponent = expr_dim(e.exponent, env, db)
-        if not exponent.is_dimensionless:
-            raise _MismatchSignal(e.exponent.span, DIMENSIONLESS, exponent,
-                                  "exponent of a real power")
-        return DIMENSIONLESS
-    if isinstance(e, N.Cast):
-        target = db.kind(e.kind)
-        if isinstance(e.arg, N.StdUnit):
-            return target
-        found = expr_dim(e.arg, env, db)
-        if found != target:
-            raise _MismatchSignal(e.arg.span, target, found,
-                                  f"cast to {e.kind}")
-        return target
-    if isinstance(e, (N.Val, N.Norm)):
-        expr_dim(e.arg, env, db)
-        return DIMENSIONLESS
-    if isinstance(e, N.Fn):
-        found = expr_dim(e.arg, env, db)
-        if not found.is_dimensionless:
-            raise _MismatchSignal(e.arg.span, DIMENSIONLESS, found,
-                                  f"argument of {e.fn}")
-        return DIMENSIONLESS
-    if isinstance(e, N.Apply):
-        arg_dim, result_dim = env.fns[e.fn]
-        found = expr_dim(e.arg, env, db)
-        if found != arg_dim:
-            raise _MismatchSignal(e.arg.span, arg_dim, found,
-                                  f"argument of {e.fn}")
-        return result_dim
-    if isinstance(e, N.Deriv):
-        arg_dim, result_dim = env.fns[e.fn]
-        found = expr_dim(e.at, env, db)
-        if found != arg_dim:
-            raise _MismatchSignal(e.at.span, arg_dim, found,
-                                  f"derivative point of {e.fn}")
-        return result_dim.combine(arg_dim.invert())
-    raise ParseError(f"unsupported expression node {type(e).__name__}",
-                     span=getattr(e, "span", N.DUMMY_SPAN))
+    return N.fold(e, env.rules, env.pre)
 
 
-def _forall_var_dim(q: N.ForallFn, env: _Env, db: UnitDatabase) -> Dimension:
+def _forall_var_dim(q: N.ForallFn, env: _Env) -> Dimension:
     """Kind of a function-quantified variable.
 
     Priority: explicit annotation, then an enclosing declaration of the same
@@ -150,13 +140,13 @@ def _forall_var_dim(q: N.ForallFn, env: _Env, db: UnitDatabase) -> Dimension:
     inside the body.
     """
     if q.kind_annot is not None:
-        return db.kind(q.kind_annot)
+        return env.db.kind(q.kind_annot)
     if q.var in env.vars:
         return env.vars[q.var]
     for node in N.walk(q.body):
         if isinstance(node, (N.Apply, N.Deriv)) and node.fn in env.fns:
-            arg = node.at if isinstance(node, N.Deriv) else node.arg
-            if isinstance(arg, N.Var) and arg.name == q.var:
+            arg = node.at if node.__class__ is N.Deriv else node.arg
+            if arg.__class__ is N.Var and arg.name == q.var:
                 return env.fns[node.fn][0]
     raise ParseError(
         f"cannot infer the kind of quantified variable '{q.var}'; "
@@ -168,30 +158,23 @@ def _forall_var_dim(q: N.ForallFn, env: _Env, db: UnitDatabase) -> Dimension:
 
 def _spine_std(e: N.Expr) -> N.StdUnit | None:
     while True:
-        if isinstance(e, N.StdUnit):
+        if e.__class__ is N.StdUnit:
             return e if e.dim is None else None
-        if isinstance(e, (N.SMul, N.Neg)):
-            e = e.arg
-        elif isinstance(e, N.PrefixApp):
+        if e.__class__ in (N.SMul, N.Neg, N.PrefixApp):
             e = e.arg
         else:
             return None
 
 
 def _unresolved_stds(e: N.Expr) -> list[N.StdUnit]:
-    return [n for n in N.walk(e) if isinstance(n, N.StdUnit) and n.dim is None]
+    return [n for n in N.walk(e) if n.__class__ is N.StdUnit and n.dim is None]
 
 
 def _fill_std(e: N.Expr, target: N.StdUnit, dim: Dimension) -> N.Expr:
-    def visit(n):
-        if n is target:
-            return replace(n, dim=dim)
-        return None
-
-    return transform(e, visit)
+    return transform(e, lambda n: replace(n, dim=dim) if n is target else None)
 
 
-def _resolve_cmp(p: N.Prop, env: _Env, db: UnitDatabase) -> N.Prop:
+def _resolve_cmp(p: N.Prop, env: _Env) -> N.Prop:
     left, right = _unresolved_stds(p.lhs), _unresolved_stds(p.rhs)
     if not left and not right:
         return p
@@ -206,7 +189,7 @@ def _resolve_cmp(p: N.Prop, env: _Env, db: UnitDatabase) -> N.Prop:
             "'std' is only usable as the scaled head of a comparison side "
             "or as a cast argument", span=bad.span)
     try:
-        dim = expr_dim(other, env, db)
+        dim = expr_dim(other, env)
     except _MismatchSignal:
         return p  # the dimension report will flag this entry
     new_side = _fill_std(side, std, dim)
@@ -215,40 +198,50 @@ def _resolve_cmp(p: N.Prop, env: _Env, db: UnitDatabase) -> N.Prop:
     return replace(p, rhs=new_side)
 
 
-def _walk_prop(p: N.Prop, env: _Env, db: UnitDatabase, on_cmp) -> N.Prop:
-    """Rebuild ``p`` with ``on_cmp(cmp, env, db)`` applied to each comparison.
+def _walk_prop(p: N.Prop, env: _Env, on_cmp) -> N.Prop:
+    """Rebuild ``p`` with ``on_cmp(cmp, env)`` applied to each comparison.
 
-    Quantifier binders are in ``env`` while their bodies are walked.  A
-    proposition none of whose parts changed is returned as is.
+    A quantifier's variable is in ``env`` while its body is walked, with
+    the kind found before the body is walked.  A proposition none of whose
+    parts changed is returned as is.
     """
-    if isinstance(p, (N.Eq, N.Ne, N.Le, N.Lt)):
-        return on_cmp(p, env, db)
-    if isinstance(p, (N.And, N.Or, N.Implies)):
-        lhs = _walk_prop(p.lhs, env, db, on_cmp)
-        rhs = _walk_prop(p.rhs, env, db, on_cmp)
-        if lhs is p.lhs and rhs is p.rhs:
-            return p
-        return replace(p, lhs=lhs, rhs=rhs)
-    if isinstance(p, (N.ForallFinite, N.ForallFn)):
-        dim = (DIMENSIONLESS if isinstance(p, N.ForallFinite)
-               else _forall_var_dim(p, env, db))
-        saved = env.vars.get(p.var)
-        env.vars[p.var] = dim
-        try:
-            body = _walk_prop(p.body, env, db, on_cmp)
-        finally:
-            if saved is None:
-                del env.vars[p.var]
-            else:
-                env.vars[p.var] = saved
-        return p if body is p.body else replace(p, body=body)
-    raise ParseError(f"unsupported proposition node {type(p).__name__}",
-                     span=getattr(p, "span", N.DUMMY_SPAN))
+    if p.__class__ in _CMP_NOTE:  # most propositions: no tables to build
+        return on_cmp(p, env)
+    hidden = []  # per quantifier entered: its name and the kind it hid
+
+    def bind(q):
+        dim = (DIMENSIONLESS if q.__class__ is N.ForallFinite
+               else _forall_var_dim(q, env))
+        hidden.append((q.var, env.vars.get(q.var)))
+        env.vars[q.var] = dim
+
+    def unbind(q, body):
+        _restore(env.vars, *hidden.pop())
+        return q if body is q.body else replace(q, body=body)
+
+    def cmp(c):
+        return on_cmp(c, env)
+
+    try:
+        return N.fold(
+            p, {**REBUILD, N.ForallFn: unbind, N.ForallFinite: unbind},
+            {**dict.fromkeys(_CMP_NOTE, cmp),
+             N.ForallFn: bind, N.ForallFinite: bind})
+    finally:
+        while hidden:  # a comparison raised inside a quantifier
+            _restore(env.vars, *hidden.pop())
+
+
+def _restore(vars: dict, name: str, dim: Dimension | None) -> None:
+    if dim is None:
+        del vars[name]
+    else:
+        vars[name] = dim
 
 
 def _fill_cast_stds(p: N.Prop, db: UnitDatabase) -> N.Prop:
     def visit(n):
-        if (isinstance(n, N.Cast) and isinstance(n.arg, N.StdUnit)
+        if (n.__class__ is N.Cast and n.arg.__class__ is N.StdUnit
                 and n.arg.dim is None):
             filled = replace(n.arg, dim=db.kind(n.kind))
             return replace(n, arg=filled)
@@ -257,7 +250,6 @@ def _fill_cast_stds(p: N.Prop, db: UnitDatabase) -> N.Prop:
     return transform(p, visit)
 
 
-@typed_depth
 def resolve_statement(stmt: N.Statement,
                       db: UnitDatabase | None = None) -> N.Statement:
     """Fill in the dimension of every inferable ``std`` occurrence.
@@ -265,22 +257,22 @@ def resolve_statement(stmt: N.Statement,
     Idempotent; returns ``stmt`` itself when nothing needed resolving.
     """
     db = db or builtin_database()
-    env = _build_env(stmt, db)
+    env = _Env(stmt, db)
     props = [prop for _, prop in stmt.hyps] + [stmt.goal]
-    if not any(isinstance(n, N.StdUnit) and n.dim is None
+    if not any(n.__class__ is N.StdUnit and n.dim is None
                for prop in props for n in N.walk(prop)):
         # Nothing to fill in.  Walking the connectives still rejects a
         # quantifier whose kind cannot be inferred, as resolving does.
         for prop in props:
-            _walk_prop(prop, env, db, lambda p, env, db: p)
+            _walk_prop(prop, env, lambda p, env: p)
         return stmt
     changed = False
     hyps = []
     for name, prop in stmt.hyps:
-        resolved = _walk_prop(_fill_cast_stds(prop, db), env, db, _resolve_cmp)
+        resolved = _walk_prop(_fill_cast_stds(prop, db), env, _resolve_cmp)
         changed = changed or resolved is not prop
         hyps.append((name, resolved))
-    goal = _walk_prop(_fill_cast_stds(stmt.goal, db), env, db, _resolve_cmp)
+    goal = _walk_prop(_fill_cast_stds(stmt.goal, db), env, _resolve_cmp)
     changed = changed or goal is not stmt.goal
     if not changed:
         return stmt
@@ -353,7 +345,7 @@ class DimReport:
         return records
 
 
-def _check_cmp(p: N.Prop, env: _Env, db: UnitDatabase) -> N.Prop:
+def _check_cmp(p: N.Prop, env: _Env) -> N.Prop:
     """Return ``p`` if its sides agree, else raise ``_MismatchSignal``."""
     if (isinstance(p.lhs, N.Var) and isinstance(p.rhs, N.Var)
             and p.lhs.name in env.fns and p.rhs.name in env.fns):
@@ -365,14 +357,13 @@ def _check_cmp(p: N.Prop, env: _Env, db: UnitDatabase) -> N.Prop:
             raise _MismatchSignal(p.rhs.span, lr, rr,
                                   "function result kinds differ")
         return p
-    left = expr_dim(p.lhs, env, db)
-    right = expr_dim(p.rhs, env, db)
+    left = expr_dim(p.lhs, env)
+    right = expr_dim(p.rhs, env)
     if left != right:
         raise _MismatchSignal(p.rhs.span, left, right, _CMP_NOTE[type(p)])
     return p
 
 
-@typed_depth
 def check_dimensions(stmt: N.Statement,
                      db: UnitDatabase | None = None) -> DimReport:
     """Per-hypothesis (and goal) dimensional homogeneity report."""
@@ -382,11 +373,11 @@ def check_dimensions(stmt: N.Statement,
 
 def _report_resolved(stmt: N.Statement, db: UnitDatabase) -> DimReport:
     """``check_dimensions`` of a statement ``resolve_statement`` returned."""
-    env = _build_env(stmt, db)
+    env = _Env(stmt, db)
     entries = []
     for label, prop in list(stmt.hyps) + [("goal", stmt.goal)]:
         try:
-            _walk_prop(prop, env, db, _check_cmp)
+            _walk_prop(prop, env, _check_cmp)
             entries.append(DimEntry(label, None))
         except _MismatchSignal as s:
             entries.append(DimEntry(

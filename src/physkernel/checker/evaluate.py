@@ -44,76 +44,76 @@ def eval_numeric(e: N.Expr, env: Mapping[str, Quantity],
     Free variables, applications, and derivatives have no numeric meaning
     and raise UnboundVariable.
     """
-    db = db or builtin_database()
-    return _eval(e, env, db)
+    return N.fold(e, _eval_rules(env, db or builtin_database()), _EVAL_PRE)
 
 
-_ARITH = {N.Add: Quantity.add, N.Sub: Quantity.sub, N.Mul: Quantity.mul,
-          N.Div: Quantity.div}
+# -- the fold rules of eval_numeric: a node and its children's values ----------
 
 
-def _eval(e: N.Expr, env, db: UnitDatabase) -> Quantity:
-    op = _ARITH.get(e.__class__)
-    if op is not None:
-        return op(_eval(e.lhs, env, db), _eval(e.rhs, env, db))
-    if isinstance(e, N.NumLit):
-        return Quantity.scalar(e.value)
-    if isinstance(e, N.ConstRef):
-        return db.constant(e.name)
-    if isinstance(e, N.Var):
+def _std(e: N.StdUnit) -> Quantity:
+    if e.dim is None:
+        raise ParseError("'std' was not resolved to a dimension here",
+                         span=e.span)
+    return Quantity(Fraction(1), e.dim)
+
+
+def _dimensionless(q: Quantity, where: str) -> Quantity:
+    if not q.dim.is_dimensionless:
+        raise DimensionMismatch(DIMENSIONLESS, q.dim, where)
+    return q
+
+
+def _rpow(e: N.RPow, base: Quantity, exponent: Quantity) -> Quantity:
+    _dimensionless(base, "base of a real power")
+    _dimensionless(exponent, "exponent of a real power")
+    if isinstance(exponent.value, Fraction):
+        return Quantity.scalar(_num_pow(base.value, exponent.value))
+    d = _to_decimal(base.value)
+    if d <= 0:
+        raise DomainError("an approximate exponent requires a positive base")
+    return Quantity.scalar(_approx(
+        _DEC.multiply(exponent.value.value, _DEC.ln(d)).exp(_DEC)))
+
+
+def _unbound(e):
+    raise UnboundVariable(e.fn)
+
+
+_RULES = {
+    N.Add: lambda e, a, b: a.add(b), N.Sub: lambda e, a, b: a.sub(b),
+    N.Mul: lambda e, a, b: a.mul(b), N.Div: lambda e, a, b: a.div(b),
+    N.NumLit: lambda e: Quantity.scalar(e.value),
+    N.StdUnit: _std,
+    N.Neg: lambda e, arg: arg.neg(),
+    N.SMul: ("scalar", lambda e, q: _dimensionless(q, "scalar position of •"),
+             "arg", lambda e, scalar, arg: arg.smul(scalar.value)),
+    N.Pow: lambda e, base: base.pow(e.exponent),
+    N.RPow: _rpow,
+    N.Val: lambda e, arg: Quantity.scalar(arg.val()),
+    N.Norm: lambda e, arg: Quantity.scalar(arg.norm()),
+    N.Fn: lambda e, arg: Quantity.scalar(_eval_fn(
+        e.fn, _dimensionless(arg, f"argument of {e.fn}").value)),
+}
+# An application or a derivative raises without evaluating its argument.
+_EVAL_PRE = {N.Apply: _unbound, N.Deriv: _unbound}
+
+
+def _eval_rules(env: Mapping[str, Quantity], db: UnitDatabase) -> dict:
+    """The rules of ``eval_numeric`` under ``env`` and ``db``."""
+
+    def var(e):
         q = env.get(e.name)
         if q is None:
             raise UnboundVariable(e.name)
         return q
-    if isinstance(e, N.UnitRef):
-        return db.unit(e.name)
-    if isinstance(e, N.StdUnit):
-        if e.dim is None:
-            raise ParseError("'std' was not resolved to a dimension here",
-                             span=e.span)
-        return Quantity(Fraction(1), e.dim)
-    if isinstance(e, N.PrefixApp):
-        return _eval(e.arg, env, db).smul(db.prefix(e.prefix))
-    if isinstance(e, N.Neg):
-        return _eval(e.arg, env, db).neg()
-    if isinstance(e, N.SMul):
-        scalar = _eval(e.scalar, env, db)
-        if not scalar.dim.is_dimensionless:
-            raise DimensionMismatch(DIMENSIONLESS, scalar.dim,
-                                    "scalar position of •")
-        return _eval(e.arg, env, db).smul(scalar.value)
-    if isinstance(e, N.Pow):
-        return _eval(e.base, env, db).pow(e.exponent)
-    if isinstance(e, N.RPow):
-        base = _eval(e.base, env, db)
-        exponent = _eval(e.exponent, env, db)
-        for part, where in ((base, "base"), (exponent, "exponent")):
-            if not part.dim.is_dimensionless:
-                raise DimensionMismatch(DIMENSIONLESS, part.dim,
-                                        f"{where} of a real power")
-        if isinstance(exponent.value, Fraction):
-            return Quantity.scalar(_num_pow(base.value, exponent.value))
-        d = _to_decimal(base.value)
-        if d <= 0:
-            raise DomainError(
-                "an approximate exponent requires a positive base")
-        return Quantity.scalar(_approx(
-            _DEC.multiply(exponent.value.value, _DEC.ln(d)).exp(_DEC)))
-    if isinstance(e, N.Cast):
-        return _eval(e.arg, env, db).cast(db.kind(e.kind))
-    if isinstance(e, N.Val):
-        return Quantity.scalar(_eval(e.arg, env, db).val())
-    if isinstance(e, N.Norm):
-        return Quantity.scalar(_eval(e.arg, env, db).norm())
-    if isinstance(e, N.Fn):
-        arg = _eval(e.arg, env, db)
-        if not arg.dim.is_dimensionless:
-            raise DimensionMismatch(DIMENSIONLESS, arg.dim,
-                                    f"argument of {e.fn}")
-        return Quantity.scalar(_eval_fn(e.fn, arg.value))
-    if isinstance(e, (N.Apply, N.Deriv)):
-        raise UnboundVariable(e.fn)
-    raise UnsupportedNode(f"cannot evaluate node {type(e).__name__}")
+
+    rules = _RULES.copy()
+    rules[N.Var] = var
+    rules[N.ConstRef] = lambda e: db.constant(e.name)
+    rules[N.UnitRef] = lambda e: db.unit(e.name)
+    rules[N.PrefixApp] = lambda e, arg: arg.smul(db.prefix(e.prefix))
+    rules[N.Cast] = lambda e, arg: arg.cast(db.kind(e.kind))
+    return rules
 
 
 def eval_prop(p: N.Prop, env: Mapping[str, Quantity],
@@ -122,33 +122,34 @@ def eval_prop(p: N.Prop, env: Mapping[str, Quantity],
 
     Returns ``(truth, exact)`` where ``exact`` means every comparison that
     the verdict rests on was decided exactly.  Quantified propositions raise
-    UnsupportedNode.
+    UnsupportedNode.  A connective evaluates both sides; it is exact when
+    both are.
     """
-    db = db or builtin_database()
-    return _eval_prop(p, env, db)
+    rules = _eval_rules(env, db or builtin_database())
+
+    def compare(c):
+        cmp = N.fold(c.lhs, rules, _EVAL_PRE).compare(
+            N.fold(c.rhs, rules, _EVAL_PRE))
+        return _COMPARE[c.__class__](cmp), cmp.exact
+
+    def quantified(q):
+        raise UnsupportedNode(
+            f"cannot numerically evaluate a {type(q).__name__} proposition")
+
+    return N.fold(p, _CONNECT, {
+        **dict.fromkeys(_COMPARE, compare),
+        N.ForallFn: quantified, N.ForallFinite: quantified})
 
 
-# Truth of a comparison from the comparison of its sides, and of a
-# connective from the truth of its sides.
+# Truth of a comparison from the comparison of its sides, and (truth,
+# exact) of a connective from those of its sides.
 _COMPARE = {N.Eq: lambda c: c.equal, N.Ne: lambda c: not c.equal,
             N.Le: lambda c: c.sign <= 0, N.Lt: lambda c: c.sign < 0}
-_CONNECT = {N.And: lambda a, b: a and b, N.Or: lambda a, b: a or b,
-            N.Implies: lambda a, b: not a or b}
-
-
-def _eval_prop(p, env, db) -> tuple[bool, bool]:
-    """A connective evaluates both sides; it is exact when both are."""
-    truth = _COMPARE.get(p.__class__)
-    if truth is not None:
-        cmp = _eval(p.lhs, env, db).compare(_eval(p.rhs, env, db))
-        return truth(cmp), cmp.exact
-    truth = _CONNECT.get(p.__class__)
-    if truth is not None:
-        lt, le = _eval_prop(p.lhs, env, db)
-        rt, re_ = _eval_prop(p.rhs, env, db)
-        return truth(lt, rt), le and re_
-    raise UnsupportedNode(
-        f"cannot numerically evaluate a {type(p).__name__} proposition")
+_CONNECT = {
+    N.And: lambda p, a, b: (a[0] and b[0], a[1] and b[1]),
+    N.Or: lambda p, a, b: (a[0] or b[0], a[1] and b[1]),
+    N.Implies: lambda p, a, b: (not a[0] or b[0], a[1] and b[1]),
+}
 
 
 # -- statement-level constant overrides --------------------------------------------

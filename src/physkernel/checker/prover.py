@@ -22,10 +22,11 @@ assignment forced by the hypotheses, all of which verify exactly true.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from ..errors import (
-    EliminationBudgetExceeded, MalformedScript, PhysKernelError, typed_depth,
+    EliminationBudgetExceeded, MalformedScript, PhysKernelError,
 )
 from ..lang import nodes as N
 from ..quantity import Quantity, compare_values
@@ -157,13 +158,16 @@ class _Subgoal:
                                at=len(self.subst))
 
 
-def _flatten(p: N.Prop, cls: type[N.And | N.Or]):
+def _flatten(p: N.Prop, cls: type[N.And | N.Or]) -> list[N.Prop]:
     """The operands of a nest of ``cls`` connectives, left to right."""
-    if isinstance(p, cls):
-        yield from _flatten(p.lhs, cls)
-        yield from _flatten(p.rhs, cls)
-    else:
-        yield p
+    operands, stack = [], [p]
+    while stack:
+        p = stack.pop()
+        if p.__class__ is cls:
+            stack += (p.rhs, p.lhs)
+        else:
+            operands.append(p)
+    return operands
 
 
 class _Session:
@@ -265,41 +269,24 @@ class _Session:
     def apply(self, step: Step) -> Refuted | None:
         if not self.subgoals:
             raise MalformedScript("no goals remain open")
-        sg = self.subgoals[0]
-        if isinstance(step, Split):
-            outcome = self._apply_split(sg)
-        elif isinstance(step, Intro):
-            outcome = self._apply_intro(sg)
-        elif isinstance(step, CaseSplit):
-            outcome = self._apply_cases(sg, step)
-        elif isinstance(step, Subst):
-            outcome = self._apply_subst(sg, step)
-        elif isinstance(step, Instantiate):
-            outcome = self._apply_inst(sg, step)
-        elif isinstance(step, PolyMatch):
-            outcome = self._apply_polymatch(sg, step)
-        elif isinstance(step, RingCheck):
-            outcome = self._apply_ring(sg)
-        elif isinstance(step, NumericCheck):
-            outcome = self._apply_numeric(sg)
-        elif isinstance(step, ExactHyp):
-            outcome = self._apply_exact(sg, step)
-        else:
+        rule = _STEP_RULES.get(step.__class__)
+        if rule is None:
             raise MalformedScript(f"unknown step object {step!r}")
+        outcome = rule(self, self.subgoals[0], step)
         self.trace.append(step)
         return outcome
 
     def _close(self) -> None:
         self.subgoals.pop(0)
 
-    def _apply_split(self, sg: _Subgoal) -> None:
+    def _apply_split(self, sg: _Subgoal, step: Split) -> None:
         g = sg.read_goal()
         if not isinstance(g, N.And):
             raise MalformedScript("'split' requires a conjunction goal")
         self.subgoals[0:1] = [sg.clone(goal=g.lhs), sg.clone(goal=g.rhs)]
         return None
 
-    def _apply_intro(self, sg: _Subgoal) -> None:
+    def _apply_intro(self, sg: _Subgoal, step: Intro) -> None:
         g = sg.read_goal()
         if isinstance(g, N.Implies):
             name = f"h!{self.intro_count + 1}"
@@ -331,7 +318,7 @@ class _Session:
         for i, h in enumerate(sg.hyps):
             if h.consumed or not isinstance(h.prop, N.Or):
                 continue
-            leaves = list(_flatten(sg.read(i).prop, N.Or))
+            leaves = _flatten(sg.read(i).prop, N.Or)
             vals = []
             for leaf in leaves:
                 if (isinstance(leaf, N.Eq) and isinstance(leaf.lhs, N.Var)
@@ -451,7 +438,7 @@ class _Session:
                 and p.lhs.name in self.fn_decls
                 and p.rhs.name in self.fn_decls)
 
-    def _apply_ring(self, sg: _Subgoal) -> None:
+    def _apply_ring(self, sg: _Subgoal, step: RingCheck) -> None:
         g = sg.goal
         if not isinstance(g, N.Eq):
             raise MalformedScript("'ring' requires an equality goal")
@@ -472,7 +459,7 @@ class _Session:
         for h in sg.hyps:
             if h.consumed or self._is_fn_equality(h.prop):
                 continue
-            leaves = list(_flatten(h.prop, N.And))
+            leaves = _flatten(h.prop, N.And)
             for j, leaf in enumerate(leaves):
                 if not isinstance(leaf, N.Eq):
                     continue
@@ -522,7 +509,8 @@ class _Session:
                     env[name] = self._eval_expr(expr, env)
         return env
 
-    def _apply_numeric(self, sg: _Subgoal) -> Refuted | None:
+    def _apply_numeric(self, sg: _Subgoal,
+                       step: NumericCheck) -> Refuted | None:
         g = sg.read_goal()
         if isinstance(g, (N.ForallFn, N.ForallFinite)):
             raise MalformedScript(
@@ -593,6 +581,17 @@ class _Session:
         return None
 
 
+#: Each step class's rule: a function of the session, the focused subgoal
+#: and the step.
+_STEP_RULES = {
+    Split: _Session._apply_split, Intro: _Session._apply_intro,
+    CaseSplit: _Session._apply_cases, Subst: _Session._apply_subst,
+    Instantiate: _Session._apply_inst, PolyMatch: _Session._apply_polymatch,
+    RingCheck: _Session._apply_ring, NumericCheck: _Session._apply_numeric,
+    ExactHyp: _Session._apply_exact,
+}
+
+
 # -- orientation ---------------------------------------------------------------------
 
 
@@ -602,21 +601,13 @@ def _orient(session: _Session, sg: _Subgoal) -> list[str]:
     Variable and function definitions are accepted greedily in hypothesis
     order; a definition that would close a dependency cycle is demoted to an
     ordinary constraint.  Accepted definitions are emitted so that a
-    definition precedes everything it mentions; ground rewrites follow in
-    hypothesis order.
+    definition precedes everything it mentions, the earliest accepted
+    first among those ready; ground rewrites follow in hypothesis order.
     """
-    accepted: list[tuple[str, str, set[str]]] = []  # (hyp, symbol, deps)
+    accepted: list[tuple[str, str, frozenset[str]]] = []  # (hyp, symbol, deps)
     grounds: list[str] = []
-    edges: dict[str, set[str]] = {}
-    defined: set[str] = set()
-
-    def reaches(start: str, target: str, seen: set[str]) -> bool:
-        if start == target:
-            return True
-        if start in seen:
-            return False
-        seen.add(start)
-        return any(reaches(n, target, seen) for n in edges.get(start, ()))
+    edges: dict[str, frozenset[str]] = {}  # accepted symbol -> its deps
+    mentioned: set[str] = set()  # the names some accepted definition uses
 
     for i, h in enumerate(sg.hyps):
         if h.consumed:
@@ -634,28 +625,47 @@ def _orient(session: _Session, sg: _Subgoal) -> list[str]:
             if session._as_ground_def(h.prop) is not None:
                 grounds.append(h.name)
             continue
-        if symbol in defined:
+        if symbol in edges:
             continue  # a second definition stays a constraint
-        if any(reaches(d, symbol, set()) for d in deps):
+        # Only a symbol that an accepted definition uses can close a loop,
+        # so a chain of definitions in either order costs one step each.
+        if symbol in deps or (symbol in mentioned
+                              and _reaches(deps, symbol, edges)):
             continue  # demoted: closing the loop stays a constraint
-        edges[symbol] = set(deps)
-        defined.add(symbol)
-        accepted.append((h.name, symbol, set(deps)))
+        edges[symbol] = deps
+        mentioned |= deps
+        accepted.append((h.name, symbol, deps))
 
-    # Kahn's algorithm: emit a definition before anything it mentions.
+    # Kahn's algorithm: emit a definition once no definition left mentions
+    # it, the earliest accepted first.
+    position = {symbol: k for k, (_, symbol, _) in enumerate(accepted)}
+    waiting = [0] * len(accepted)  # definitions left that mention each one
+    for _, _, deps in accepted:
+        for d in deps & position.keys():
+            waiting[position[d]] += 1
+    ready = [k for k, n in enumerate(waiting) if not n]
     emitted: list[str] = []
-    remaining = list(accepted)
-    while remaining:
-        mentioned = set()
-        for _, _, deps in remaining:
-            mentioned |= deps
-        batch = [entry for entry in remaining if entry[1] not in mentioned]
-        if not batch:  # unreachable given the acyclicity check
-            batch = [remaining[0]]
-        first = batch[0]
-        emitted.append(first[0])
-        remaining.remove(first)
+    while ready:
+        name, _, deps = accepted[heapq.heappop(ready)]
+        emitted.append(name)
+        for d in deps & position.keys():
+            waiting[position[d]] -= 1
+            if not waiting[position[d]]:
+                heapq.heappush(ready, position[d])
     return emitted + grounds
+
+
+def _reaches(names, target: str, edges) -> bool:
+    """Whether a name in ``names`` reaches ``target`` along ``edges``."""
+    seen, stack = set(names), list(names)
+    while stack:
+        for name in edges.get(stack.pop(), ()):
+            if name == target:
+                return True
+            if name not in seen:
+                seen.add(name)
+                stack.append(name)
+    return False
 
 
 # -- entry points ----------------------------------------------------------------------
@@ -683,7 +693,6 @@ def _prepare(stmt: N.Statement, db: UnitDatabase | None):
     return result
 
 
-@typed_depth
 def check_derivation(stmt: N.Statement, steps,
                      db: UnitDatabase | None = None) -> Verdict:
     """Replay a derivation script against a statement."""
@@ -713,7 +722,6 @@ def check_derivation(stmt: N.Statement, steps,
                   session.eval_count)
 
 
-@typed_depth
 def auto_prove(stmt: N.Statement, db: UnitDatabase | None = None) -> Verdict:
     """Search for a proof; any Proved verdict carries a replayable script."""
     full_db, resolved, report = _prepare(stmt, db)

@@ -1,15 +1,15 @@
 """Capture-aware rewriting over expression and proposition trees.
 
 Every rewrite here (:func:`subst_var`, :func:`expand_fn`,
-:func:`rewrite_ground` and :meth:`Substitution.read`) is a leaf rule over
-one walk, which keeps the one binder rule: a rewrite reaches only the free
-occurrences of its names.  A subtree in which none of them is free, by the
-free-variable set each node caches, is returned unchanged in O(1).  A
-quantifier hides the name it binds from its body.  A quantifier whose bound
-name is free in what would be inserted in its body has that name renamed to
-``<name>!<k>``, a name the parser never reads.  :class:`Substitution`
-records variable definitions and applies them only to the trees that are
-read.
+:func:`rewrite_ground` and :meth:`Substitution.read`) is a rule over one
+fold, ``_rewrite``, which keeps the one binder rule: a rewrite reaches only
+the free occurrences of its names.  A subtree in which none of them is
+free, by the free-variable set each node caches, is returned unchanged in
+O(1).  A quantifier hides the name it binds from its body.  A quantifier
+whose bound name is free in what would be inserted in its body has that
+name renamed to ``<name>!<k>``, a name the parser never reads.
+:class:`Substitution` records variable definitions and applies them only to
+the trees that are read.
 """
 
 from __future__ import annotations
@@ -18,6 +18,31 @@ from typing import Callable
 
 from ..lang import nodes as N
 from ..record import replace
+
+_BINDERS = (N.ForallFn, N.ForallFinite)
+
+
+def _keep(n):
+    return n
+
+
+def _rebuild_one(n, new):
+    (f,) = n._children
+    return n if new is getattr(n, f) else replace(n, **{f: new})
+
+
+def _rebuild_two(n, new_f, new_g):
+    # A class with two children has no other field but its span.
+    f, g = n._children
+    if new_f is getattr(n, f) and new_g is getattr(n, g):
+        return n
+    return n.__class__(new_f, new_g, n.span)
+
+
+#: Fold rules that rebuild a node whose children changed and return any
+#: other node as is.
+REBUILD = {cls: (_keep, _rebuild_one, _rebuild_two)[len(cls._children)]
+           for cls in N.NODES}
 
 
 def transform(node, fn: Callable):
@@ -29,75 +54,62 @@ def transform(node, fn: Callable):
     its children transformed.  A node none of whose children changed is
     returned as is.
     """
-    replacement = fn(node)
-    if replacement is not None:
-        return replacement
-    changed = None
-    for name in node._fields:
-        value = getattr(node, name)
-        if not isinstance(value, N.Node):
-            continue
-        new_value = transform(value, fn)
-        if new_value is not value:
-            if changed is None:
-                changed = {}
-            changed[name] = new_value
-    if changed is None:
-        return node
-    return type(node)(span=node.span,
-                      **{f: changed.get(f, getattr(node, f))
-                         for f in node._fields})
+    return N.fold(node, REBUILD, dict.fromkeys(N.NODES, fn))
+
+
+def _free(n, *sets) -> frozenset[str]:
+    """free_vars's rule: a node's set, from its children's, stored on the
+    node, where the ``pre`` reads it back, so a tree is walked once."""
+    cls = n.__class__
+    if cls is N.Var:
+        names = frozenset((n.name,))
+    else:
+        names = sets[0] if len(sets) == 1 else frozenset().union(*sets)
+        if cls is N.Apply or cls is N.Deriv:
+            names = names | {n.fn}
+        elif cls in _BINDERS:
+            names = names - {n.var}
+    n.__dict__["_free_vars"] = names
+    return names
+
+
+_FREE_RULES = dict.fromkeys(N.NODES, _free)
+_FREE_PRE = dict.fromkeys(N.NODES, lambda n: n.__dict__.get("_free_vars"))
 
 
 def free_vars(node) -> frozenset[str]:
     """Names of free variables (including function heads in Apply/Deriv).
 
-    Built bottom-up from the children's sets and cached on the node, with
-    an explicit stack, so a deep tree cannot exhaust the recursion limit.
+    Built bottom-up from the children's sets and cached on each node.
     """
     cached = node.__dict__.get("_free_vars")
     if cached is not None:
         return cached
-    inner = []  # (node, its children), parents first; a leaf's set at once
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if "_free_vars" in n.__dict__:
-            continue
-        kids = [*N.children(n)]
-        if kids:
-            inner.append((n, kids))
-            stack += kids
-        else:
-            n.__dict__["_free_vars"] = frozenset(
-                (n.name,) if isinstance(n, N.Var) else ())
-    for n, kids in reversed(inner):
-        names = kids[0]._free_vars
-        for c in kids[1:]:
-            names = names | c._free_vars
-        if isinstance(n, (N.Apply, N.Deriv)):
-            names = names | {n.fn}
-        elif isinstance(n, (N.ForallFn, N.ForallFinite)):
-            names = names - {n.var}
-        n.__dict__["_free_vars"] = names
-    return node._free_vars
+    return N.fold(node, _FREE_RULES, _FREE_PRE)
 
 
-def _rewrite(node, names: frozenset[str], leaf: Callable, inserted: Callable):
+def _rewrite(node, names: frozenset[str], leaf: Callable | None,
+             inserted: Callable, rules: dict = REBUILD):
     """Rewrite the free occurrences of ``names`` in ``node`` by the binder
     rule (see the module docstring).
 
-    ``leaf(n, names)`` rewrites a node other than a quantifier in which one
-    of ``names`` is free, as ``transform``'s ``fn`` does; ``names`` is then
-    the set still free at ``n``.  ``inserted(hit)`` is the set of names free
-    in what rewriting the names ``hit`` inserts.
+    ``leaf(n, names)``, when given, rewrites a node other than a quantifier
+    in which one of ``names`` is free, as ``transform``'s ``fn`` does.
+    ``inserted(hit)`` is the set of names free in what rewriting the names
+    ``hit`` inserts.  ``rules`` rebuild every other node from its rewritten
+    children.  A quantifier's body is rewritten by a nested call, without
+    the name it binds; only quantifiers nested in one another, which the
+    parser's depth budget bounds, nest these calls.
     """
+    if free_vars(node).isdisjoint(names):
+        return node
+
     def visit(n):
         free = free_vars(n)
         if free.isdisjoint(names):
             return n
-        if not isinstance(n, (N.ForallFn, N.ForallFinite)):
-            return leaf(n, names)
+        if n.__class__ not in _BINDERS:
+            return None if leaf is None else leaf(n, names)
         avoid = inserted(names & free)
         if n.var in avoid:  # to <var>!<k>, free in neither body nor avoid
             taken, k = free_vars(n.body) | avoid, 1
@@ -106,10 +118,10 @@ def _rewrite(node, names: frozenset[str], leaf: Callable, inserted: Callable):
             fresh = f"{n.var}!{k}"
             n = replace(n, var=fresh,
                         body=subst_var(n.body, n.var, N.Var(fresh)))
-        body = _rewrite(n.body, names - {n.var}, leaf, inserted)
+        body = _rewrite(n.body, names - {n.var}, leaf, inserted, rules)
         return n if body is n.body else replace(n, body=body)
 
-    return transform(node, visit)
+    return N.fold(node, rules, dict.fromkeys(N.NODES, visit))
 
 
 def subst_var(node, name: str, replacement: N.Expr):
@@ -118,7 +130,7 @@ def subst_var(node, name: str, replacement: N.Expr):
     inserted = free_vars(replacement)
     return _rewrite(
         node, frozenset((name,)),
-        lambda n, _: replacement if isinstance(n, N.Var) else None,
+        lambda n, _: replacement if n.__class__ is N.Var else None,
         lambda _: inserted)
 
 
@@ -126,18 +138,18 @@ def expand_fn(node, fname: str, binder: str, body: N.Expr):
     """Unfold the free ``fname`` applications: ``fname(arg)`` becomes
     ``body[binder := arg]``.
 
-    Arguments are expanded before the body is instantiated, so nested
+    An application is unfolded once its argument is expanded, so nested
     applications unfold in one pass.  ``body`` must not apply ``fname``.
     """
     inserted = free_vars(body) - {binder}
 
-    def leaf(n, _):
-        if isinstance(n, N.Apply) and n.fn == fname:
-            return subst_var(body, binder, expand_fn(n.arg, fname, binder,
-                                                     body))
-        return None
+    def apply(n, arg):
+        if n.fn == fname:
+            return subst_var(body, binder, arg)
+        return n if arg is n.arg else replace(n, arg=arg)
 
-    return _rewrite(node, frozenset((fname,)), leaf, lambda _: inserted)
+    return _rewrite(node, frozenset((fname,)), None, lambda _: inserted,
+                    {**REBUILD, N.Apply: apply})
 
 
 def rewrite_ground(node, pattern: N.Expr, replacement: N.Expr):
@@ -191,6 +203,7 @@ class Substitution:
         self.translations: dict = {}
         self._pending: dict = {}  # at -> (name -> entry index, names)
         self._rhs: dict = {}  # j -> entry j's right-hand side, read
+        self._unread = len(entries)  # every later entry is in _rhs
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -210,18 +223,21 @@ class Substitution:
         return found
 
     def rhs(self, j: int) -> N.Expr:
-        """Entry ``j``'s right-hand side, read at position ``j + 1``."""
-        e = self._rhs.get(j)
-        if e is None:
-            e = self._rhs[j] = self.read(self.entries[j][1], j + 1)
-        return e
+        """Entry ``j``'s right-hand side, read at position ``j + 1``.  The
+        entries are read from the last back, each reading only entries read
+        before it, so no read recurses."""
+        while self._unread > j:
+            self._unread -= 1
+            k = self._unread
+            self._rhs[k] = self.read(self.entries[k][1], k + 1)
+        return self._rhs[j]
 
     def read(self, node, at: int):
         """``node``, made at position ``at``, with the later entries applied."""
         first, names = self.pending(at)
 
         def leaf(n, _):
-            return self.rhs(first[n.name]) if isinstance(n, N.Var) else None
+            return self.rhs(first[n.name]) if n.__class__ is N.Var else None
 
         def inserted(hit):
             return frozenset().union(

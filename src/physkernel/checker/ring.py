@@ -53,7 +53,7 @@ from typing import Iterable, Mapping
 from ..dimension import BaseDim, Dimension
 from ..errors import (
     DivisionByZero, EliminationBudgetExceeded, NotPolynomial, ParseError,
-    UnsupportedNode,
+    PhysKernelError, UnsupportedNode,
 )
 from ..lang import nodes as N
 from ..lang.printer import print_expr
@@ -375,8 +375,50 @@ class Translation:
 _NO_SUBST = Substitution()
 
 
+def _dim_rf(dim: Dimension) -> RationalFunc:
+    poly = poly_const(1)
+    for base in BaseDim:
+        e = dim.exponents[base]
+        if e == 0:
+            continue
+        if type(e) is not int:  # a normal-form Fraction is never integral
+            raise UnsupportedNode(
+                "fractional base-dimension exponents are outside the ring")
+        poly = poly_mul(poly, {(((_BASE, base.name), e),): 1})
+    return RationalFunc(poly)
+
+
+def _std(e: N.StdUnit) -> RationalFunc:
+    if e.dim is None:
+        raise ParseError("'std' was not resolved to a dimension here",
+                         span=e.span)
+    return _dim_rf(e.dim)
+
+
+# The translator's fold rules that read no translator state.
+_RULES = {
+    N.NumLit: lambda e: RationalFunc.const(e.value),
+    N.ConstRef: lambda e: RationalFunc.atom(
+        (_CONST, CONSTANT_ALIASES.get(e.name, e.name))),
+    N.StdUnit: _std,
+    N.Add: lambda e, a, b: a.add(b),
+    N.Sub: lambda e, a, b: a.sub(b),
+    N.Mul: lambda e, a, b: a.mul(b),
+    N.Neg: lambda e, arg: arg.neg(),
+    N.SMul: lambda e, scalar, arg: scalar.mul(arg),
+    N.Cast: lambda e, arg: arg,
+}
+_OPAQUE_NODES = (N.RPow, N.Val, N.Norm, N.Fn, N.Apply, N.Deriv)
+
+
 class _Xlate:
-    """Translates trees at position ``at`` of ``subst`` (see ``Substitution``)."""
+    """Translates trees at position ``at`` of ``subst`` (see ``Substitution``).
+
+    ``tr`` is a fold over the tree.  A denominator is translated, checked
+    and recorded as a side condition before its numerator is walked; a
+    prefix is looked up before its argument; a subterm outside the ring
+    becomes an opaque atom without being walked.
+    """
 
     def __init__(self, db: UnitDatabase, subst: Substitution | None = None,
                  at: int = 0):
@@ -394,21 +436,59 @@ class _Xlate:
         """The label text of ``e``: printed as the substitution reads it."""
         return print_expr(self.subst.read(e, self.at))
 
-    def _defined(self, j: int) -> RationalFunc:
-        """Entry ``j``'s right-hand side, translated once; every use records
-        its side conditions and opaque atoms again."""
+    def _tables(self) -> tuple[dict, dict]:
+        """The fold's rules and ``pre``.  Built per call and never stored
+        on the translator, which their methods reference."""
+        rules = _RULES.copy()
+        rules[N.Var] = self._var
+        rules[N.UnitRef] = self._unit
+        rules[N.PrefixApp] = self._scaled
+        rules[N.Div] = ("rhs", self._denominator, "lhs",
+                        lambda e, denom, num: num.div(denom))
+        rules[N.Pow] = self._pow
+        pre = dict.fromkeys(_OPAQUE_NODES, self._opaque)
+        pre[N.PrefixApp] = self._prefix
+        pre[N.Pow] = self._fractional
+        return rules, pre
+
+    def tr(self, e: N.Expr) -> RationalFunc:
+        """The translation of ``e``.
+
+        The entries ``e`` may read through are translated first, the last
+        first, so each reads only entries already translated and no
+        translation recurses.  An entry that fails to translate keeps its
+        error, which a translation raises where it reaches the entry, as a
+        nested translation would.
+        """
+        rules, pre = self._tables()
         memo = self.subst.translations
-        if j not in memo:
-            outer = self.at, self.sides, self.opaque_vars
-            self.sides, self.opaque_vars = [], {}
-            self._move(j + 1)
-            try:
-                rf = self.tr(self.subst.entries[j][1])
-                memo[j] = rf, self.sides, self.opaque_vars
-            finally:
-                self._move(outer[0])
-                self.sides, self.opaque_vars = outer[1], outer[2]
-        rf, sides, opaque_vars = memo[j]
+        outer = self.at, self.sides, self.opaque_vars
+        try:
+            for k in range(len(self.subst.entries) - 1, outer[0] - 1, -1):
+                if k in memo:
+                    continue
+                self.sides, self.opaque_vars = [], {}
+                self._move(k + 1)
+                try:
+                    rf = N.fold(self.subst.entries[k][1], rules, pre)
+                    memo[k] = rf, self.sides, self.opaque_vars
+                except PhysKernelError as exc:
+                    memo[k] = exc
+        finally:
+            self._move(outer[0])
+            self.sides, self.opaque_vars = outer[1], outer[2]
+        return N.fold(e, rules, pre)
+
+    def _var(self, e: N.Var) -> RationalFunc:
+        """A variable, or the translation of the entry that defines it;
+        every use records the entry's side conditions and opaque atoms."""
+        j = self.pending.get(e.name)
+        if j is None:
+            return RationalFunc.atom((_VAR, e.name))
+        found = self.subst.translations[j]
+        if isinstance(found, PhysKernelError):
+            raise found
+        rf, sides, opaque_vars = found
         self.sides.extend(sides)
         for key, names in opaque_vars.items():
             self.opaque_vars.setdefault(key, names)
@@ -420,75 +500,35 @@ class _Xlate:
         self.opaque_vars.setdefault(key, frozenset(free_vars(e)))
         return RationalFunc.atom(key)
 
-    def _dim_rf(self, dim: Dimension) -> RationalFunc:
-        poly = poly_const(1)
-        for base in BaseDim:
-            e = dim.exponents[base]
-            if e == 0:
-                continue
-            if type(e) is not int:  # a normal-form Fraction is never integral
-                raise UnsupportedNode(
-                    "fractional base-dimension exponents are outside the ring")
-            poly = poly_mul(poly, {(((_BASE, base.name), e),): 1})
-        return RationalFunc(poly)
+    def _unit(self, e: N.UnitRef) -> RationalFunc:
+        q = self.db.unit(e.name)
+        return _dim_rf(q.dim).mul(RationalFunc.const(q.value))
 
-    def tr(self, e: N.Expr) -> RationalFunc:
-        if isinstance(e, N.NumLit):
-            return RationalFunc.const(e.value)
-        if isinstance(e, N.Var):
-            j = self.pending.get(e.name)
-            if j is None:
-                return RationalFunc.atom((_VAR, e.name))
-            return self._defined(j)
-        if isinstance(e, N.ConstRef):
-            name = CONSTANT_ALIASES.get(e.name, e.name)
-            return RationalFunc.atom((_CONST, name))
-        if isinstance(e, N.UnitRef):
-            q = self.db.unit(e.name)
-            return self._dim_rf(q.dim).mul(RationalFunc.const(q.value))
-        if isinstance(e, N.StdUnit):
-            if e.dim is None:
-                raise ParseError("'std' was not resolved to a dimension here",
-                                 span=e.span)
-            return self._dim_rf(e.dim)
-        if isinstance(e, N.PrefixApp):
-            factor = self.db.prefix(e.prefix)
-            return self.tr(e.arg).mul(RationalFunc.const(factor))
-        if isinstance(e, N.Add):
-            return self.tr(e.lhs).add(self.tr(e.rhs))
-        if isinstance(e, N.Sub):
-            return self.tr(e.lhs).sub(self.tr(e.rhs))
-        if isinstance(e, N.Mul):
-            return self.tr(e.lhs).mul(self.tr(e.rhs))
-        if isinstance(e, N.Div):
-            denom = self.tr(e.rhs)
-            if denom.is_zero:
-                raise DivisionByZero(
-                    f"division by the symbolically zero term "
-                    f"{self._label(e.rhs)}")
-            self.sides.append((denom, self._label(e.rhs)))
-            return self.tr(e.lhs).div(denom)
-        if isinstance(e, N.Neg):
-            return self.tr(e.arg).neg()
-        if isinstance(e, N.SMul):
-            return self.tr(e.scalar).mul(self.tr(e.arg))
-        if isinstance(e, N.Pow):
-            if e.exponent.denominator != 1:
-                return self._opaque(e)
-            n = int(e.exponent)
-            base = self.tr(e.base)
-            if n < 0:
-                if base.is_zero:
-                    raise DivisionByZero(
-                        f"negative power of the symbolically zero term "
-                        f"{self._label(e.base)}")
-                self.sides.append((base, self._label(e.base)))
-            return base.pow(n)
-        if isinstance(e, N.Cast):
-            return self.tr(e.arg)
-        if isinstance(e, (N.RPow, N.Val, N.Norm, N.Fn, N.Apply, N.Deriv)):
-            return self._opaque(e)
-        raise UnsupportedNode(f"cannot translate node {type(e).__name__}")
+    def _prefix(self, e: N.PrefixApp) -> None:
+        self.db.prefix(e.prefix)  # an unknown prefix raises here
+
+    def _scaled(self, e: N.PrefixApp, arg: RationalFunc) -> RationalFunc:
+        return arg.mul(RationalFunc.const(self.db.prefix(e.prefix)))
+
+    def _fractional(self, e: N.Pow) -> RationalFunc | None:
+        return None if e.exponent.denominator == 1 else self._opaque(e)
+
+    def _nonzero(self, rf: RationalFunc, e: N.Expr, what: str) -> None:
+        """Record that ``rf``, the translation of ``e``, must not vanish."""
+        if rf.is_zero:
+            raise DivisionByZero(
+                f"{what} the symbolically zero term {self._label(e)}")
+        self.sides.append((rf, self._label(e)))
+
+    def _denominator(self, e: N.Div, denom: RationalFunc) -> RationalFunc:
+        self._nonzero(denom, e.rhs, "division by")
+        return denom
+
+    def _pow(self, e: N.Pow, base: RationalFunc) -> RationalFunc:
+        n = int(e.exponent)
+        if n < 0:
+            self._nonzero(base, e.base, "negative power of")
+        return base.pow(n)
 
 
 def translate_difference(lhs: N.Expr, rhs: N.Expr,

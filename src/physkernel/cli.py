@@ -15,7 +15,7 @@ Subcommands:
 
 Exit codes: 0 proved (or, for ``check``, homogeneous; for ``eval``, run
 completed), 1 unknown / not homogeneous, 2 refuted, 3 bad input (including
-input that nests too deeply to check), 4 internal error (an unexpected
+input past one of the parser's budgets), 4 internal error (an unexpected
 exception; its traceback is printed).
 
 Each subcommand imports the layers it runs when it runs: ``--help`` loads

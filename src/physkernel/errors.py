@@ -9,9 +9,6 @@ computer-algebra exception vocabularies.
 
 from __future__ import annotations
 
-import functools
-import sys
-
 
 class PhysKernelError(Exception):
     """Base class for all errors raised by physkernel semantics."""
@@ -121,30 +118,6 @@ class EliminationBudgetExceeded(PhysKernelError):
         super().__init__(
             f"the elimination search {spent}, past its {budget_name} of "
             f"{budget}, without reducing the goal to zero")
-
-
-class NestingTooDeep(PhysKernelError):
-    """The input nests past the interpreter's recursion limit in a layer that
-    recurses on the tree.  The parser's depth budget does not bound a
-    left-associative chain such as a long sum, which parses into a tree as
-    deep as it is long."""
-
-    def __init__(self):
-        super().__init__("input nests too deeply for the checker's recursion "
-                         f"limit ({sys.getrecursionlimit()})")
-
-
-def typed_depth(fn):
-    """``fn``, raising NestingTooDeep where it would raise RecursionError."""
-
-    @functools.wraps(fn)
-    def guarded(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except RecursionError:
-            raise NestingTooDeep() from None
-
-    return guarded
 
 
 class MalformedScript(PhysKernelError):

@@ -5,12 +5,17 @@ nodes (:class:`Prop`) denote claims about them.  Every node carries a source
 :class:`Span` for diagnostics; spans are ignored by structural equality
 (:func:`ast_eq`), so two differently-spaced parses of the same text compare
 equal.  Nodes are immutable; rewriting builds new trees.  Each node class
-records its field names once (``_fields``, without ``span``), and the
-traversals here and in :mod:`physkernel.checker.rewrite` read that tuple
-instead of inspecting the class per node.  A node caches its set of
+records its field names once (``_fields``, without ``span``) and, among
+them, the fields that hold child nodes (``_children``), so a walk reads a
+tuple instead of inspecting the class per node.  A node caches its set of
 free variables on first use (:func:`physkernel.checker.rewrite.free_vars`);
 being frozen, it cannot make the cache stale, and the cache is no field, so
 building a changed copy never carries it over.
+
+:func:`fold` is the one walk that computes over a tree: every pass is a
+table of rules over it, and its explicit stack makes depth cost no
+recursion.  :func:`walk` (every node, preorder) and :func:`ast_eq` (two
+trees side by side) are the other two walks.
 
 A :class:`Statement` is a named theorem: declarations (variables with kinds,
 or function variables with arrow kinds), named hypotheses, and one goal,
@@ -33,7 +38,8 @@ __all__ = [
     "Eq", "Le", "Lt", "Ne", "And", "Or", "Implies",
     "ForallFinite", "ForallFn",
     "VarDecl", "FnDecl", "Statement",
-    "ast_eq", "walk", "children", "FN_NAMES", "BINARY", "COMPARISONS",
+    "ast_eq", "walk", "children", "fold", "NODES", "FN_NAMES", "BINARY",
+    "COMPARISONS",
 ]
 
 FN_NAMES = ("sin", "cos", "log", "exp", "sqrt")
@@ -69,13 +75,15 @@ class Prop(Node):
 def _node(cls):
     """Decorator: frozen record with identity equality (use ast_eq).
 
-    Stores the field names without ``span`` as ``_fields`` (what
-    :func:`children` and rewriting visit and what rebuilds a node) and,
-    unless the class sets its own, the same names as ``_syntax``, the ones
-    structural equality compares.
+    Stores the field names without ``span`` as ``_fields`` (what rebuilds a
+    node), those that hold a child node as ``_children`` (what the walks
+    visit) and, unless the class sets its own, the field names again as
+    ``_syntax``, the ones structural equality compares.
     """
     cls = record(cls, frozen=True, eq=False)
     cls._fields = tuple(f for f in cls._record_fields if f != "span")
+    cls._children = tuple(f for f in cls._fields
+                          if cls.__annotations__[f] in ("Expr", "Prop"))
     if "_syntax" not in cls.__dict__:
         cls._syntax = cls._fields
     return cls
@@ -330,6 +338,8 @@ BINARY = {
 }
 #: Comparison node class -> canonical spelling.
 COMPARISONS = {Eq: "=", Ne: "!=", Le: "<=", Lt: "<"}
+#: Every expression and proposition node class.
+NODES = (*Expr.__subclasses__(), *Prop.__subclasses__())
 
 
 # -- statements ---------------------------------------------------------------
@@ -385,12 +395,9 @@ def ast_eq(a, b) -> bool:
 
 
 def children(node) -> Iterator:
-    """Direct child nodes of an expression or a proposition: its fields that
-    are nodes (no field holds nodes inside a tuple)."""
-    for name in node._fields:
-        v = getattr(node, name)
-        if isinstance(v, Node):
-            yield v
+    """Direct child nodes of an expression or a proposition, in field
+    order."""
+    return (getattr(node, f) for f in node._children)
 
 
 def walk(node) -> Iterator:
@@ -403,7 +410,54 @@ def walk(node) -> Iterator:
     while stack:
         node = stack.pop()
         yield node
-        for name in reversed(node._fields):  # children(), without a generator
-            v = getattr(node, name)
-            if isinstance(v, Node):
-                stack.append(v)
+        for f in reversed(node._children):
+            stack.append(getattr(node, f))
+
+
+def fold(node, rules, pre=None):
+    """``node``'s result, computed bottom-up over an explicit stack.
+
+    ``rules`` maps each node class to a function of the node and its
+    children's results, in field order, that returns the node's result; or,
+    to check one child before the other is walked, to ``(first, check,
+    second, rule)``: the fields in walk order, ``check(node, result)`` run
+    on the first's result as soon as it is done (what it returns replaces
+    that result), and a rule taking the two results in walk order.  ``pre``
+    maps node classes to a function run as the walk reaches such a node: it
+    returns the node's result, and the walk skips its children, or None.
+    Children are walked left to right, so everything runs in the order of a
+    recursive walk.
+    """
+    out = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        cls = n.__class__
+        if cls is tuple:  # (rule, node, two): the node's children are done
+            rule, n, two = n
+            if two:
+                second = out.pop()
+                out[-1] = rule(n, out[-1], second)
+            else:
+                out[-1] = rule(n, out[-1])
+            continue
+        if pre is not None:
+            visit = pre.get(cls)
+            if visit is not None:
+                result = visit(n)
+                if result is not None:
+                    out.append(result)
+                    continue
+        rule = rules[cls]
+        kids = cls._children
+        if rule.__class__ is tuple:
+            first, check, second, rule = rule
+            stack += ((rule, n, True), getattr(n, second), (check, n, False),
+                      getattr(n, first))
+        elif not kids:
+            out.append(rule(n))
+        elif len(kids) == 1:
+            stack += ((rule, n, False), getattr(n, kids[0]))
+        else:
+            stack += ((rule, n, True), getattr(n, kids[1]), getattr(n, kids[0]))
+    return out[0]

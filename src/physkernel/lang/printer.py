@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import typed_depth
 from . import nodes as N
 
 __all__ = ["print_expr", "print_prop", "print_statement", "render_rational"]
@@ -53,11 +52,11 @@ def render_rational(value: Fraction) -> str:
     return f"{num}/{den}"
 
 
-def _rat(value: Fraction) -> tuple[str, int]:
+def _rat(value: Fraction) -> tuple[list[str], int]:
     text = render_rational(value)
     if "/" in text:
-        return text, N.BINARY[N.Div][1]  # prints as a division of literals
-    return text, _ATOM if value >= 0 and value.denominator == 1 else _UNARY
+        return [text], N.BINARY[N.Div][1]  # prints as a division of literals
+    return [text], _ATOM if value >= 0 and value.denominator == 1 else _UNARY
 
 
 def _exponent(value: Fraction) -> str:
@@ -68,84 +67,80 @@ def _exponent(value: Fraction) -> str:
     return f"({value.numerator}/{value.denominator})"
 
 
-def _text(n: N.Node) -> tuple[str, int]:
-    """The text of an expression or a proposition and the level it prints
-    at.  A binary operator's operand on its associative side may print at
-    its own power; the other operand must bind tighter.  A chain of
-    left-associative operators of one power (a long sum) is printed by
-    walking its left spine in a loop, so its length costs no recursion."""
-    cls = n.__class__
-    op = N.BINARY.get(cls)
-    if op is not None:
-        spelling, bp, right = op
-        if right:
-            lhs, rhs = cls._fields
-            return (f"{_sub(getattr(n, lhs), bp + 1)} {spelling} "
-                    f"{_sub(getattr(n, rhs), bp)}", bp)
-        parts = [_sub(n.rhs, bp + 1), spelling]
-        n = n.lhs
-        op = N.BINARY.get(n.__class__)
-        while op is not None and op[1] == bp and not op[2]:
-            parts += (_sub(n.rhs, bp + 1), op[0])
-            n = n.lhs
-            op = N.BINARY.get(n.__class__)
-        parts.append(_sub(n, bp))
-        parts.reverse()
-        return " ".join(parts), bp
-    op = N.COMPARISONS.get(cls)
-    if op is not None:
-        return f"{print_expr(n.lhs)} {op} {print_expr(n.rhs)}", _CMP
-    if isinstance(n, N.NumLit):
-        return _rat(n.value)
-    if isinstance(n, (N.Var, N.ConstRef, N.UnitRef)):
-        return n.name, _ATOM
-    if isinstance(n, N.StdUnit):
-        return "std", _ATOM
-    if isinstance(n, N.PrefixApp):
-        return f"{n.prefix}({print_expr(n.arg)})", _ATOM
-    if isinstance(n, N.Neg):
-        return f"-{_sub(n.arg, _UNARY)}", _UNARY
-    if isinstance(n, N.Pow):
-        return f"{_sub(n.base, _ATOM)}**{_exponent(n.exponent)}", _POW
-    if isinstance(n, N.RPow):
-        return f"rpow({print_expr(n.base)}, {print_expr(n.exponent)})", _ATOM
-    if isinstance(n, N.Cast):
-        if isinstance(n.arg, N.StdUnit):
-            return f"unit({n.kind})", _ATOM
-        return f"cast({print_expr(n.arg)}, {n.kind})", _ATOM
-    if isinstance(n, N.Val):
-        return f"val({print_expr(n.arg)})", _ATOM
-    if isinstance(n, N.Norm):
-        return f"norm({print_expr(n.arg)})", _ATOM
-    if isinstance(n, (N.Fn, N.Apply)):
-        return f"{n.fn}({print_expr(n.arg)})", _ATOM
-    if isinstance(n, N.Deriv):
-        return f"deriv({n.fn}, {print_expr(n.at)})", _ATOM
-    if isinstance(n, N.ForallFinite):
-        values = ", ".join(render_rational(v) for v in n.values)
-        return f"forall {n.var} in {{{values}}}, {print_prop(n.body)}", _FORALL
-    if isinstance(n, N.ForallFn):
-        annot = f" : {n.kind_annot}" if n.kind_annot else ""
-        return f"forall {n.var}{annot}, {print_prop(n.body)}", _FORALL
-    raise TypeError(f"not an expression or a proposition node: {n!r}")
+# The fold rules of the printer.  A node's result is its text, as a list
+# of pieces, and the level it prints at.  A rule extends the list of its
+# first child, which nothing else holds, so a long chain prints in linear
+# time.  A child is parenthesized when its level is below the level its
+# place requires: a binary operator's operand on its associative side may
+# print at the operator's own power, the other operand must bind tighter.
 
 
-def _sub(n: N.Node, required: int) -> str:
-    text, level = _text(n)
-    return f"({text})" if level < required else text
+def _sub(child: tuple[list[str], int], required: int) -> list[str]:
+    parts, level = child
+    if level < required:
+        parts.insert(0, "(")
+        parts.append(")")
+    return parts
 
 
-@typed_depth
-def print_expr(e: N.Expr) -> str:
-    return _text(e)[0]
+def _join(level: int, first, *rest) -> tuple[list[str], int]:
+    """The text of ``first`` (a child's pieces or a string) and ``rest``."""
+    parts = first if first.__class__ is list else [first]
+    for piece in rest:
+        if piece.__class__ is str:
+            parts.append(piece)
+        else:
+            parts += piece
+    return parts, level
 
 
-@typed_depth
-def print_prop(p: N.Prop) -> str:
-    return _text(p)[0]
+def _binary(spelling: str, bp: int, right: bool):
+    return lambda n, lhs, rhs: _join(bp, _sub(lhs, bp + right),
+                                     f" {spelling} ",
+                                     _sub(rhs, bp + (not right)))
 
 
-@typed_depth
+_RULES = {
+    **{cls: _binary(*op) for cls, op in N.BINARY.items()},
+    **{cls: lambda n, lhs, rhs: _join(
+        _CMP, lhs[0], f" {N.COMPARISONS[n.__class__]} ", rhs[0])
+       for cls in N.COMPARISONS},
+    N.NumLit: lambda n: _rat(n.value),
+    N.Var: lambda n: ([n.name], _ATOM),
+    N.ConstRef: lambda n: ([n.name], _ATOM),
+    N.UnitRef: lambda n: ([n.name], _ATOM),
+    N.StdUnit: lambda n: (["std"], _ATOM),
+    N.PrefixApp: lambda n, arg: _join(_ATOM, f"{n.prefix}(", arg[0], ")"),
+    N.Neg: lambda n, arg: _join(_UNARY, "-", _sub(arg, _UNARY)),
+    N.Pow: lambda n, base: _join(_POW, _sub(base, _ATOM),
+                                 f"**{_exponent(n.exponent)}"),
+    N.RPow: lambda n, base, exponent: _join(
+        _ATOM, "rpow(", base[0], ", ", exponent[0], ")"),
+    N.Cast: lambda n, arg: (
+        ([f"unit({n.kind})"], _ATOM) if n.arg.__class__ is N.StdUnit
+        else _join(_ATOM, "cast(", arg[0], f", {n.kind})")),
+    N.Val: lambda n, arg: _join(_ATOM, "val(", arg[0], ")"),
+    N.Norm: lambda n, arg: _join(_ATOM, "norm(", arg[0], ")"),
+    N.Fn: lambda n, arg: _join(_ATOM, f"{n.fn}(", arg[0], ")"),
+    N.Apply: lambda n, arg: _join(_ATOM, f"{n.fn}(", arg[0], ")"),
+    N.Deriv: lambda n, at: _join(_ATOM, f"deriv({n.fn}, ", at[0], ")"),
+    N.ForallFinite: lambda n, body: _join(
+        _FORALL, f"forall {n.var} in "
+        f"{{{', '.join(render_rational(v) for v in n.values)}}}, ", body[0]),
+    N.ForallFn: lambda n, body: _join(
+        _FORALL, f"forall {n.var}"
+        f"{f' : {n.kind_annot}' if n.kind_annot else ''}, ", body[0]),
+}
+
+
+def print_expr(node: N.Node) -> str:
+    """The canonical text of an expression or a proposition."""
+    return "".join(N.fold(node, _RULES)[0])
+
+
+print_prop = print_expr
+
+
 def print_statement(stmt: N.Statement, front_matter: bool = False) -> str:
     """Canonical statement text; optionally with its front-matter block."""
     lines: list[str] = []

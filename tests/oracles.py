@@ -4,13 +4,25 @@ import re
 from fractions import Fraction
 
 from physkernel.checker import ring
+from physkernel.checker.dims import _CMP_NOTE, _forall_var_dim, _MismatchSignal
+from physkernel.checker.evaluate import _eval_fn
 from physkernel.checker.ring import (
-    _ONE, _coeff, _mono_mul, poly_add, poly_const, poly_degree_in,
+    _ONE, RationalFunc, _coeff, _mono_mul, poly_add, poly_const,
+    poly_degree_in,
 )
+from physkernel.dimension import DIMENSIONLESS, BaseDim
 from physkernel.errors import (
-    DivisionByZero, EliminationBudgetExceeded, ParseError,
+    DimensionMismatch, DivisionByZero, DomainError, EliminationBudgetExceeded,
+    ParseError, UnboundVariable, UnsupportedNode,
 )
+from physkernel.lang import nodes as N
 from physkernel.lang.nodes import FN_NAMES, Span
+from physkernel.lang.printer import render_rational
+from physkernel.quantity import (
+    _DEC, Quantity, _approx, _num_pow, _to_decimal,
+)
+from physkernel.record import replace
+from physkernel.unitdb import CONSTANT_ALIASES
 
 
 def poly_eval(p, env) -> Fraction:
@@ -209,3 +221,578 @@ def subst_poly_loop(p, atom, d, sol):
                     "ELIM_TERM_BUDGET", ring.ELIM_TERM_BUDGET,
                     f"built a polynomial of {len(part)} terms")
     return total
+
+
+# -- the recursive tree passes that ``nodes.fold`` replaced ---------------------
+#
+# Each pass as it was before it became a table of rules over ``nodes.fold``,
+# with one Python frame per tree level.  On trees shallow enough for the
+# recursion limit, the fold-based passes must return what these return, or
+# raise an exception of the same type with the same message, with side
+# conditions and opaque atoms recorded in the same order (test_fold.py).
+
+
+def free_vars_ref(node) -> frozenset[str]:
+    """``rewrite.free_vars``, recomputed without a cache."""
+    names = frozenset().union(*(free_vars_ref(c) for c in N.children(node)))
+    if isinstance(node, N.Var):
+        names = names | {node.name}
+    elif isinstance(node, (N.Apply, N.Deriv)):
+        names = names | {node.fn}
+    elif isinstance(node, (N.ForallFn, N.ForallFinite)):
+        names = names - {node.var}
+    return names
+
+
+def transform_ref(node, fn):
+    """``rewrite.transform``: ``fn(node)`` or the node with its children
+    transformed, rebuilt only where a child changed."""
+    replacement = fn(node)
+    if replacement is not None:
+        return replacement
+    changed = None
+    for name in node._fields:
+        value = getattr(node, name)
+        if not isinstance(value, N.Node):
+            continue
+        new_value = transform_ref(value, fn)
+        if new_value is not value:
+            if changed is None:
+                changed = {}
+            changed[name] = new_value
+    if changed is None:
+        return node
+    return type(node)(span=node.span,
+                      **{f: changed.get(f, getattr(node, f))
+                         for f in node._fields})
+
+
+def _rewrite_ref(node, names, leaf, inserted):
+    def visit(n):
+        free = free_vars_ref(n)
+        if free.isdisjoint(names):
+            return n
+        if not isinstance(n, (N.ForallFn, N.ForallFinite)):
+            return leaf(n, names)
+        avoid = inserted(names & free)
+        if n.var in avoid:  # to <var>!<k>, free in neither body nor avoid
+            taken, k = free_vars_ref(n.body) | avoid, 1
+            while f"{n.var}!{k}" in taken:
+                k += 1
+            fresh = f"{n.var}!{k}"
+            n = replace(n, var=fresh,
+                        body=subst_var_ref(n.body, n.var, N.Var(fresh)))
+        body = _rewrite_ref(n.body, names - {n.var}, leaf, inserted)
+        return n if body is n.body else replace(n, body=body)
+
+    return transform_ref(node, visit)
+
+
+def subst_var_ref(node, name, replacement):
+    inserted = free_vars_ref(replacement)
+    return _rewrite_ref(
+        node, frozenset((name,)),
+        lambda n, _: replacement if isinstance(n, N.Var) else None,
+        lambda _: inserted)
+
+
+def expand_fn_ref(node, fname, binder, body):
+    inserted = free_vars_ref(body) - {binder}
+
+    def leaf(n, _):
+        if isinstance(n, N.Apply) and n.fn == fname:
+            return subst_var_ref(body, binder,
+                                 expand_fn_ref(n.arg, fname, binder, body))
+        return None
+
+    return _rewrite_ref(node, frozenset((fname,)), leaf, lambda _: inserted)
+
+
+def rewrite_ground_ref(node, pattern, replacement):
+    names = free_vars_ref(pattern)
+    inserted = free_vars_ref(replacement)
+
+    def leaf(n, live):
+        if live != names or not names <= free_vars_ref(n):
+            return n
+        if isinstance(n, N.Expr) and N.ast_eq(n, pattern):
+            return replacement
+        return None
+
+    return _rewrite_ref(node, names, leaf,
+                        lambda hit: inserted if hit == names else frozenset())
+
+
+class SubstitutionRef:
+    """``rewrite.Substitution`` with its recursive reads."""
+
+    def __init__(self, entries=()):
+        self.entries = entries
+        self.translations = {}
+        self._pending = {}
+        self._rhs = {}
+
+    def __len__(self):
+        return len(self.entries)
+
+    def pending(self, at):
+        found = self._pending.get(at)
+        if found is None:
+            first = {}
+            for j in range(len(self.entries) - 1, at - 1, -1):
+                first[self.entries[j][0]] = j
+            found = self._pending[at] = first, frozenset(first)
+        return found
+
+    def rhs(self, j):
+        e = self._rhs.get(j)
+        if e is None:
+            e = self._rhs[j] = self.read(self.entries[j][1], j + 1)
+        return e
+
+    def read(self, node, at):
+        first, names = self.pending(at)
+
+        def leaf(n, _):
+            return self.rhs(first[n.name]) if isinstance(n, N.Var) else None
+
+        def inserted(hit):
+            return frozenset().union(
+                *(free_vars_ref(self.rhs(first[x])) for x in hit))
+
+        return _rewrite_ref(node, names, leaf, inserted)
+
+
+def expr_dim_ref(e, env, db):
+    """``dims.expr_dim``: raises ``dims._MismatchSignal`` at the first
+    violation.  ``env`` has the ``vars`` and ``fns`` of ``dims._Env``."""
+    if isinstance(e, N.NumLit):
+        return DIMENSIONLESS
+    if isinstance(e, N.ConstRef):
+        return db.constant(e.name).dim
+    if isinstance(e, N.Var):
+        try:
+            return env.vars[e.name]
+        except KeyError:
+            raise ParseError(f"'{e.name}' is a function and cannot be used "
+                             "as a quantity here", span=e.span) from None
+    if isinstance(e, N.UnitRef):
+        return db.unit(e.name).dim
+    if isinstance(e, N.StdUnit):
+        if e.dim is None:
+            raise _MismatchSignal(e.span, None, None,
+                                  "the dimension of 'std' could not be inferred")
+        return e.dim
+    if isinstance(e, N.PrefixApp):
+        return expr_dim_ref(e.arg, env, db)
+    if isinstance(e, (N.Add, N.Sub)):
+        left = expr_dim_ref(e.lhs, env, db)
+        right = expr_dim_ref(e.rhs, env, db)
+        if left != right:
+            word = "addition" if isinstance(e, N.Add) else "subtraction"
+            raise _MismatchSignal(e.rhs.span, left, right,
+                                  f"{word} requires equal dimensions")
+        return left
+    if isinstance(e, N.Mul):
+        return expr_dim_ref(e.lhs, env, db).combine(
+            expr_dim_ref(e.rhs, env, db))
+    if isinstance(e, N.Div):
+        return expr_dim_ref(e.lhs, env, db).combine(
+            expr_dim_ref(e.rhs, env, db).invert())
+    if isinstance(e, N.Neg):
+        return expr_dim_ref(e.arg, env, db)
+    if isinstance(e, N.SMul):
+        scalar = expr_dim_ref(e.scalar, env, db)
+        if not scalar.is_dimensionless:
+            raise _MismatchSignal(e.scalar.span, DIMENSIONLESS, scalar,
+                                  "scalar position of •")
+        return expr_dim_ref(e.arg, env, db)
+    if isinstance(e, N.Pow):
+        return expr_dim_ref(e.base, env, db).scale(e.exponent)
+    if isinstance(e, N.RPow):
+        base = expr_dim_ref(e.base, env, db)
+        if not base.is_dimensionless:
+            raise _MismatchSignal(e.base.span, DIMENSIONLESS, base,
+                                  "base of a real power")
+        exponent = expr_dim_ref(e.exponent, env, db)
+        if not exponent.is_dimensionless:
+            raise _MismatchSignal(e.exponent.span, DIMENSIONLESS, exponent,
+                                  "exponent of a real power")
+        return DIMENSIONLESS
+    if isinstance(e, N.Cast):
+        target = db.kind(e.kind)
+        if isinstance(e.arg, N.StdUnit):
+            return target
+        found = expr_dim_ref(e.arg, env, db)
+        if found != target:
+            raise _MismatchSignal(e.arg.span, target, found,
+                                  f"cast to {e.kind}")
+        return target
+    if isinstance(e, (N.Val, N.Norm)):
+        expr_dim_ref(e.arg, env, db)
+        return DIMENSIONLESS
+    if isinstance(e, N.Fn):
+        found = expr_dim_ref(e.arg, env, db)
+        if not found.is_dimensionless:
+            raise _MismatchSignal(e.arg.span, DIMENSIONLESS, found,
+                                  f"argument of {e.fn}")
+        return DIMENSIONLESS
+    if isinstance(e, N.Apply):
+        arg_dim, result_dim = env.fns[e.fn]
+        found = expr_dim_ref(e.arg, env, db)
+        if found != arg_dim:
+            raise _MismatchSignal(e.arg.span, arg_dim, found,
+                                  f"argument of {e.fn}")
+        return result_dim
+    if isinstance(e, N.Deriv):
+        arg_dim, result_dim = env.fns[e.fn]
+        found = expr_dim_ref(e.at, env, db)
+        if found != arg_dim:
+            raise _MismatchSignal(e.at.span, arg_dim, found,
+                                  f"derivative point of {e.fn}")
+        return result_dim.combine(arg_dim.invert())
+    raise ParseError(f"unsupported expression node {type(e).__name__}",
+                     span=getattr(e, "span", N.DUMMY_SPAN))
+
+
+def check_cmp_ref(p, env, db):
+    """``dims._check_cmp`` over ``expr_dim_ref``."""
+    if (isinstance(p.lhs, N.Var) and isinstance(p.rhs, N.Var)
+            and p.lhs.name in env.fns and p.rhs.name in env.fns):
+        (la, lr), (ra, rr) = env.fns[p.lhs.name], env.fns[p.rhs.name]
+        if la != ra:
+            raise _MismatchSignal(p.rhs.span, la, ra,
+                                  "function argument kinds differ")
+        if lr != rr:
+            raise _MismatchSignal(p.rhs.span, lr, rr,
+                                  "function result kinds differ")
+        return p
+    left = expr_dim_ref(p.lhs, env, db)
+    right = expr_dim_ref(p.rhs, env, db)
+    if left != right:
+        raise _MismatchSignal(p.rhs.span, left, right, _CMP_NOTE[type(p)])
+    return p
+
+
+def walk_prop_ref(p, env, db, on_cmp):
+    """``dims._walk_prop``: ``on_cmp(cmp, env, db)`` at each comparison,
+    with each quantifier's variable in ``env`` while its body is walked."""
+    if isinstance(p, (N.Eq, N.Ne, N.Le, N.Lt)):
+        return on_cmp(p, env, db)
+    if isinstance(p, (N.And, N.Or, N.Implies)):
+        lhs = walk_prop_ref(p.lhs, env, db, on_cmp)
+        rhs = walk_prop_ref(p.rhs, env, db, on_cmp)
+        if lhs is p.lhs and rhs is p.rhs:
+            return p
+        return replace(p, lhs=lhs, rhs=rhs)
+    if isinstance(p, (N.ForallFinite, N.ForallFn)):
+        dim = (DIMENSIONLESS if isinstance(p, N.ForallFinite)
+               else _forall_var_dim(p, env))
+        saved = env.vars.get(p.var)
+        env.vars[p.var] = dim
+        try:
+            body = walk_prop_ref(p.body, env, db, on_cmp)
+        finally:
+            if saved is None:
+                del env.vars[p.var]
+            else:
+                env.vars[p.var] = saved
+        return p if body is p.body else replace(p, body=body)
+    raise ParseError(f"unsupported proposition node {type(p).__name__}",
+                     span=getattr(p, "span", N.DUMMY_SPAN))
+
+
+_ARITH = {N.Add: Quantity.add, N.Sub: Quantity.sub, N.Mul: Quantity.mul,
+          N.Div: Quantity.div}
+
+
+def eval_ref(e, env, db):
+    """``evaluate.eval_numeric``."""
+    op = _ARITH.get(e.__class__)
+    if op is not None:
+        return op(eval_ref(e.lhs, env, db), eval_ref(e.rhs, env, db))
+    if isinstance(e, N.NumLit):
+        return Quantity.scalar(e.value)
+    if isinstance(e, N.ConstRef):
+        return db.constant(e.name)
+    if isinstance(e, N.Var):
+        q = env.get(e.name)
+        if q is None:
+            raise UnboundVariable(e.name)
+        return q
+    if isinstance(e, N.UnitRef):
+        return db.unit(e.name)
+    if isinstance(e, N.StdUnit):
+        if e.dim is None:
+            raise ParseError("'std' was not resolved to a dimension here",
+                             span=e.span)
+        return Quantity(Fraction(1), e.dim)
+    if isinstance(e, N.PrefixApp):
+        return eval_ref(e.arg, env, db).smul(db.prefix(e.prefix))
+    if isinstance(e, N.Neg):
+        return eval_ref(e.arg, env, db).neg()
+    if isinstance(e, N.SMul):
+        scalar = eval_ref(e.scalar, env, db)
+        if not scalar.dim.is_dimensionless:
+            raise DimensionMismatch(DIMENSIONLESS, scalar.dim,
+                                    "scalar position of •")
+        return eval_ref(e.arg, env, db).smul(scalar.value)
+    if isinstance(e, N.Pow):
+        return eval_ref(e.base, env, db).pow(e.exponent)
+    if isinstance(e, N.RPow):
+        base = eval_ref(e.base, env, db)
+        exponent = eval_ref(e.exponent, env, db)
+        for part, where in ((base, "base"), (exponent, "exponent")):
+            if not part.dim.is_dimensionless:
+                raise DimensionMismatch(DIMENSIONLESS, part.dim,
+                                        f"{where} of a real power")
+        if isinstance(exponent.value, Fraction):
+            return Quantity.scalar(_num_pow(base.value, exponent.value))
+        d = _to_decimal(base.value)
+        if d <= 0:
+            raise DomainError(
+                "an approximate exponent requires a positive base")
+        return Quantity.scalar(_approx(
+            _DEC.multiply(exponent.value.value, _DEC.ln(d)).exp(_DEC)))
+    if isinstance(e, N.Cast):
+        return eval_ref(e.arg, env, db).cast(db.kind(e.kind))
+    if isinstance(e, N.Val):
+        return Quantity.scalar(eval_ref(e.arg, env, db).val())
+    if isinstance(e, N.Norm):
+        return Quantity.scalar(eval_ref(e.arg, env, db).norm())
+    if isinstance(e, N.Fn):
+        arg = eval_ref(e.arg, env, db)
+        if not arg.dim.is_dimensionless:
+            raise DimensionMismatch(DIMENSIONLESS, arg.dim,
+                                    f"argument of {e.fn}")
+        return Quantity.scalar(_eval_fn(e.fn, arg.value))
+    if isinstance(e, (N.Apply, N.Deriv)):
+        raise UnboundVariable(e.fn)
+    raise UnsupportedNode(f"cannot evaluate node {type(e).__name__}")
+
+
+_COMPARE_REF = {N.Eq: lambda c: c.equal, N.Ne: lambda c: not c.equal,
+                N.Le: lambda c: c.sign <= 0, N.Lt: lambda c: c.sign < 0}
+_CONNECT_REF = {N.And: lambda a, b: a and b, N.Or: lambda a, b: a or b,
+                N.Implies: lambda a, b: not a or b}
+
+
+def eval_prop_ref(p, env, db):
+    """``evaluate.eval_prop``: (truth, exact); a connective evaluates both
+    sides."""
+    truth = _COMPARE_REF.get(p.__class__)
+    if truth is not None:
+        cmp = eval_ref(p.lhs, env, db).compare(eval_ref(p.rhs, env, db))
+        return truth(cmp), cmp.exact
+    truth = _CONNECT_REF.get(p.__class__)
+    if truth is not None:
+        lt, le = eval_prop_ref(p.lhs, env, db)
+        rt, re_ = eval_prop_ref(p.rhs, env, db)
+        return truth(lt, rt), le and re_
+    raise UnsupportedNode(
+        f"cannot numerically evaluate a {type(p).__name__} proposition")
+
+
+class XlateRef:
+    """``ring._Xlate`` with its recursive ``tr``; it reads through a
+    ``SubstitutionRef`` and prints labels with ``print_expr_ref``."""
+
+    def __init__(self, db, subst=None, at=0):
+        self.db = db
+        self.subst = SubstitutionRef() if subst is None else subst
+        self.sides = []
+        self.opaque_vars = {}
+        self._move(at)
+
+    def _move(self, at):
+        self.at = at
+        self.pending = self.subst.pending(at)[0]
+
+    def _label(self, e):
+        return print_expr_ref(self.subst.read(e, self.at))
+
+    def _defined(self, j):
+        memo = self.subst.translations
+        if j not in memo:
+            outer = self.at, self.sides, self.opaque_vars
+            self.sides, self.opaque_vars = [], {}
+            self._move(j + 1)
+            try:
+                rf = self.tr(self.subst.entries[j][1])
+                memo[j] = rf, self.sides, self.opaque_vars
+            finally:
+                self._move(outer[0])
+                self.sides, self.opaque_vars = outer[1], outer[2]
+        rf, sides, opaque_vars = memo[j]
+        self.sides.extend(sides)
+        for key, names in opaque_vars.items():
+            self.opaque_vars.setdefault(key, names)
+        return rf
+
+    def _opaque(self, e):
+        e = self.subst.read(e, self.at)
+        key = (ring._OPAQUE, print_expr_ref(e))
+        self.opaque_vars.setdefault(key, frozenset(free_vars_ref(e)))
+        return RationalFunc.atom(key)
+
+    def _dim_rf(self, dim):
+        poly = poly_const(1)
+        for base in BaseDim:
+            e = dim.exponents[base]
+            if e == 0:
+                continue
+            if type(e) is not int:
+                raise UnsupportedNode(
+                    "fractional base-dimension exponents are outside the ring")
+            poly = ring.poly_mul(poly, {(((ring._BASE, base.name), e),): 1})
+        return RationalFunc(poly)
+
+    def tr(self, e):
+        if isinstance(e, N.NumLit):
+            return RationalFunc.const(e.value)
+        if isinstance(e, N.Var):
+            j = self.pending.get(e.name)
+            if j is None:
+                return RationalFunc.atom((ring._VAR, e.name))
+            return self._defined(j)
+        if isinstance(e, N.ConstRef):
+            name = CONSTANT_ALIASES.get(e.name, e.name)
+            return RationalFunc.atom((ring._CONST, name))
+        if isinstance(e, N.UnitRef):
+            q = self.db.unit(e.name)
+            return self._dim_rf(q.dim).mul(RationalFunc.const(q.value))
+        if isinstance(e, N.StdUnit):
+            if e.dim is None:
+                raise ParseError("'std' was not resolved to a dimension here",
+                                 span=e.span)
+            return self._dim_rf(e.dim)
+        if isinstance(e, N.PrefixApp):
+            factor = self.db.prefix(e.prefix)
+            return self.tr(e.arg).mul(RationalFunc.const(factor))
+        if isinstance(e, N.Add):
+            return self.tr(e.lhs).add(self.tr(e.rhs))
+        if isinstance(e, N.Sub):
+            return self.tr(e.lhs).sub(self.tr(e.rhs))
+        if isinstance(e, N.Mul):
+            return self.tr(e.lhs).mul(self.tr(e.rhs))
+        if isinstance(e, N.Div):
+            denom = self.tr(e.rhs)
+            if denom.is_zero:
+                raise DivisionByZero(
+                    f"division by the symbolically zero term "
+                    f"{self._label(e.rhs)}")
+            self.sides.append((denom, self._label(e.rhs)))
+            return self.tr(e.lhs).div(denom)
+        if isinstance(e, N.Neg):
+            return self.tr(e.arg).neg()
+        if isinstance(e, N.SMul):
+            return self.tr(e.scalar).mul(self.tr(e.arg))
+        if isinstance(e, N.Pow):
+            if e.exponent.denominator != 1:
+                return self._opaque(e)
+            n = int(e.exponent)
+            base = self.tr(e.base)
+            if n < 0:
+                if base.is_zero:
+                    raise DivisionByZero(
+                        f"negative power of the symbolically zero term "
+                        f"{self._label(e.base)}")
+                self.sides.append((base, self._label(e.base)))
+            return base.pow(n)
+        if isinstance(e, N.Cast):
+            return self.tr(e.arg)
+        if isinstance(e, (N.RPow, N.Val, N.Norm, N.Fn, N.Apply, N.Deriv)):
+            return self._opaque(e)
+        raise UnsupportedNode(f"cannot translate node {type(e).__name__}")
+
+
+# The printer's levels (``lang.printer``).
+_FORALL = 0
+_UNARY = _CMP = 1 + max(bp for _, bp, _ in N.BINARY.values())
+_POW = _UNARY + 1
+_ATOM = _POW + 1
+
+
+def _rat_ref(value):
+    text = render_rational(value)
+    if "/" in text:
+        return text, N.BINARY[N.Div][1]
+    return text, _ATOM if value >= 0 and value.denominator == 1 else _UNARY
+
+
+def _exponent_ref(value):
+    if value.denominator == 1 and value >= 0:
+        return str(value.numerator)
+    if value.denominator == 1:
+        return f"({value.numerator})"
+    return f"({value.numerator}/{value.denominator})"
+
+
+def text_ref(n):
+    """``printer``'s text of a node and the level it prints at."""
+    cls = n.__class__
+    op = N.BINARY.get(cls)
+    if op is not None:
+        spelling, bp, right = op
+        if right:
+            lhs, rhs = cls._fields
+            return (f"{_sub_ref(getattr(n, lhs), bp + 1)} {spelling} "
+                    f"{_sub_ref(getattr(n, rhs), bp)}", bp)
+        parts = [_sub_ref(n.rhs, bp + 1), spelling]
+        n = n.lhs
+        op = N.BINARY.get(n.__class__)
+        while op is not None and op[1] == bp and not op[2]:
+            parts += (_sub_ref(n.rhs, bp + 1), op[0])
+            n = n.lhs
+            op = N.BINARY.get(n.__class__)
+        parts.append(_sub_ref(n, bp))
+        parts.reverse()
+        return " ".join(parts), bp
+    op = N.COMPARISONS.get(cls)
+    if op is not None:
+        return f"{print_expr_ref(n.lhs)} {op} {print_expr_ref(n.rhs)}", _CMP
+    if isinstance(n, N.NumLit):
+        return _rat_ref(n.value)
+    if isinstance(n, (N.Var, N.ConstRef, N.UnitRef)):
+        return n.name, _ATOM
+    if isinstance(n, N.StdUnit):
+        return "std", _ATOM
+    if isinstance(n, N.PrefixApp):
+        return f"{n.prefix}({print_expr_ref(n.arg)})", _ATOM
+    if isinstance(n, N.Neg):
+        return f"-{_sub_ref(n.arg, _UNARY)}", _UNARY
+    if isinstance(n, N.Pow):
+        return f"{_sub_ref(n.base, _ATOM)}**{_exponent_ref(n.exponent)}", _POW
+    if isinstance(n, N.RPow):
+        return (f"rpow({print_expr_ref(n.base)}, "
+                f"{print_expr_ref(n.exponent)})", _ATOM)
+    if isinstance(n, N.Cast):
+        if isinstance(n.arg, N.StdUnit):
+            return f"unit({n.kind})", _ATOM
+        return f"cast({print_expr_ref(n.arg)}, {n.kind})", _ATOM
+    if isinstance(n, N.Val):
+        return f"val({print_expr_ref(n.arg)})", _ATOM
+    if isinstance(n, N.Norm):
+        return f"norm({print_expr_ref(n.arg)})", _ATOM
+    if isinstance(n, (N.Fn, N.Apply)):
+        return f"{n.fn}({print_expr_ref(n.arg)})", _ATOM
+    if isinstance(n, N.Deriv):
+        return f"deriv({n.fn}, {print_expr_ref(n.at)})", _ATOM
+    if isinstance(n, N.ForallFinite):
+        values = ", ".join(render_rational(v) for v in n.values)
+        return (f"forall {n.var} in {{{values}}}, "
+                f"{print_expr_ref(n.body)}", _FORALL)
+    if isinstance(n, N.ForallFn):
+        annot = f" : {n.kind_annot}" if n.kind_annot else ""
+        return f"forall {n.var}{annot}, {print_expr_ref(n.body)}", _FORALL
+    raise TypeError(f"not an expression or a proposition node: {n!r}")
+
+
+def _sub_ref(n, required):
+    text, level = text_ref(n)
+    return f"({text})" if level < required else text
+
+
+def print_expr_ref(n) -> str:
+    """``printer.print_expr`` (and ``print_prop``)."""
+    return text_ref(n)[0]

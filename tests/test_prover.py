@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from physkernel.checker import ring
+from physkernel.checker.dims import check_dimensions
 from physkernel.checker.prover import (
     Proved, Refuted, Unknown, _Session, auto_prove, check_derivation,
     database_for,
@@ -15,7 +16,7 @@ from physkernel.checker.script import (
     ExactHyp, Intro, MalformedScript, NumericCheck, RingCheck, Split, Subst,
     parse_script, print_script,
 )
-from physkernel.errors import NestingTooDeep, ParseError
+from physkernel.errors import ParseError
 from physkernel.lang import nodes as N
 from physkernel.lang.parser import parse_statement
 from physkernel.lang.printer import print_prop, print_statement
@@ -409,33 +410,26 @@ def _repeated_sum(terms: int, db):
                            f"{' + '.join(['x'] * terms)} = {terms} • x", db)
 
 
-def test_deep_sums_prove_or_raise_a_typed_error(db):
+def test_deep_sums_and_tall_chains_prove_print_and_check(db):
     # A long sum parses (left-associative chains do not nest in the parser)
-    # into a tree as deep as it is long.
-    assert isinstance(auto_prove(_repeated_sum(400, db), db), Proved)
+    # into a tree as deep as it is long; no pass recurses on it.
     deep = _repeated_sum(1200, db)
-    for run in (lambda: auto_prove(deep, db),
-                lambda: check_derivation(deep, (RingCheck(),), db)):
-        with pytest.raises(NestingTooDeep,
-                           match="nests too deeply for the checker's "
-                                 r"recursion limit \(\d+\)"):
-            run()
-    # The printers walk a chain in a loop: they print what the prover cannot.
+    v = auto_prove(deep, db)
+    assert isinstance(v, Proved), v
+    script = parse_script(print_script(v.steps), deep, db)
+    assert isinstance(check_derivation(deep, script, db), Proved)
     assert print_prop(deep.goal).count(" + ") == 1199
     assert print_statement(deep).count(" + ") == 1199
-    # A right-nested chain (here of implications, which the parser's depth
-    # budget rejects but the checker can build) still recurses once per
-    # level in the printers.
+    # A right-nested chain, here of implications, which the parser's depth
+    # budget rejects but the checker can build.
     goal = N.Eq(N.Var("x"), N.Var("x"))
     for _ in range(1200):
         goal = N.Implies(N.Eq(N.Var("x"), N.Var("x")), goal)
     tall = replace(deep, goal=goal)
-    for run in (lambda: print_prop(tall.goal),
-                lambda: print_statement(tall)):
-        with pytest.raises(NestingTooDeep,
-                           match="nests too deeply for the checker's "
-                                 r"recursion limit \(\d+\)"):
-            run()
+    assert print_prop(tall.goal) == "x = x -> " * 1200 + "x = x"
+    assert print_statement(tall).endswith(
+        "    : " + "x = x -> " * 1200 + "x = x\n")
+    assert check_dimensions(tall, db).homogeneous
 
 
 def test_a_large_power_proves_and_replays(db):
