@@ -22,7 +22,6 @@ assignment forced by the hypotheses, all of which verify exactly true.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 
 from ..errors import (
@@ -40,7 +39,8 @@ from .dims import _report_resolved as check_dimensions
 from .evaluate import database_for, eval_numeric, eval_prop
 from .evaluate import with_overrides  # noqa: F401  (re-exported)
 from .rewrite import (
-    Substitution, applied_fns, expand_fn, free_vars, rewrite_ground, subst_var,
+    Substitution, applied_fns, definition_order, expand_fn, free_vars,
+    rewrite_ground, subst_var,
 )
 from .script import (
     CaseSplit, ExactHyp, Instantiate, Intro, NumericCheck, PolyMatch,
@@ -112,21 +112,21 @@ class _Hyp:
 
 @record
 class _Subgoal:
-    """A goal and its hypotheses, each a tree at a position (``goal_at``,
-    ``_Hyp.at``) of ``subst``.  Reading a tree replaces it by the read tree
-    at the current position."""
+    """A goal and its hypotheses by name, in the order they came into
+    scope, each a tree at a position (``goal_at``, ``_Hyp.at``) of ``subst``.
+    Reading a tree replaces it by the read tree at the current position."""
 
     goal: N.Prop
-    hyps: list[_Hyp]
+    hyps: dict[str, _Hyp]
     derived: list[ring.Constraint]
     subst: Substitution
     goal_at: int = 0
 
     def clone(self, goal: N.Prop | None = None,
-              hyps: list[_Hyp] | None = None) -> "_Subgoal":
+              hyps: dict[str, _Hyp] | None = None) -> "_Subgoal":
         """A copy; a new ``goal`` must be at the current position."""
         return _Subgoal(self.goal if goal is None else goal,
-                        list(self.hyps) if hyps is None else hyps,
+                        dict(self.hyps) if hyps is None else hyps,
                         list(self.derived), self.subst, self.goal_at)
 
     def read_goal(self) -> N.Prop:
@@ -135,27 +135,25 @@ class _Subgoal:
             self.goal_at = len(self.subst)
         return self.goal
 
-    def read(self, i: int) -> _Hyp:
-        h = self.hyps[i]
+    def read(self, name: str) -> _Hyp:
+        h = self.hyps.get(name)
+        if h is None:
+            raise MalformedScript(f"no hypothesis named '{name}' in scope")
         if h.at != len(self.subst):
-            h = self.hyps[i] = replace(h, prop=self.subst.read(h.prop, h.at),
-                                       at=len(self.subst))
+            h = self.hyps[name] = replace(
+                h, prop=self.subst.read(h.prop, h.at), at=len(self.subst))
         return h
 
-    def index(self, name: str) -> int:
-        for i, h in enumerate(self.hyps):
-            if h.name == name:
-                return i
-        raise MalformedScript(f"no hypothesis named '{name}' in scope")
+    def add(self, h: _Hyp) -> None:
+        if h.name in self.hyps:
+            raise MalformedScript(f"hypothesis '{h.name}' is already in scope")
+        self.hyps[h.name] = h
 
-    def hyp(self, name: str) -> _Hyp:
-        return self.read(self.index(name))
-
-    def consume(self, i: int) -> None:
-        """Mark hypothesis ``i``, read, as consumed; a definition that a
+    def consume(self, name: str) -> None:
+        """Mark hypothesis ``name``, read, as consumed; a definition that a
         ``subst`` just recorded stays as it read before its own entry."""
-        self.hyps[i] = replace(self.hyps[i], consumed=True,
-                               at=len(self.subst))
+        self.hyps[name] = replace(self.hyps[name], consumed=True,
+                                  at=len(self.subst))
 
 
 def _flatten(p: N.Prop, cls: type[N.And | N.Or]) -> list[N.Prop]:
@@ -173,10 +171,10 @@ def _flatten(p: N.Prop, cls: type[N.And | N.Or]) -> list[N.Prop]:
 class _Session:
     def __init__(self, stmt: N.Statement, db: UnitDatabase):
         self.db = db
-        self.subgoals: list[_Subgoal] = [
-            _Subgoal(stmt.goal, [_Hyp(n, p) for n, p in stmt.hyps], [],
-                     Substitution())
-        ]
+        sg = _Subgoal(stmt.goal, {}, [], Substitution())
+        for n, p in stmt.hyps:
+            sg.add(_Hyp(n, p))
+        self.subgoals: list[_Subgoal] = [sg]
         self.trace: list[Step] = []
         self.sides: list[SideCondition] = []
         self.approx = False
@@ -240,13 +238,9 @@ class _Session:
         if any(a[0] in (ring._VAR, ring._OPAQUE) for a in atoms):
             self.sides.append(SideCondition(claim, None))
             return
-        env = {}
-        for a in atoms:
-            rank, name = a
-            if rank == ring._BASE:
-                env[a] = Quantity.scalar(1)
-            else:
-                env[a] = Quantity.scalar(self.db.constant(name).value)
+        env = {a: Quantity.scalar(1 if a[0] == ring._BASE
+                                  else self.db.constant(a[1]).value)
+               for a in atoms}
         total = Quantity.scalar(0)
         for mono, coeff in poly.items():
             term = Quantity.scalar(coeff)
@@ -291,7 +285,7 @@ class _Session:
         if isinstance(g, N.Implies):
             name = f"h!{self.intro_count + 1}"
             self.intro_count += 1
-            sg.hyps = sg.hyps + [_Hyp(name, g.lhs, at=sg.goal_at)]
+            sg.add(_Hyp(name, g.lhs, at=sg.goal_at))
             sg.goal = g.rhs
             return None
         if isinstance(g, N.ForallFn):
@@ -315,27 +309,22 @@ class _Session:
             self.subgoals[0:1] = branches
             return None
         # Otherwise branch on a disjunctive hypothesis enumerating the values.
-        for i, h in enumerate(sg.hyps):
+        for h in sg.hyps.values():
             if h.consumed or not isinstance(h.prop, N.Or):
                 continue
-            leaves = _flatten(sg.read(i).prop, N.Or)
-            vals = []
-            for leaf in leaves:
-                if (isinstance(leaf, N.Eq) and isinstance(leaf.lhs, N.Var)
-                        and leaf.lhs.name == step.var
-                        and isinstance(leaf.rhs, N.NumLit)):
-                    vals.append(leaf.rhs.value)
-                else:
-                    vals = None
-                    break
-            if vals is None or sorted(vals) != sorted(step.values):
+            leaves = _flatten(sg.read(h.name).prop, N.Or)
+            if not all(isinstance(leaf, N.Eq) and isinstance(leaf.lhs, N.Var)
+                       and leaf.lhs.name == step.var
+                       and isinstance(leaf.rhs, N.NumLit) for leaf in leaves):
+                continue
+            if sorted(leaf.rhs.value for leaf in leaves) != sorted(step.values):
                 continue
             branches = []
             for v in step.values:
                 case_hyp = _Hyp(h.name, N.Eq(N.Var(step.var), N.NumLit(v)),
                                 at=len(sg.subst))
-                hyps = sg.hyps[:i] + [case_hyp] + sg.hyps[i + 1:]
-                branches.append(sg.clone(hyps=hyps))
+                branches.append(sg.clone(hyps={**sg.hyps,
+                                               h.name: case_hyp}))
             self.subgoals[0:1] = branches
             return None
         raise MalformedScript(
@@ -343,12 +332,11 @@ class _Session:
             "disjunctive hypothesis")
 
     def _apply_subst(self, sg: _Subgoal, step: Subst) -> None:
-        i = sg.index(step.hyp)
-        h = sg.read(i)
+        h = sg.read(step.hyp)
         var_def = self._as_var_def(h.prop)
         if var_def is not None:
             sg.subst = sg.subst.then(*var_def)
-            sg.consume(i)
+            sg.consume(h.name)
             return None
         if (fn_def := self._as_fn_def(h.prop)) is not None:
             f, v, body = fn_def
@@ -371,37 +359,36 @@ class _Session:
 
         if applies_f(sg.goal, sg.goal_at):
             sg.goal = rw(sg.read_goal())
-        for j, hh in enumerate(sg.hyps):
-            if j != i and applies_f(hh.prop, hh.at):
-                hh = sg.read(j)
+        for hh in sg.hyps.values():
+            if hh.name != h.name and applies_f(hh.prop, hh.at):
+                hh = sg.read(hh.name)
                 if (prop := rw(hh.prop)) is not hh.prop:
-                    sg.hyps[j] = replace(hh, prop=prop)
-        sg.consume(i)
+                    sg.hyps[hh.name] = replace(hh, prop=prop)
+        sg.consume(h.name)
         return None
 
     def _apply_inst(self, sg: _Subgoal, step: Instantiate) -> None:
-        h = sg.hyp(step.hyp)
+        h = sg.read(step.hyp)
         if not isinstance(h.prop, N.ForallFn):
             raise MalformedScript(
                 f"'{step.hyp}' is not a quantified hypothesis")
         n = self.inst_counts.get(step.hyp, 0) + 1
         self.inst_counts[step.hyp] = n
         prop = subst_var(h.prop.body, h.prop.var, step.arg)
-        sg.hyps = sg.hyps + [_Hyp(f"{step.hyp}@{n}", prop, at=len(sg.subst))]
+        sg.add(_Hyp(f"{step.hyp}@{n}", prop, at=len(sg.subst)))
         return None
 
     def _fn_def_of(self, sg: _Subgoal, fname: str):
-        for i, h in enumerate(sg.hyps):
+        for h in sg.hyps.values():
             if not isinstance(h.prop, N.ForallFn):
                 continue
-            d = self._as_fn_def(sg.read(i).prop)
+            d = self._as_fn_def(sg.read(h.name).prop)
             if d is not None and d[0] == fname:
                 return d
         return None
 
     def _apply_polymatch(self, sg: _Subgoal, step: PolyMatch) -> None:
-        i = sg.index(step.hyp)
-        p = sg.read(i).prop
+        p = sg.read(step.hyp).prop
         if not self._is_fn_equality(p):
             raise MalformedScript(
                 f"'{step.hyp}' is not a function-equality hypothesis")
@@ -429,7 +416,7 @@ class _Session:
         for eq in match.eqs:
             sg.derived.append(ring.Constraint(
                 eq.poly, f"{step.hyp}[{step.param}^{eq.degree}]"))
-        sg.consume(i)
+        sg.consume(step.hyp)
         return None
 
     def _is_fn_equality(self, p: N.Prop) -> bool:
@@ -456,7 +443,7 @@ class _Session:
             return None
         constraints: list[ring.Constraint] = []
         cons_sides: dict[str, list] = {}
-        for h in sg.hyps:
+        for h in sg.hyps.values():
             if h.consumed or self._is_fn_equality(h.prop):
                 continue
             leaves = _flatten(h.prop, N.And)
@@ -537,10 +524,10 @@ class _Session:
         return self._refute(sg)
 
     def _refute(self, sg: _Subgoal) -> Refuted:
-        for i, h in enumerate(sg.hyps):
+        for h in sg.hyps.values():
             if h.consumed:
                 continue  # definitional; true under the forced assignment
-            h = sg.read(i)
+            h = sg.read(h.name)
             if isinstance(h.prop, (N.ForallFn, N.ForallFinite)):
                 raise _StepFailure(
                     f"goal is exactly false, but the quantified hypothesis "
@@ -563,16 +550,14 @@ class _Session:
                 raise _StepFailure(
                     f"hypothesis '{h.name}' only verifies approximately; "
                     "approximate agreement never refutes")
-        env_pairs = []
         closure = self._closure_env(sg)
-        for name in sorted(closure):
-            env_pairs.append((name, closure[name].render()))
-        return Refuted(tuple(env_pairs),
+        return Refuted(tuple((name, closure[name].render())
+                             for name in sorted(closure)),
                        "the goal is exactly false under the assignment "
                        "forced by the hypotheses")
 
     def _apply_exact(self, sg: _Subgoal, step: ExactHyp) -> None:
-        h = sg.hyp(step.hyp)
+        h = sg.read(step.hyp)
         if not N.ast_eq(h.prop, sg.read_goal()):
             raise _StepFailure(
                 f"hypothesis '{step.hyp}' is not syntactically identical "
@@ -604,15 +589,15 @@ def _orient(session: _Session, sg: _Subgoal) -> list[str]:
     definition precedes everything it mentions, the earliest accepted
     first among those ready; ground rewrites follow in hypothesis order.
     """
-    accepted: list[tuple[str, str, frozenset[str]]] = []  # (hyp, symbol, deps)
+    accepted: dict[str, str] = {}  # accepted symbol -> its hypothesis
     grounds: list[str] = []
     edges: dict[str, frozenset[str]] = {}  # accepted symbol -> its deps
     mentioned: set[str] = set()  # the names some accepted definition uses
 
-    for i, h in enumerate(sg.hyps):
+    for h in sg.hyps.values():
         if h.consumed:
             continue
-        h = sg.read(i)
+        h = sg.read(h.name)
         var_def = session._as_var_def(h.prop)
         fn_def = session._as_fn_def(h.prop)
         if var_def is not None:
@@ -634,25 +619,8 @@ def _orient(session: _Session, sg: _Subgoal) -> list[str]:
             continue  # demoted: closing the loop stays a constraint
         edges[symbol] = deps
         mentioned |= deps
-        accepted.append((h.name, symbol, deps))
-
-    # Kahn's algorithm: emit a definition once no definition left mentions
-    # it, the earliest accepted first.
-    position = {symbol: k for k, (_, symbol, _) in enumerate(accepted)}
-    waiting = [0] * len(accepted)  # definitions left that mention each one
-    for _, _, deps in accepted:
-        for d in deps & position.keys():
-            waiting[position[d]] += 1
-    ready = [k for k, n in enumerate(waiting) if not n]
-    emitted: list[str] = []
-    while ready:
-        name, _, deps = accepted[heapq.heappop(ready)]
-        emitted.append(name)
-        for d in deps & position.keys():
-            waiting[position[d]] -= 1
-            if not waiting[position[d]]:
-                heapq.heappush(ready, position[d])
-    return emitted + grounds
+        accepted[symbol] = h.name
+    return [accepted[s] for s in definition_order(edges)] + grounds
 
 
 def _reaches(names, target: str, edges) -> bool:
@@ -744,8 +712,8 @@ def auto_prove(stmt: N.Statement, db: UnitDatabase | None = None) -> Verdict:
 
 def _structural_step(session: _Session, sg: _Subgoal) -> Step | None:
     g = sg.read_goal()
-    for i, h in enumerate(sg.hyps):
-        if not h.consumed and N.ast_eq(sg.read(i).prop, g):
+    for h in sg.hyps.values():
+        if not h.consumed and N.ast_eq(sg.read(h.name).prop, g):
             return ExactHyp(h.name)
     if isinstance(g, N.And):
         return Split()
@@ -762,20 +730,19 @@ def _leaf(session: _Session, sg: _Subgoal) -> Verdict | None:
         session.apply(Subst(name))
 
     # Function-equality hypotheses contribute coefficient constraints.
-    for h in list(sg.hyps):
+    for h in list(sg.hyps.values()):
         if h.consumed or not session._is_fn_equality(h.prop):
             continue
         d = session._fn_def_of(sg, h.prop.lhs.name)
         if d is None:
             continue
         probe = PolyMatch(h.name, d[1])
-        saved = (list(sg.hyps), list(sg.derived), list(session.sides))
+        saved = (dict(sg.hyps), list(sg.derived), list(session.sides))
         try:
             session.apply(probe)
         except (_StepFailure, MalformedScript):
             sg.hyps, sg.derived = saved[0], saved[1]
             session.sides[:] = saved[2]
-            continue
 
     g = sg.goal
     if isinstance(g, N.Or):

@@ -14,6 +14,8 @@ the trees that are read.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from typing import Callable
 
 from ..lang import nodes as N
@@ -182,6 +184,28 @@ def applied_fns(node) -> frozenset[str]:
     return cached
 
 
+def definition_order(deps: dict[str, frozenset[str]]) -> list[str]:
+    """Kahn's algorithm: the names ``deps`` defines (each to the names its
+    definition mentions), each before those it mentions, the earliest first
+    among those ready.  A name on a cycle, or that one mentions, is left
+    out."""
+    names = list(deps)
+    position = {name: k for k, name in enumerate(names)}
+    waiting = [0] * len(names)  # definitions left that mention each name
+    for mentioned in deps.values():
+        for d in mentioned & deps.keys():
+            waiting[position[d]] += 1
+    ready = [k for k, n in enumerate(waiting) if not n]  # a heap
+    order = []
+    while ready:
+        order.append(names[heapq.heappop(ready)])
+        for d in deps[order[-1]] & deps.keys():
+            waiting[position[d]] -= 1
+            if not waiting[position[d]]:
+                heapq.heappush(ready, position[d])
+    return order
+
+
 class Substitution:
     """Variable definitions ``x ↦ rhs`` in the order they were recorded,
     applied to a tree only when the tree is read.
@@ -195,55 +219,65 @@ class Substitution:
     stored as it read when its entry was recorded.  A log never changes
     (``then`` returns a longer one), so its reads are memoised, and
     ``translations`` holds the ring translator's memo of each entry (for
-    one unit database).
+    one unit database).  Both memos fill from the last entry back, so each
+    holds the last entries, and no read or translation recurses.
+
+    An index maps each name to its entries' positions, ascending: ``first``
+    is a ``bisect``, and a read looks up only its tree's free names.  The
+    first ``then`` on a log appends to the log's index, and ``first``
+    ignores positions past a log's length; a second ``then`` (a ``split``
+    or ``cases`` branch) copies the log's part.
     """
 
     def __init__(self, entries: tuple[tuple[str, N.Expr], ...] = ()):
         self.entries = entries
         self.translations: dict = {}
-        self._pending: dict = {}  # at -> (name -> entry index, names)
         self._rhs: dict = {}  # j -> entry j's right-hand side, read
-        self._unread = len(entries)  # every later entry is in _rhs
+        self._index: dict[str, list[int]] = {}
+        for j, (name, _) in enumerate(entries):
+            self._index.setdefault(name, []).append(j)
+        self._shared = False  # a child appends to _index
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def then(self, name: str, rhs: N.Expr) -> "Substitution":
-        return Substitution(self.entries + ((name, rhs),))
+        at, index = len(self.entries), self._index
+        if self._shared:
+            index = {x: p[:bisect_left(p, at)] for x, p in index.items()}
+        self._shared = True
+        index.setdefault(name, []).append(at)
+        child = Substitution()
+        child.entries, child._index = self.entries + ((name, rhs),), index
+        return child
 
-    def pending(self, at: int) -> tuple[dict[str, int], frozenset[str]]:
-        """Each name a tree at position ``at`` reads through, to the index
-        of its first entry from ``at`` on; and the set of those names."""
-        found = self._pending.get(at)
-        if found is None:
-            first = {}
-            for j in range(len(self.entries) - 1, at - 1, -1):
-                first[self.entries[j][0]] = j
-            found = self._pending[at] = first, frozenset(first)
-        return found
+    def first(self, name: str, at: int) -> int | None:
+        """The position of the first entry for ``name`` from ``at`` on."""
+        positions = self._index.get(name, ())
+        k = bisect_left(positions, at)
+        if k < len(positions) and positions[k] < len(self.entries):
+            return positions[k]
+        return None
 
     def rhs(self, j: int) -> N.Expr:
-        """Entry ``j``'s right-hand side, read at position ``j + 1``.  The
-        entries are read from the last back, each reading only entries read
-        before it, so no read recurses."""
-        while self._unread > j:
-            self._unread -= 1
-            k = self._unread
+        """Entry ``j``'s right-hand side, read at position ``j + 1``."""
+        for k in range(len(self.entries) - len(self._rhs) - 1, j - 1, -1):
             self._rhs[k] = self.read(self.entries[k][1], k + 1)
         return self._rhs[j]
 
     def read(self, node, at: int):
         """``node``, made at position ``at``, with the later entries applied."""
-        first, names = self.pending(at)
+        entry = {x: j for x in free_vars(node)
+                 if (j := self.first(x, at)) is not None}
 
         def leaf(n, _):
-            return self.rhs(first[n.name]) if n.__class__ is N.Var else None
+            return self.rhs(entry[n.name]) if n.__class__ is N.Var else None
 
         def inserted(hit):
             return frozenset().union(
-                *(free_vars(self.rhs(first[x])) for x in hit))
+                *(free_vars(self.rhs(entry[x])) for x in hit))
 
-        return _rewrite(node, names, leaf, inserted)
+        return _rewrite(node, frozenset(entry), leaf, inserted)
 
     def bindings(self) -> dict[str, N.Expr]:
         """Each defined name's last entry, read: the value that rewriting

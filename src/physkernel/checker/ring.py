@@ -60,7 +60,7 @@ from ..lang.printer import print_expr
 from ..quantity import render_numeric
 from ..record import record
 from ..unitdb import CONSTANT_ALIASES, UnitDatabase, builtin_database
-from .rewrite import Substitution, free_vars
+from .rewrite import Substitution, definition_order, free_vars
 
 # Atom ranks; atoms are (rank, name) so the full atom set is orderable.
 _VAR, _CONST, _BASE, _OPAQUE = 0, 1, 2, 3
@@ -372,9 +372,6 @@ class Translation:
     opaque_vars: dict[Atom, frozenset[str]]
 
 
-_NO_SUBST = Substitution()
-
-
 def _dim_rf(dim: Dimension) -> RationalFunc:
     poly = poly_const(1)
     for base in BaseDim:
@@ -414,23 +411,22 @@ _OPAQUE_NODES = (N.RPow, N.Val, N.Norm, N.Fn, N.Apply, N.Deriv)
 class _Xlate:
     """Translates trees at position ``at`` of ``subst`` (see ``Substitution``).
 
-    ``tr`` is a fold over the tree.  A denominator is translated, checked
-    and recorded as a side condition before its numerator is walked; a
-    prefix is looked up before its argument; a subterm outside the ring
-    becomes an opaque atom without being walked.
+    A variable asks the log's per-name index for its first entry from
+    ``at`` on and takes that entry's memoised translation; the translator
+    keeps no copy of the index.  ``tr`` is a fold over the tree.  A
+    denominator is translated, checked and recorded as a side condition
+    before its numerator is walked; a prefix is looked up before its
+    argument; a subterm outside the ring becomes an opaque atom without
+    being walked.
     """
 
     def __init__(self, db: UnitDatabase, subst: Substitution | None = None,
                  at: int = 0):
         self.db = db
-        self.subst = _NO_SUBST if subst is None else subst
+        self.subst = Substitution() if subst is None else subst
         self.sides: list[tuple[RationalFunc, str]] = []
         self.opaque_vars: dict[Atom, frozenset[str]] = {}
-        self._move(at)
-
-    def _move(self, at: int) -> None:
         self.at = at
-        self.pending = self.subst.pending(at)[0]
 
     def _label(self, e: N.Expr) -> str:
         """The label text of ``e``: printed as the substitution reads it."""
@@ -461,28 +457,24 @@ class _Xlate:
         nested translation would.
         """
         rules, pre = self._tables()
-        memo = self.subst.translations
+        entries, memo = self.subst.entries, self.subst.translations
         outer = self.at, self.sides, self.opaque_vars
         try:
-            for k in range(len(self.subst.entries) - 1, outer[0] - 1, -1):
-                if k in memo:
-                    continue
-                self.sides, self.opaque_vars = [], {}
-                self._move(k + 1)
+            for k in range(len(entries) - len(memo) - 1, outer[0] - 1, -1):
+                self.at, self.sides, self.opaque_vars = k + 1, [], {}
                 try:
-                    rf = N.fold(self.subst.entries[k][1], rules, pre)
+                    rf = N.fold(entries[k][1], rules, pre)
                     memo[k] = rf, self.sides, self.opaque_vars
                 except PhysKernelError as exc:
                     memo[k] = exc
         finally:
-            self._move(outer[0])
-            self.sides, self.opaque_vars = outer[1], outer[2]
+            self.at, self.sides, self.opaque_vars = outer
         return N.fold(e, rules, pre)
 
     def _var(self, e: N.Var) -> RationalFunc:
         """A variable, or the translation of the entry that defines it;
         every use records the entry's side conditions and opaque atoms."""
-        j = self.pending.get(e.name)
+        j = self.subst.first(e.name, self.at)
         if j is None:
             return RationalFunc.atom((_VAR, e.name))
         found = self.subst.translations[j]
@@ -558,25 +550,18 @@ def ring_equal(lhs: N.Expr, rhs: N.Expr,
     rejected with UnsupportedNode naming the first such subterm.
     """
     db = db or builtin_database()
-    x = _Xlate(db, _env_substitution(env or {}))
+    env = env or {}
+    order = definition_order({name: free_vars(e) for name, e in env.items()})
+    if len(order) < len(env):
+        cyclic = ", ".join(sorted(set(env).difference(order)))
+        raise UnsupportedNode(f"env is cyclic: {cyclic} cannot all be "
+                              "substituted out")
+    x = _Xlate(db, Substitution(tuple((name, env[name]) for name in order)))
     left, right = x.tr(lhs), x.tr(rhs)
     if x.opaque_vars:
         term = next(iter(x.opaque_vars))[1]
         raise UnsupportedNode(f"{term} is outside the ring fragment")
     return left.equal(right)
-
-
-def _env_substitution(env: Mapping[str, N.Expr]) -> Substitution:
-    """``env`` as a log in which each definition precedes those it mentions."""
-    order, left = [], dict(env)
-    while left:
-        ready = [name for name in left
-                 if not any(name in free_vars(e) for e in left.values())]
-        if not ready:
-            raise UnsupportedNode(f"env is cyclic: {', '.join(sorted(left))} "
-                                  "cannot all be substituted out")
-        order += [(name, left.pop(name)) for name in ready]
-    return Substitution(tuple(order))
 
 
 # -- polynomial coefficient matching ----------------------------------------------

@@ -49,9 +49,18 @@ def _load_db(args):
     return db
 
 
+class _BadInput(Exception):
+    """Input the command line refuses before any checking: exit 3."""
+
+
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as exc:  # missing, a directory, not permitted
+        raise _BadInput(exc) from None
+    except UnicodeDecodeError as exc:
+        raise _BadInput(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _read_statement(path: str, db):
@@ -158,6 +167,10 @@ def _cmd_eval(args) -> int:
     from .corpus import load_corpus
     from .harness import (BuiltinProver, ExternalProver, render_attempt_log,
                           render_report, run_eval)
+    for option, value in (("-k", args.k), ("--jobs", args.jobs),
+                          ("--timeout", args.timeout)):
+        if not value > 0:
+            raise _BadInput(f"{option} must be positive, not {value}")
     db = _load_db(args)
     entries = load_corpus(args.corpus, db)
     if args.prover_cmd:
@@ -257,10 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except PhysKernelError as exc:
+    except (FileNotFoundError, _BadInput, PhysKernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception:  # a bug, not a verdict: never exit as Unknown (1)

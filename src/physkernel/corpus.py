@@ -84,7 +84,7 @@ def _manifest_tiers(root: Path, problems: list[str]) -> dict[str, Tier]:
         return {}
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         problems.append(f"{path}: unreadable manifest ({exc})")
         return {}
     entries = raw.get("entries") if isinstance(raw, dict) else None
@@ -140,10 +140,10 @@ def load_corpus(root: str | Path,
             continue
         seen[stem] = path
 
-        text = path.read_text(encoding="utf-8")
         try:
+            text = path.read_text(encoding="utf-8")
             stmt = parse_statement(text, db)
-        except ParseError as exc:
+        except (OSError, UnicodeDecodeError, ParseError) as exc:
             problems.append(f"{rel}: {exc}")
             continue
         if stmt.name != stem:
@@ -166,7 +166,11 @@ def load_corpus(root: str | Path,
                 problems.append(f"{rel}: expected tier is 'script' but"
                                 f" {script_path.name} is missing")
                 continue
-            script_text = script_path.read_text(encoding="utf-8")
+            try:
+                script_text = script_path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                problems.append(f"{rel.with_suffix('.script')}: {exc}")
+                continue
         elif script_path.is_file():
             problems.append(f"{rel}: has a script file but its expected tier"
                             f" is {tier.value!r}")

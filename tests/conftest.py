@@ -1,5 +1,7 @@
+import importlib.util
 import pathlib
 import re
+import sys
 import time
 
 import pytest
@@ -27,6 +29,17 @@ def db():
 @pytest.fixture(scope="session")
 def corpus_dir():
     return CORPUS_DIR
+
+
+@pytest.fixture(scope="session")
+def gen():
+    """The benchmark's statement generators, ``bench/gen.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", ROOT / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -99,3 +99,40 @@ def test_a_digit_like_character_is_bad_input(tmp_path):
     out = _cli("check", str(path))
     assert out.returncode == 3, out.stderr[-500:]
     assert out.stderr == "error: 1:30: unexpected character '²'\n"
+
+
+def _bad_input(cases) -> None:
+    """Run ``main`` on each argv in one process: each exits 3 with its
+    message as one ``error:`` line."""
+    out = _run("from physkernel.cli import main\n"
+               f"for argv, _ in {cases!r}:\n    print(main(argv))\n")
+    assert out.stdout.split() == ["3"] * len(cases), out.stderr[-500:]
+    assert out.stderr == "".join(f"error: {message}\n"
+                                 for _, message in cases)
+
+
+def test_unreadable_input_is_bad_input(corpus_dir, tmp_path):
+    binary = tmp_path / "binary.phys"
+    binary.write_bytes(b"theorem t (x : Length) : x = x\xff\n")
+    missing = tmp_path / "missing.phys"
+    _bad_input([
+        (["prove", str(corpus_dir)],
+         f"[Errno 21] Is a directory: '{corpus_dir}'"),
+        (["check", str(binary)],
+         f"{binary} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+         " in position 30: invalid start byte"),
+        (["check", str(missing)],
+         f"[Errno 2] No such file or directory: '{missing}'"),
+    ])
+
+
+def test_eval_counts_must_be_positive(corpus_dir):
+    corpus = str(corpus_dir)
+    _bad_input([
+        (["eval", corpus, "-k", "0"], "-k must be positive, not 0"),
+        (["eval", corpus, "--jobs", "0"], "--jobs must be positive, not 0"),
+        (["eval", corpus, "--timeout", "-1"],
+         "--timeout must be positive, not -1.0"),
+        (["eval", corpus, "--timeout", "nan"],
+         "--timeout must be positive, not nan"),
+    ])

@@ -189,3 +189,22 @@ def test_problems_aggregate_in_one_pass(tmp_path, db):
 def test_missing_root_directory(tmp_path, db):
     with pytest.raises(CorpusValidationError, match="not a directory"):
         load_corpus(tmp_path / "nowhere", db)
+
+
+def test_non_utf8_files_are_problems_not_exceptions(tmp_path, db):
+    root = make_corpus(tmp_path, [("mechanics", "one", "script"),
+                                  ("mechanics", "two", "auto"),
+                                  ("optics", "three", "auto")])
+    (root / "mechanics" / "one.script").write_bytes(b"ring\xff\n")
+    (root / "mechanics" / "two.phys").write_bytes(b"theorem two\xff")
+    three = root / "optics" / "three.phys"
+    three.unlink()
+    three.mkdir()  # a directory, not a file
+    probs = problems_of(root, db)
+    assert [p.split(": ", 1)[0] for p in probs] == [
+        "mechanics/one.script", "mechanics/two.phys", "optics/three.phys"]
+    assert all("can't decode byte 0xff" in p for p in probs[:2])
+    assert "Is a directory" in probs[2]
+    (root / "manifest.json").write_bytes(b'{"entries": {}}\xff')
+    assert any("unreadable manifest" in p and "0xff" in p
+               for p in problems_of(root, db))

@@ -2,8 +2,6 @@
 or thousands of levels deep with the recursion limit a fixed margin above
 the caller's own depth."""
 
-import importlib.util
-import pathlib
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -23,17 +21,6 @@ from physkernel.record import replace
 
 #: Frames the checker may use above the caller's, however deep the tree.
 MARGIN = 100
-
-_GEN = pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-
-
-def _bench_gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", _GEN)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
 
 @contextmanager
 def shallow_stack():
@@ -79,11 +66,6 @@ def _decide(stmt, db):
     assert isinstance(verdict, Proved), verdict
     assert isinstance(check_derivation(stmt, verdict.steps, db), Proved)
     return print_statement(stmt)
-
-
-@pytest.fixture(scope="module")
-def gen():
-    return _bench_gen()
 
 
 def test_a_long_sum(gen, db):

@@ -2,6 +2,7 @@
 replaced (``oracles``): the same result, or an exception of the same type
 with the same message, on seeded trees at most 30 levels deep."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,8 +18,9 @@ from physkernel.checker.evaluate import eval_numeric, eval_prop
 from physkernel.checker.rewrite import (
     Substitution, expand_fn, free_vars, rewrite_ground, subst_var, transform,
 )
+from physkernel.errors import UnsupportedNode
 from physkernel.lang import nodes as N
-from physkernel.lang.parser import parse_statement
+from physkernel.lang.parser import parse_expression, parse_statement
 from physkernel.lang.printer import print_expr, print_prop
 from physkernel.quantity import Quantity
 
@@ -162,12 +164,21 @@ def check_expr(e, db, env, bindings, entries=()):
         lambda: expr_dim_ref(e, env, db))
     assert outcome(lambda: quantity(eval_numeric(e, bindings, db))) \
         == outcome(lambda: quantity(eval_ref(e, bindings, db)))
-    for at in {0, len(entries)}:
-        got = outcome(lambda: translation(
-            ring._Xlate(db, Substitution(entries), at), e))
-        want = outcome(lambda: translation(
-            XlateRef(db, SubstitutionRef(entries), at), e))
-        assert got == want
+    check_log(e, db, Substitution(entries))
+
+
+def check_log(tree, db, log):
+    """Reads and translations at every position of ``log`` against the
+    references over its entries."""
+    ref = SubstitutionRef(log.entries)
+    for at in range(len(log) + 1):
+        a, b = log.read(tree, at), ref.read(tree, at)
+        assert same_tree(a, b), (at, print_expr_ref(a), print_expr_ref(b))
+        assert (a is tree) == (b is tree)
+        if isinstance(tree, N.Expr):
+            got = outcome(lambda: translation(ring._Xlate(db, log, at), tree))
+            want = outcome(lambda: translation(XlateRef(db, ref, at), tree))
+            assert got == want, at
 
 
 def check_prop(p, trees, db, env, bindings):
@@ -195,12 +206,11 @@ def check_prop(p, trees, db, env, bindings):
          lambda: rewrite_ground_ref(p, pattern, replacement)),
         (lambda: transform(p, swap_two),
          lambda: transform_ref(p, swap_two)),
-        (lambda: Substitution(entries).read(p, 0),
-         lambda: SubstitutionRef(entries).read(p, 0)),
     ]:
         a, b = got(), want()
         assert same_tree(a, b), (print_expr_ref(a), print_expr_ref(b))
         assert (a is p) == (b is p)
+    check_log(p, db, Substitution(entries))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -270,3 +280,57 @@ def test_a_definition_that_fails_to_translate_fails_where_it_is_read(db):
             want = outcome(lambda: translation(
                 XlateRef(db, SubstitutionRef(entries)), e))
             assert got == want and got[0] == "DivisionByZero"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_logs_that_branch_from_one_parent_read_as_their_entries(seed, db):
+    # Each log extends one made before it, so some logs have two or more
+    # children, made before and after their siblings' own children.
+    trees = Trees(seed, db)
+    logs = [Substitution()]
+    for _ in range(12):
+        (name, rhs), = trees.entries(1)
+        logs.append(trees.rng.choice(logs).then(name, rhs))
+    for _ in range(4):
+        e, p = trees.expr(12), trees.prop(8)
+        for log in trees.rng.sample(logs, 6):
+            check_log(e, db, log)
+            check_log(p, db, log)
+
+
+ENV = {"a": "b + c", "b": "2 * d", "c": "d * e", "d": "e + 1", "e": "x / y"}
+
+
+@pytest.mark.parametrize("rhs, answer", [
+    ("2 * (x / y + 1) + (x / y + 1) * (x / y)", ("value", True)),
+    ("2 * (x / y + 1) + (x / y + 1) * x", ("value", False)),
+    ("sin(x)", ("UnsupportedNode", "sin(x) is outside the ring fragment")),
+])
+def test_ring_equal_gives_one_answer_for_every_order_of_env(rhs, answer,
+                                                              db):
+    scope = dict.fromkeys("abcdexy", "Real")
+
+    def expr(text):
+        return parse_expression(text, db, scope, {})
+
+    env = {name: expr(text) for name, text in ENV.items()}
+    lhs, rhs = expr("a"), expr(rhs)
+    for order in itertools.permutations(env):
+        assert outcome(lambda: ring.ring_equal(
+            lhs, rhs, {name: env[name] for name in order}, db)) == answer
+
+
+@pytest.mark.parametrize("env, names", [
+    ({"x": "x + 1"}, "x"),
+    ({"a": "b", "b": "a", "c": "a", "d": "1"}, "a, b"),
+    ({"e": "1", "a": "b", "b": "a + e"}, "a, b, e"),
+])
+def test_a_cyclic_env_names_what_cannot_be_substituted(env, names, db):
+    scope = dict.fromkeys("abcdex", "Real")
+    env = {name: parse_expression(text, db, scope, {})
+           for name, text in env.items()}
+    x = N.Var("x")
+    with pytest.raises(UnsupportedNode) as exc:
+        ring.ring_equal(x, x, env, db)
+    assert str(exc.value) == (f"env is cyclic: {names} cannot all be "
+                              "substituted out")

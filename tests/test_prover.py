@@ -441,3 +441,25 @@ def test_a_large_power_proves_and_replays(db):
     assert isinstance(v, Proved), v
     script = parse_script(print_script(v.steps), s, db)
     assert isinstance(check_derivation(s, script, db), Proved)
+
+
+def test_a_hypothesis_name_in_scope_twice_is_a_malformed_statement(db):
+    # The parser rejects a repeated name; a statement built in code, or a
+    # name that intro or inst would give a second time, is refused here.
+    s = stmt_of("""
+        theorem twice
+        (x : Length)
+        (h := x = 1 • meter)
+        : x = 1 • meter -> x = 1 • meter
+    """, db)
+    (_, prop), = s.hyps
+    twice = replace(s, hyps=(("h", prop), ("h", prop)))
+    intro_name = replace(s, hyps=(("h!1", prop),))
+    for stmt, step in ((twice, Subst("h")), (intro_name, Intro())):
+        name = stmt.hyps[-1][0]
+        with pytest.raises(MalformedScript,
+                           match=f"hypothesis '{name}' is already in scope"):
+            auto_prove(stmt, db)
+        with pytest.raises(MalformedScript,
+                           match=f"hypothesis '{name}' is already in scope"):
+            check_derivation(stmt, [step], db)

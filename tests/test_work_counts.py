@@ -1,0 +1,74 @@
+"""Definition chains cost work linear in their length.
+
+The gates count the line events that physkernel's own code executes under
+``sys.settrace``: work, not seconds, so they read the same on any host.
+Doubling a chain may multiply the count by at most ``RATIO``; linear work
+reads about 2.0, and a per-entry scan of the chain reads 2.5 or more.
+"""
+
+import pathlib
+import sys
+
+import physkernel
+from physkernel.checker.prover import Proved, auto_prove, check_derivation
+from physkernel.checker.ring import ring_equal
+from physkernel.lang.parser import parse_statement
+
+PACKAGE = str(pathlib.Path(physkernel.__file__).parent) + "/"
+RATIO = 2.2
+
+
+def line_events(run) -> int:
+    """The line events that ``run()`` executes in physkernel's modules."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def call(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(PACKAGE) else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def _growth(work, n: int) -> float:
+    work(10)  # warm any lazily built table outside the counts
+    small, large = work(n), work(2 * n)
+    return large / small
+
+
+def test_proving_and_replaying_a_definition_chain(gen, db):
+    def work(n):
+        stmt = parse_statement(gen.def_chain_text(n), db)
+
+        def run():
+            verdict = auto_prove(stmt, db)
+            assert isinstance(verdict, Proved), verdict
+            replay = check_derivation(stmt, verdict.steps, db)
+            assert isinstance(replay, Proved), replay
+
+        return line_events(run)
+
+    assert _growth(work, 200) <= RATIO
+
+
+def test_ring_equal_with_a_definition_chain_as_env(gen, db):
+    def work(n):
+        stmt = parse_statement(gen.def_chain_text(n), db)
+        env = {p.lhs.name: p.rhs for _, p in stmt.hyps}
+        equal = []
+        count = line_events(lambda: equal.append(
+            ring_equal(stmt.goal.lhs, stmt.goal.rhs, env, db)))
+        assert equal == [True]
+        return count
+
+    assert _growth(work, 100) <= RATIO
