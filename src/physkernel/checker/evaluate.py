@@ -39,7 +39,7 @@ def _eval_fn(name: str, v):
 
 def eval_numeric(e: N.Expr, env: Mapping[str, Quantity],
                  db: UnitDatabase | None = None) -> Quantity:
-    """Evaluate ``e`` to a Quantity under the variable bindings ``env``.
+    """Evaluate ``e`` to a Quantity under the variable values ``env``.
 
     Free variables, applications, and derivatives have no numeric meaning
     and raise UnboundVariable.

@@ -17,7 +17,9 @@ documented tolerance rule for approximate operands), by rational-function
 identity, or by eliminating pivots of derived constraints; every division
 performed symbolically is surfaced as a non-vanishing side condition, and a
 Refuted verdict is only issued when the goal is *exactly* false under an
-assignment forced by the hypotheses, all of which verify exactly true.
+assignment forced by the hypotheses, all of which verify exactly true; a
+consumed definition counts as true there only if it evaluates there or
+applies no partial operation.
 """
 
 from __future__ import annotations
@@ -186,13 +188,29 @@ class _Session:
 
     # -- shared helpers ---------------------------------------------------------
 
-    def _eval_prop(self, p: N.Prop, env=None) -> tuple[bool, bool]:
+    def _eval_prop(self, p: N.Prop) -> tuple[bool, bool]:
         self.eval_count += 1
-        return eval_prop(p, env or {}, self.db)
+        return eval_prop(p, {}, self.db)
 
-    def _eval_expr(self, e: N.Expr, env=None) -> Quantity:
-        self.eval_count += 1
-        return eval_numeric(e, env or {}, self.db)
+    def _partial(self, tree) -> bool:
+        """Whether ``tree`` applies ``/`` by anything but a closed, exactly
+        nonzero divisor, a negative or fractional ``**``, ``rpow``, ``log``,
+        ``sqrt`` or ``deriv``: an operation undefined at some values."""
+        return any(
+            n.__class__ in (N.RPow, N.Deriv)
+            or n.__class__ is N.Fn and n.fn in ("log", "sqrt")
+            or n.__class__ is N.Pow
+            and (n.exponent < 0 or n.exponent.denominator > 1)
+            or n.__class__ is N.Div and not self._nonzero(n.rhs)
+            for n in N.walk(tree))
+
+    def _nonzero(self, e: N.Expr) -> bool:
+        """Whether ``e`` is closed, with an exact nonzero value."""
+        try:
+            value = eval_numeric(e, {}, self.db).value
+        except PhysKernelError:
+            return False
+        return isinstance(value, Fraction) and value != 0
 
     def _fresh(self, base: str) -> str:
         name, k = base, 0
@@ -348,22 +366,19 @@ class _Session:
         else:
             raise MalformedScript(
                 f"'{step.hyp}' is not a definitional hypothesis")
-        # Function and ground definitions rewrite at once every tree that, as
-        # read, applies f: one in which f is free or that reads through an
-        # entry in which it is (a rewrite reaches only free occurrences).
-        entries = sg.subst.entries
-
-        def applies_f(tree, at: int) -> bool:
-            return f in free_vars(tree) or any(
-                f in free_vars(e) for _, e in entries[at:])
-
-        if applies_f(sg.goal, sg.goal_at):
-            sg.goal = rw(sg.read_goal())
+        # Function and ground definitions rewrite at once, read at the current
+        # position, each tree a later step reads: the goal, every unconsumed
+        # hypothesis and every function definition (polymatch reads consumed
+        # ones).  A consumed variable definition lives in the log only.
+        if f in free_vars(g := sg.read_goal()):
+            sg.goal = rw(g)
         for hh in sg.hyps.values():
-            if hh.name != h.name and applies_f(hh.prop, hh.at):
-                hh = sg.read(hh.name)
-                if (prop := rw(hh.prop)) is not hh.prop:
-                    sg.hyps[hh.name] = replace(hh, prop=prop)
+            if hh.name == h.name or (
+                    hh.consumed and not isinstance(hh.prop, N.ForallFn)):
+                continue
+            hh = sg.read(hh.name)
+            if f in free_vars(hh.prop):
+                sg.hyps[hh.name] = replace(hh, prop=rw(hh.prop))
         sg.consume(h.name)
         return None
 
@@ -392,7 +407,6 @@ class _Session:
         if not self._is_fn_equality(p):
             raise MalformedScript(
                 f"'{step.hyp}' is not a function-equality hypothesis")
-        sides = []
         bodies = []
         for fname in (p.lhs.name, p.rhs.name):
             d = self._fn_def_of(sg, fname)
@@ -485,16 +499,22 @@ class _Session:
         self._close()
         return None
 
-    def _closure_env(self, sg: _Subgoal) -> dict[str, Quantity]:
-        env: dict[str, Quantity] = {}
-        pending = sg.subst.bindings()
-        for _ in range(len(pending) + 1):
-            for name, expr in list(pending.items()):
-                if name in env:
-                    continue
-                if free_vars(expr) <= set(env):
-                    env[name] = self._eval_expr(expr, env)
-        return env
+    def _closure_env(self, sg: _Subgoal) -> dict:
+        """The assignment the log forces.  From the last entry back, each is
+        evaluated once, under the values of the later entries its names read
+        (``first(y, k + 1)``), if each of those has a value.  A name maps to
+        its last entry's value, evaluation error or None."""
+        subst, values = sg.subst, {}
+        for k in range(len(subst) - 1, -1, -1):
+            rhs = subst.entries[k][1]
+            env = {y: values.get(subst.first(y, k + 1))
+                   for y in free_vars(rhs)}
+            if all(isinstance(q, Quantity) for q in env.values()):
+                try:
+                    values[k] = eval_numeric(rhs, env, self.db)
+                except PhysKernelError as exc:
+                    values[k] = exc
+        return {x: values.get(k) for k, (x, _) in enumerate(subst.entries)}
 
     def _apply_numeric(self, sg: _Subgoal,
                        step: NumericCheck) -> Refuted | None:
@@ -524,9 +544,22 @@ class _Session:
         return self._refute(sg)
 
     def _refute(self, sg: _Subgoal) -> Refuted:
+        # A consumed definition holds at the witness where it evaluated.  One
+        # that applies a partial operation may have no solution at all, and a
+        # function equality's coefficients are not checked here.
+        closure = self._closure_env(sg)
         for h in sg.hyps.values():
             if h.consumed:
-                continue  # definitional; true under the forced assignment
+                var_def = self._as_var_def(h.prop)
+                value = closure.get(var_def[0]) if var_def else None
+                if isinstance(value, PhysKernelError) or value is None and (
+                        self._is_fn_equality(h.prop) or self._partial(h.prop)):
+                    raise _StepFailure(
+                        f"goal is exactly false, but consumed hypothesis "
+                        f"'{h.name}' " + ("may have no solution"
+                                          if value is None else
+                                          f"failed to evaluate: {value}"))
+                continue
             h = sg.read(h.name)
             if isinstance(h.prop, (N.ForallFn, N.ForallFinite)):
                 raise _StepFailure(
@@ -550,9 +583,9 @@ class _Session:
                 raise _StepFailure(
                     f"hypothesis '{h.name}' only verifies approximately; "
                     "approximate agreement never refutes")
-        closure = self._closure_env(sg)
-        return Refuted(tuple((name, closure[name].render())
-                             for name in sorted(closure)),
+        return Refuted(tuple((x, value.render())
+                             for x, value in sorted(closure.items())
+                             if isinstance(value, Quantity)),
                        "the goal is exactly false under the assignment "
                        "forced by the hypotheses")
 

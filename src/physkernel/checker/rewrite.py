@@ -216,7 +216,10 @@ class Substitution:
     simultaneous pass: a free ``x`` becomes the right-hand side of the first
     later entry for ``x``, itself read at the position after that entry
     (up to the names given to renamed binders).  Each right-hand side is
-    stored as it read when its entry was recorded.  A log never changes
+    stored as it read when its entry was recorded, and the log is the only
+    place a consumed definition of a variable lives: a function or ground
+    definition rewrites the trees a later step reads, each read first up to
+    the current position, and never an entry.  A log never changes
     (``then`` returns a longer one), so its reads are memoised, and
     ``translations`` holds the ring translator's memo of each entry (for
     one unit database).  Both memos fill from the last entry back, so each
@@ -278,9 +281,3 @@ class Substitution:
                 *(free_vars(self.rhs(entry[x])) for x in hit))
 
         return _rewrite(node, frozenset(entry), leaf, inserted)
-
-    def bindings(self) -> dict[str, N.Expr]:
-        """Each defined name's last entry, read: the value that rewriting
-        every earlier definition with each later one would leave it."""
-        last = {name: j for j, (name, _) in enumerate(self.entries)}
-        return {name: self.rhs(j) for name, j in last.items()}

@@ -5,10 +5,10 @@ The harness gives each binding up to ``k`` attempts per corpus entry and
 independently verifies every returned script with the checker — a claimed
 proof counts only if the script actually replays to a proved verdict.  An
 entry passes when any of its attempts verifies; attempts stop early at the
-first success (and after the first failure for bindings that declare
-themselves deterministic, since retrying them cannot change the outcome).
+first success (and after the first failure for a binding that declares
+itself deterministic, since retrying it cannot change the outcome).
 
-Two bindings ship with the package:
+The package ships two kinds of binding:
 
 * :class:`BuiltinProver` wraps the automatic prover.  It is deterministic,
   so pass@k equals pass@1.
@@ -78,7 +78,7 @@ def _level_sort_key(level: str) -> tuple[int, str]:
         return (len(LEVEL_ORDER), level)
 
 
-# -- prover bindings -------------------------------------------------------------
+# -- the prover binding and its two kinds -----------------------------------------
 
 
 class ProverBinding:

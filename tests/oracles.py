@@ -796,3 +796,24 @@ def _sub_ref(n, required):
 def print_expr_ref(n) -> str:
     """``printer.print_expr`` (and ``print_prop``)."""
     return text_ref(n)[0]
+
+
+# -- the refutation witness as a fixpoint ------------------------------------
+#
+# ``prover._Session._closure_env`` as it was before it evaluated each log
+# entry once: each defined name's last entry read through the whole log
+# (the former ``Substitution.bindings``), evaluated once every name free in
+# it has a value, in passes until a pass adds none.
+
+
+def closure_env_ref(subst, db):
+    last = {name: j for j, (name, _) in enumerate(subst.entries)}
+    pending = {name: subst.rhs(j) for name, j in last.items()}
+    env = {}
+    for _ in range(len(pending) + 1):
+        for name, expr in list(pending.items()):
+            if name in env:
+                continue
+            if free_vars_ref(expr) <= set(env):
+                env[name] = eval_ref(expr, env, db)
+    return env

@@ -98,7 +98,7 @@ def test_a_long_definition_chain(gen, db):
     goal = stmt.goal
     with shallow_stack():
         text = _decide(stmt, db)
-        value = defs.bindings()[goal.lhs.name]  # 600 definitions deep
+        value = defs.read(goal.lhs, 0)  # 600 definitions deep
         equal = ring_equal(value, goal.rhs, db=db)
         value = eval_numeric(value, {}, db)
     assert text.count(":=") == 601

@@ -1,5 +1,6 @@
 """Prover: auto search, script replay, verdict taxonomy, side conditions."""
 
+import random
 import textwrap
 import time
 from fractions import Fraction
@@ -9,9 +10,10 @@ import pytest
 from physkernel.checker import ring
 from physkernel.checker.dims import check_dimensions
 from physkernel.checker.prover import (
-    Proved, Refuted, Unknown, _Session, auto_prove, check_derivation,
-    database_for,
+    Proved, Refuted, Unknown, _Session, _Subgoal, auto_prove,
+    check_derivation, database_for,
 )
+from physkernel.checker.rewrite import Substitution
 from physkernel.checker.script import (
     ExactHyp, Intro, MalformedScript, NumericCheck, RingCheck, Split, Subst,
     parse_script, print_script,
@@ -21,6 +23,8 @@ from physkernel.lang import nodes as N
 from physkernel.lang.parser import parse_statement
 from physkernel.lang.printer import print_prop, print_statement
 from physkernel.record import replace
+
+from oracles import SubstitutionRef, closure_env_ref
 
 
 def stmt_of(body: str, db):
@@ -229,6 +233,126 @@ def test_refutation_needs_every_hypothesis_exactly_true(db, decls, h2,
     v = auto_prove(s, db)
     assert isinstance(v, Unknown)
     assert v.reason == reason
+
+
+@pytest.mark.parametrize("text, script, reason", [
+    ("theorem vacuous (x : Real) (y z : Length) "
+     "(hx := x = 1 • meter / (y - y)) (hz := z = 3 • meter) : z = 2 • meter",
+     "subst hx\nsubst hz\nnumeric\n",
+     "goal is exactly false, but consumed hypothesis 'hx' may have no "
+     "solution"),
+    ("theorem vacuous_fn (f : Time -> Length) (z : Length) "
+     "(hf := forall t, f(t) = 1 • meter * second / (t - t)) "
+     "(hz := z = 3 • meter) : z = 2 • meter",
+     "subst hf\nsubst hz\nnumeric\n",
+     "goal is exactly false, but consumed hypothesis 'hf' may have no "
+     "solution"),
+    ("theorem vacuous_fn_closed (f : Time -> Length) (z : Length) "
+     "(hf := forall t, f(t) = 1 • meter / (2 - 2)) "
+     "(hz := z = 3 • meter) : z = 2 • meter",
+     "subst hf\nsubst hz\nnumeric\n",
+     "goal is exactly false, but consumed hypothesis 'hf' may have no "
+     "solution"),
+    ("theorem vacuous_closed (x : Real) (z : Length) "
+     "(hx := x = 1 / (1 - 1)) (hz := z = 3 • meter) : z = 2 • meter",
+     "subst hx\nsubst hz\nnumeric\n",
+     "goal is exactly false, but consumed hypothesis 'hx' failed to "
+     "evaluate: division by a zero quantity"),
+    ("theorem vacuous_match (c : Real) (xf zf : Time -> Length) "
+     "(hx := forall t, xf(t) = c • meter / second * t) "
+     "(hz := forall t, zf(t) = 2 • meter / second * t) "
+     "(he := xf = zf) (hc := c = 3) : c = 4",
+     "subst hc\nsubst hx\nsubst hz\npolymatch he t\nnumeric\n",
+     "goal is exactly false, but consumed hypothesis 'he' may have no "
+     "solution"),
+], ids=["vacuous", "vacuous_fn", "vacuous_fn_closed", "vacuous_closed",
+       "vacuous_match"])
+def test_hypotheses_without_a_common_solution_never_refute(db, text, script,
+                                                           reason):
+    # No values satisfy every hypothesis, so each statement holds vacuously,
+    # although its goal is false at the values its definitions force.
+    s = stmt_of(text, db)
+    v = auto_prove(s, db)
+    assert isinstance(v, Unknown)
+    assert v.reason == reason
+    replay = check_derivation(s, parse_script(script, s, db), db)
+    assert isinstance(replay, Unknown)
+    assert replay.reason == reason
+
+
+def test_a_definition_that_evaluates_or_divides_by_a_unit_still_refutes(db):
+    s = stmt_of("""
+        theorem wrong_height
+        (t : Time) (x z : Length) (k : Real)
+        (hx := x = 2 • meter / second * t)
+        (hk := k = 1 / 4)
+        (hz := z = 3 • meter)
+        : z = 2 • meter
+    """, db)
+    v = auto_prove(s, db)
+    assert isinstance(v, Refuted)
+    assert v.env == (("k", "1/4"), ("z", "3 [L]"))
+
+
+def _witness_log(rng: random.Random) -> tuple:
+    """Entries in an order ``auto_prove`` records them in: each right-hand
+    side mentions only names recorded after it, or names never recorded.
+    A name may be recorded twice; some logs are a star around one name."""
+    names = [f"x{rng.randrange(8)}" for _ in range(rng.randint(1, 14))]
+    star = rng.random() < 0.3
+    entries = []
+    for k, name in enumerate(names):
+        later = sorted(set(names[k + 1:]) - {name})
+        picks = rng.sample(later + ["u0", "u1"], min(len(later) + 2,
+                                                     rng.randint(0, 3)))
+        if star and names[-1] in later:
+            picks.append(names[-1])
+        rhs = N.NumLit(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        for y in picks:  # branching where there is more than one pick
+            term = N.Mul(N.NumLit(Fraction(rng.randint(1, 5))), N.Var(y))
+            term = N.Div(term, N.NumLit(Fraction(rng.randint(1, 3))))
+            rhs = N.Add(rhs, term)
+        entries.append((name, rhs))
+    return tuple(entries)
+
+
+def test_the_witness_matches_the_fixpoint_closure(db):
+    session = _Session(stmt_of("theorem t (x : Real) : x = x", db), db)
+    reached = unreached = 0
+    for seed in range(200):
+        entries = _witness_log(random.Random(seed))
+        log = Substitution()
+        for name, rhs in entries:
+            log = log.then(name, rhs)
+        goal = N.Eq(N.Var("x"), N.Var("x"))
+        got = session._closure_env(_Subgoal(goal, {}, [], log))
+        want = closure_env_ref(SubstitutionRef(entries), db)
+        assert {x: q.render() for x, q in got.items() if q is not None} == {
+            x: q.render() for x, q in want.items()}, entries
+        reached += len(want)
+        unreached += len({x for x, _ in entries} - want.keys())
+    assert reached > 100 and unreached > 100
+
+
+def test_consumed_function_definitions_are_rewritten_for_polymatch(db):
+    # 'subst hx' rewrites the consumed definition of yf, which applies xf,
+    # so that 'polymatch he t' matches the coefficients of x_0 + v * t.
+    s = stmt_of("""
+        theorem nested_profiles
+        (x_0 : Length) (v : Speed) (xf yf zf : Time -> Length)
+        (hx := forall t, xf(t) = x_0 + v * t)
+        (hy := forall t, yf(t) = xf(t) + 1 • meter)
+        (hz := forall t, zf(t) = 3 • meter + 2 • meter / second * t)
+        (he := yf = zf)
+        : v = 2 • meter / second ∧ x_0 = 2 • meter
+    """, db)
+    v = auto_prove(s, db)
+    assert isinstance(v, Proved)
+    branch = "subst hy\nsubst hx\nsubst hz\npolymatch he t\nring\n"
+    assert print_script(v.steps) == "split\n" + branch * 2
+    replay = check_derivation(s, parse_script(print_script(v.steps), s, db),
+                              db)
+    assert isinstance(replay, Proved)
 
 
 def test_intro_renames_a_binder_that_shadows_a_declaration(db):

@@ -10,9 +10,13 @@ import pathlib
 import sys
 
 import physkernel
-from physkernel.checker.prover import Proved, auto_prove, check_derivation
+from physkernel.checker.prover import (
+    Proved, Refuted, auto_prove, check_derivation,
+)
 from physkernel.checker.ring import ring_equal
 from physkernel.lang.parser import parse_statement
+
+from test_deep_trees import _fn_chain
 
 PACKAGE = str(pathlib.Path(physkernel.__file__).parent) + "/"
 RATIO = 2.2
@@ -59,6 +63,36 @@ def test_proving_and_replaying_a_definition_chain(gen, db):
         return line_events(run)
 
     assert _growth(work, 200) <= RATIO
+
+
+def test_proving_and_replaying_a_chain_of_applications(db):
+    # v_i = f(v_{i-1}): the goal reads as f nested once per link, and 'subst
+    # hf' unfolds it once; no consumed definition is rewritten.
+    def work(n):
+        stmt = parse_statement(_fn_chain(n), db)
+
+        def run():
+            verdict = auto_prove(stmt, db)
+            assert isinstance(verdict, Proved), verdict
+            replay = check_derivation(stmt, verdict.steps, db)
+            assert isinstance(replay, Proved), replay
+
+        return line_events(run)
+
+    assert _growth(work, 100) <= RATIO
+
+
+def test_refuting_a_definition_chain(gen, db):
+    # The witness evaluates each definition once, under the values of the
+    # definitions it reads.
+    def work(n):
+        stmt = parse_statement(gen.def_chain_text(n, off=1), db)
+        verdict = []
+        count = line_events(lambda: verdict.append(auto_prove(stmt, db)))
+        assert isinstance(verdict[0], Refuted), verdict
+        return count
+
+    assert _growth(work, 100) <= RATIO
 
 
 def test_ring_equal_with_a_definition_chain_as_env(gen, db):
