@@ -3,6 +3,7 @@ the constant overrides that a statement or a run applies to a database."""
 
 from __future__ import annotations
 
+from decimal import Overflow
 from fractions import Fraction
 from typing import Mapping
 
@@ -42,9 +43,17 @@ def eval_numeric(e: N.Expr, env: Mapping[str, Quantity],
     """Evaluate ``e`` to a Quantity under the variable values ``env``.
 
     Free variables, applications, and derivatives have no numeric meaning
-    and raise UnboundVariable.
+    and raise UnboundVariable.  A value past the decimal exponent range
+    raises DomainError.
     """
-    return N.fold(e, _eval_rules(env, db or builtin_database()), _EVAL_PRE)
+    try:
+        return N.fold(e, _eval_rules(env, db or builtin_database()),
+                      _EVAL_PRE)
+    except Overflow:
+        raise DomainError(_OVERFLOW) from None
+
+
+_OVERFLOW = f"a value overflows the decimal exponent range (1e{_DEC.Emax})"
 
 
 # -- the fold rules of eval_numeric: a node and its children's values ----------
@@ -123,7 +132,7 @@ def eval_prop(p: N.Prop, env: Mapping[str, Quantity],
     Returns ``(truth, exact)`` where ``exact`` means every comparison that
     the verdict rests on was decided exactly.  Quantified propositions raise
     UnsupportedNode.  A connective evaluates both sides; it is exact when
-    both are.
+    both are.  A value past the decimal exponent range raises DomainError.
     """
     rules = _eval_rules(env, db or builtin_database())
 
@@ -136,9 +145,12 @@ def eval_prop(p: N.Prop, env: Mapping[str, Quantity],
         raise UnsupportedNode(
             f"cannot numerically evaluate a {type(q).__name__} proposition")
 
-    return N.fold(p, _CONNECT, {
-        **dict.fromkeys(_COMPARE, compare),
-        N.ForallFn: quantified, N.ForallFinite: quantified})
+    try:
+        return N.fold(p, _CONNECT, {
+            **dict.fromkeys(_COMPARE, compare),
+            N.ForallFn: quantified, N.ForallFinite: quantified})
+    except Overflow:
+        raise DomainError(_OVERFLOW) from None
 
 
 # Truth of a comparison from the comparison of its sides, and (truth,

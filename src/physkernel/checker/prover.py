@@ -24,6 +24,7 @@ applies no partial operation.
 
 from __future__ import annotations
 
+from decimal import Overflow
 from fractions import Fraction
 
 from ..errors import (
@@ -171,9 +172,10 @@ def _flatten(p: N.Prop, cls: type[N.And | N.Or]) -> list[N.Prop]:
 
 
 class _Session:
-    def __init__(self, stmt: N.Statement, db: UnitDatabase):
+    def __init__(self, stmt: N.Statement, db: UnitDatabase,
+                 root: Substitution):
         self.db = db
-        sg = _Subgoal(stmt.goal, {}, [], Substitution())
+        sg = _Subgoal(stmt.goal, {}, [], root)
         for n, p in stmt.hyps:
             sg.add(_Hyp(n, p))
         self.subgoals: list[_Subgoal] = [sg]
@@ -260,12 +262,17 @@ class _Session:
                                   else self.db.constant(a[1]).value)
                for a in atoms}
         total = Quantity.scalar(0)
-        for mono, coeff in poly.items():
-            term = Quantity.scalar(coeff)
-            for a, e in mono:
-                term = term.mul(env[a].pow(e))
-            total = total.add(term)
-        cmp = compare_values(total.value, Fraction(0))
+        try:
+            for mono, coeff in poly.items():
+                term = Quantity.scalar(coeff)
+                for a, e in mono:
+                    term = term.mul(env[a].pow(e))
+                total = total.add(term)
+            cmp = compare_values(total.value, Fraction(0))
+        except Overflow:
+            raise _StepFailure(
+                f"side condition {claim} cannot be checked: a value "
+                "overflows the decimal exponent range") from None
         if cmp.equal:
             raise _StepFailure(f"side condition failed: {claim}")
         if not cmp.exact:
@@ -506,7 +513,7 @@ class _Session:
         its last entry's value, evaluation error or None."""
         subst, values = sg.subst, {}
         for k in range(len(subst) - 1, -1, -1):
-            rhs = subst.entries[k][1]
+            rhs = subst.entry(k)[1]
             env = {y: values.get(subst.first(y, k + 1))
                    for y in free_vars(rhs)}
             if all(isinstance(q, Quantity) for q in env.values()):
@@ -674,10 +681,15 @@ def _reaches(names, target: str, edges) -> bool:
 
 # The last (stmt, db, result) that _prepare computed.  The harness proves an
 # entry and then replays a script against the same statement object, so the
-# replay finds its set-up here.  Statements and databases are frozen and
-# never mutated, and _prepare is a deterministic function of the two, so an
-# identity hit returns what recomputing would; nothing from the prover's
-# search is kept.
+# replay finds its set-up here, and with it the root of the statement's
+# substitution logs: the replay reads and translates through the logs the
+# search grew, and finds each tree it shares with the search read and
+# translated.  Statements and databases are frozen and never mutated,
+# _prepare is a deterministic function of the two, and the logs memoise only
+# pure functions of their entries, so an identity hit returns what
+# recomputing would; no decision of the search (an elimination, an
+# evaluation, a side condition) is kept.  Each new statement drops the last
+# one's logs with their memos.
 _last_prepared: tuple = (None, None, None)
 
 
@@ -689,7 +701,7 @@ def _prepare(stmt: N.Statement, db: UnitDatabase | None):
     full_db = database_for(stmt, db)
     resolved = resolve_statement(stmt, full_db)
     report = check_dimensions(resolved, full_db)
-    result = full_db, resolved, report
+    result = full_db, resolved, report, Substitution()
     _last_prepared = (stmt, db, result)
     return result
 
@@ -697,12 +709,12 @@ def _prepare(stmt: N.Statement, db: UnitDatabase | None):
 def check_derivation(stmt: N.Statement, steps,
                      db: UnitDatabase | None = None) -> Verdict:
     """Replay a derivation script against a statement."""
-    full_db, resolved, report = _prepare(stmt, db)
+    full_db, resolved, report, root = _prepare(stmt, db)
     if not report.homogeneous:
         return Unknown("the statement is not dimensionally homogeneous",
                        dim_report=report)
     steps = tuple(steps)
-    session = _Session(resolved, full_db)
+    session = _Session(resolved, full_db, root)
     for i, step in enumerate(steps):
         if not session.subgoals:
             raise MalformedScript("steps remain after all goals closed", i)
@@ -725,11 +737,11 @@ def check_derivation(stmt: N.Statement, steps,
 
 def auto_prove(stmt: N.Statement, db: UnitDatabase | None = None) -> Verdict:
     """Search for a proof; any Proved verdict carries a replayable script."""
-    full_db, resolved, report = _prepare(stmt, db)
+    full_db, resolved, report, root = _prepare(stmt, db)
     if not report.homogeneous:
         return Unknown("the statement is not dimensionally homogeneous",
                        dim_report=report)
-    session = _Session(resolved, full_db)
+    session = _Session(resolved, full_db, root)
     while session.subgoals:
         sg = session.subgoals[0]
         step = _structural_step(session, sg)
@@ -786,7 +798,9 @@ def _leaf(session: _Session, sg: _Subgoal) -> Verdict | None:
     if not isinstance(g, (N.Eq, N.Ne, N.Le, N.Lt)):
         return Unknown(f"no automatic rule applies to this goal shape "
                        f"({type(g).__name__})")
-    if not free_vars(sg.read_goal()):
+    # The goal stays at its position: 'ring' translates it there, as the
+    # replay of the script does, so the two share the log's translation.
+    if not free_vars(sg.subst.read(g, sg.goal_at)):
         try:
             outcome = session.apply(NumericCheck())
         except _StepFailure as f:

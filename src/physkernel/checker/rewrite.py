@@ -219,57 +219,101 @@ class Substitution:
     stored as it read when its entry was recorded, and the log is the only
     place a consumed definition of a variable lives: a function or ground
     definition rewrites the trees a later step reads, each read first up to
-    the current position, and never an entry.  A log never changes
-    (``then`` returns a longer one), so its reads are memoised, and
-    ``translations`` holds the ring translator's memo of each entry (for
-    one unit database).  Both memos fill from the last entry back, so each
-    holds the last entries, and no read or translation recurses.
+    the current position, and never an entry.
 
-    An index maps each name to its entries' positions, ascending: ``first``
-    is a ``bisect``, and a read looks up only its tree's free names.  The
-    first ``then`` on a log appends to the log's index, and ``first``
-    ignores positions past a log's length; a second ``then`` (a ``split``
-    or ``cases`` branch) copies the log's part.
+    A log never changes: ``then`` returns a longer one, and the logs grown
+    from one root form a trie, so ``then`` with an entry it was given
+    before (the same name and the same right-hand side object) returns the
+    child it made then.  The search, the replay of its script and sibling
+    ``split`` or ``cases`` branches that record the same entries share one
+    log, and with it the log's memos of pure functions:
+
+    - ``read``, by tree object and position;
+    - ``translations``, the ring translator's memo of each entry, and
+      ``differences``, its memo of ``translate_difference`` by both side
+      objects and position, errors included (for the one unit database of
+      the statement the root log was prepared for).
+
+    A memo keyed on a tree object keeps the object alive, so its ``id`` is
+    not reused while the key is in the memo.
+
+    The entry memos (``rhs`` and ``translations``) fill from the last entry
+    back, so each holds the last entries, and no read or translation
+    recurses.
+
+    The logs of a trie stay alive as long as its root, so a line of first
+    children shares one list of entries and one index, which maps each name
+    to its entries' positions, ascending: ``first`` is a ``bisect``, and a
+    read looks up only its tree's free names.  The first child of a log
+    appends to both, and a log ignores what lies past its length; a second,
+    different child copies the log's part.  A chain of n entries costs
+    memory linear in n.
     """
 
     def __init__(self, entries: tuple[tuple[str, N.Expr], ...] = ()):
-        self.entries = entries
+        self._entries = list(entries)
+        self._len = len(entries)
         self.translations: dict = {}
+        self.differences: dict = {}
         self._rhs: dict = {}  # j -> entry j's right-hand side, read
+        self._reads: dict = {}  # (id(tree), at) -> (tree, its read)
+        self._children: dict = {}  # (name, id(rhs)) -> the child
         self._index: dict[str, list[int]] = {}
         for j, (name, _) in enumerate(entries):
             self._index.setdefault(name, []).append(j)
-        self._shared = False  # a child appends to _index
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._len
+
+    @property
+    def entries(self) -> tuple[tuple[str, N.Expr], ...]:
+        """The entries, ``(name, rhs)``, in the order they were recorded."""
+        return tuple(self._entries[:self._len])
+
+    def entry(self, j: int) -> tuple[str, N.Expr]:
+        """Entry ``j`` as recorded, for ``j < len(self)``."""
+        return self._entries[j]
 
     def then(self, name: str, rhs: N.Expr) -> "Substitution":
-        at, index = len(self.entries), self._index
-        if self._shared:
+        child = self._children.get((name, id(rhs)))
+        if child is not None:
+            return child
+        at, entries, index = self._len, self._entries, self._index
+        if self._children:
+            entries = entries[:at]
             index = {x: p[:bisect_left(p, at)] for x, p in index.items()}
-        self._shared = True
+        entries.append((name, rhs))
         index.setdefault(name, []).append(at)
         child = Substitution()
-        child.entries, child._index = self.entries + ((name, rhs),), index
+        child._entries, child._len, child._index = entries, at + 1, index
+        # The child's last entry keeps rhs, and so its id, alive.
+        self._children[name, id(rhs)] = child
         return child
 
     def first(self, name: str, at: int) -> int | None:
         """The position of the first entry for ``name`` from ``at`` on."""
         positions = self._index.get(name, ())
         k = bisect_left(positions, at)
-        if k < len(positions) and positions[k] < len(self.entries):
+        if k < len(positions) and positions[k] < self._len:
             return positions[k]
         return None
 
     def rhs(self, j: int) -> N.Expr:
         """Entry ``j``'s right-hand side, read at position ``j + 1``."""
-        for k in range(len(self.entries) - len(self._rhs) - 1, j - 1, -1):
-            self._rhs[k] = self.read(self.entries[k][1], k + 1)
+        for k in range(self._len - len(self._rhs) - 1, j - 1, -1):
+            self._rhs[k] = self._read(self._entries[k][1], k + 1)
         return self._rhs[j]
 
     def read(self, node, at: int):
         """``node``, made at position ``at``, with the later entries applied."""
+        if at == self._len:
+            return node
+        hit = self._reads.get((id(node), at))
+        if hit is None:
+            hit = self._reads[id(node), at] = node, self._read(node, at)
+        return hit[1]
+
+    def _read(self, node, at: int):
         entry = {x: j for x in free_vars(node)
                  if (j := self.first(x, at)) is not None}
 

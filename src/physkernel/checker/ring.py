@@ -10,9 +10,13 @@ conservative.  ``ring_equal`` rejects a side that needs an opaque atom.
 
 A translation may read its tree through a :class:`~.rewrite.Substitution`:
 a defined variable translates as its definition's right-hand side, which is
-translated once per substitution, side conditions and opaque atoms
-included.  A subterm is printed under the substitution only where a label
-needs its text, so labels read as if the tree had been rewritten first.
+translated once per log, side conditions and opaque atoms included, and
+``translate_difference`` translates each pair of sides once per log and
+position.  The search, the replay of its script and sibling branches that
+record the same entries share one log, so a tree object is translated once
+per prepared statement.  A subterm is printed under the substitution only
+where a label needs its text, so labels read as if the tree had been
+rewritten first.
 
 Polynomials are ``Poly`` dicts, sparse maps from monomials to exact rational
 coefficients, from translation through elimination to the prover's side
@@ -363,12 +367,12 @@ class RationalFunc:
 
 # -- translation -----------------------------------------------------------------
 
-@record
+@record(frozen=True, eq=False)
 class Translation:
     """A translated expression plus the non-vanishing claims it relies on."""
 
     rf: RationalFunc
-    sides: list[tuple[RationalFunc, str]]
+    sides: tuple[tuple[RationalFunc, str], ...]
     opaque_vars: dict[Atom, frozenset[str]]
 
 
@@ -457,13 +461,13 @@ class _Xlate:
         nested translation would.
         """
         rules, pre = self._tables()
-        entries, memo = self.subst.entries, self.subst.translations
+        subst, memo = self.subst, self.subst.translations
         outer = self.at, self.sides, self.opaque_vars
         try:
-            for k in range(len(entries) - len(memo) - 1, outer[0] - 1, -1):
+            for k in range(len(subst) - len(memo) - 1, outer[0] - 1, -1):
                 self.at, self.sides, self.opaque_vars = k + 1, [], {}
                 try:
-                    rf = N.fold(entries[k][1], rules, pre)
+                    rf = N.fold(subst.entry(k)[1], rules, pre)
                     memo[k] = rf, self.sides, self.opaque_vars
                 except PhysKernelError as exc:
                     memo[k] = exc
@@ -479,7 +483,7 @@ class _Xlate:
             return RationalFunc.atom((_VAR, e.name))
         found = self.subst.translations[j]
         if isinstance(found, PhysKernelError):
-            raise found
+            raise found.with_traceback(None)
         rf, sides, opaque_vars = found
         self.sides.extend(sides)
         for key, names in opaque_vars.items():
@@ -530,12 +534,31 @@ def translate_difference(lhs: N.Expr, rhs: N.Expr,
     """Translate ``lhs - rhs`` with abstraction; its numerator is zero iff
     the sides agree wherever the recorded denominators do not vanish.
 
-    The sides are read at position ``at`` of ``subst``.
+    The sides are read at position ``at`` of ``subst``.  The translation
+    (or its error, raised again) is memoised on the log, keyed on the two
+    tree objects and ``at``; the log's entries are translated for one unit
+    database, so a log is only ever used with one.
     """
     db = db or builtin_database()
-    x = _Xlate(db, subst, at)
+    subst = Substitution() if subst is None else subst
+    key = id(lhs), id(rhs), at
+    hit = subst.differences.get(key)
+    if hit is None:
+        try:
+            found = _translate_difference(lhs, rhs, _Xlate(db, subst, at))
+        except PhysKernelError as exc:
+            found = exc
+        # The memo keeps both trees, and so their ids, alive.
+        hit = subst.differences[key] = lhs, rhs, found
+    found = hit[2]
+    if isinstance(found, PhysKernelError):
+        raise found.with_traceback(None)
+    return found
+
+
+def _translate_difference(lhs: N.Expr, rhs: N.Expr, x: _Xlate) -> Translation:
     rf = x.tr(lhs).sub(x.tr(rhs))
-    return Translation(rf, x.sides, x.opaque_vars)
+    return Translation(rf, tuple(x.sides), x.opaque_vars)
 
 
 def ring_equal(lhs: N.Expr, rhs: N.Expr,

@@ -48,7 +48,8 @@ class NegativeBaseRationalExponent(PhysKernelError):
 
 
 class DomainError(PhysKernelError):
-    """A builtin function was evaluated outside its domain (e.g. log of 0)."""
+    """A builtin function was evaluated outside its domain (e.g. log of 0),
+    or a value overflowed the decimal exponent range."""
 
 
 class InvalidCast(PhysKernelError):

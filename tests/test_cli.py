@@ -91,6 +91,36 @@ def test_huge_residual_coefficient_is_unknown_not_internal(tmp_path):
     assert out.stderr == ""
 
 
+def test_an_overflowing_value_is_unknown_not_internal(tmp_path):
+    # exp, and a real power through its exp, past the decimal exponent
+    # range; the third reaches the refutation witness through a consumed
+    # definition, and the fourth a side condition on a constant, in range,
+    # whose square is not.  Each step ends Unknown and says why.
+    statements = [
+        "theorem e (x : Real) (h := x = 1) : exp(10 ** 7) = x",
+        "theorem e (x : Real) (h := x = 1) : rpow(10, exp(30)) = x",
+        "theorem e (x y : Real) (h := x = exp(10 ** 7)) (hy := y = 2)"
+        " : y = 3",
+        "constants: g = exp(1500000) • meter / second**2\n"
+        "theorem e (x : Real) : x * g**2 / g**2 = x",
+    ]
+    paths = []
+    for k, text in enumerate(statements):
+        paths.append(str(tmp_path / f"overflow{k}.phys"))
+        pathlib.Path(paths[-1]).write_text(text + "\n", encoding="utf-8")
+    out = _run("from physkernel.cli import main\n"
+               f"for path in {paths!r}:\n    print(main(['prove', path]))\n")
+    overflow = "a value overflows the decimal exponent range (1e999999)"
+    assert out.stdout.splitlines() == [
+        f"unknown: evaluation failed: {overflow}", "1",
+        f"unknown: evaluation failed: {overflow}", "1",
+        "unknown: goal is exactly false, but consumed hypothesis 'h' failed"
+        f" to evaluate: {overflow}", "1",
+        "unknown: side condition g**2 ≠ 0 cannot be checked: a value"
+        " overflows the decimal exponent range", "1"], out.stderr[-500:]
+    assert out.stderr == ""
+
+
 def test_a_digit_like_character_is_bad_input(tmp_path):
     # "²" is a digit to str.isdigit, but no number starts with it.
     path = tmp_path / "square.phys"

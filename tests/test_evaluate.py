@@ -76,6 +76,16 @@ def test_rpow_exact_when_perfect(db):
     assert str(q.value.value).startswith("1.41421356")
 
 
+def test_a_value_past_the_exponent_range_is_a_domain_error(db):
+    # exp itself, and a real power through its exp.
+    for text in ("exp(10 ** 7)", "rpow(10, exp(30))"):
+        with pytest.raises(DomainError, match="overflows the decimal"):
+            ev(text, db)
+    with pytest.raises(DomainError, match="overflows the decimal"):
+        eval_prop(parse_prop("exp(10 ** 7) = 1", db, VARS, FNS), {}, db)
+    assert isinstance(ev("exp(-(10 ** 7))", db).value, Approx)
+
+
 def test_builtin_function_domains(db):
     assert ev("sqrt(0)", db).value == 0
     assert ev("sqrt(9/4)", db).value == Fraction(3, 2)

@@ -317,7 +317,8 @@ def _witness_log(rng: random.Random) -> tuple:
 
 
 def test_the_witness_matches_the_fixpoint_closure(db):
-    session = _Session(stmt_of("theorem t (x : Real) : x = x", db), db)
+    session = _Session(stmt_of("theorem t (x : Real) : x = x", db), db,
+                       Substitution())
     reached = unreached = 0
     for seed in range(200):
         entries = _witness_log(random.Random(seed))
@@ -362,7 +363,7 @@ def test_intro_renames_a_binder_that_shadows_a_declaration(db):
         (hf := forall t, f(t) = x)
         : forall t : Time, f(t) = x
     """, db)
-    session = _Session(s, db)
+    session = _Session(s, db, Substitution())
     session.apply(Intro())
     assert print_prop(session.subgoals[0].goal) == "f(t!1) = x"
     v = auto_prove(s, db)
