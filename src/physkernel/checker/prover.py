@@ -40,7 +40,6 @@ from .dims import DimReport, resolve_statement
 # benchmark's traced run wraps as the dimension check (bench/spans.py).
 from .dims import _report_resolved as check_dimensions
 from .evaluate import database_for, eval_numeric, eval_prop
-from .evaluate import with_overrides  # noqa: F401  (re-exported)
 from .rewrite import (
     Substitution, applied_fns, definition_order, expand_fn, free_vars,
     rewrite_ground, subst_var,
@@ -493,16 +492,11 @@ class _Session:
                 "the goal does not follow by ring arithmetic; "
                 f"residual: {residual}")
         self._record_rf_sides(goal_tr.sides)
-        used = []
         for st in found.steps:
-            used.append(st.label)
             self._record_poly_side(
                 st.nonzero, f"{ring.poly_render(st.nonzero)} ≠ 0")
-        for label in used:
-            base = label.split("[", 1)[0]
-            for tr_sides in (cons_sides.get(label), cons_sides.get(base)):
-                if tr_sides:
-                    self._record_rf_sides(tr_sides)
+        for st in found.steps:
+            self._record_rf_sides(cons_sides.get(st.label, ()))
         self._close()
         return None
 

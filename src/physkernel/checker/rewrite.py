@@ -234,8 +234,8 @@ class Substitution:
       objects and position, errors included (for the one unit database of
       the statement the root log was prepared for).
 
-    A memo keyed on a tree object keeps the object alive, so its ``id`` is
-    not reused while the key is in the memo.
+    Trees compare by identity, so a memo keyed on a tree object finds only
+    that object.
 
     The entry memos (``rhs`` and ``translations``) fill from the last entry
     back, so each holds the last entries, and no read or translation
@@ -256,8 +256,8 @@ class Substitution:
         self.translations: dict = {}
         self.differences: dict = {}
         self._rhs: dict = {}  # j -> entry j's right-hand side, read
-        self._reads: dict = {}  # (id(tree), at) -> (tree, its read)
-        self._children: dict = {}  # (name, id(rhs)) -> the child
+        self._reads: dict = {}  # (tree, at) -> its read
+        self._children: dict = {}  # (name, rhs) -> the child
         self._index: dict[str, list[int]] = {}
         for j, (name, _) in enumerate(entries):
             self._index.setdefault(name, []).append(j)
@@ -275,7 +275,7 @@ class Substitution:
         return self._entries[j]
 
     def then(self, name: str, rhs: N.Expr) -> "Substitution":
-        child = self._children.get((name, id(rhs)))
+        child = self._children.get((name, rhs))
         if child is not None:
             return child
         at, entries, index = self._len, self._entries, self._index
@@ -286,8 +286,7 @@ class Substitution:
         index.setdefault(name, []).append(at)
         child = Substitution()
         child._entries, child._len, child._index = entries, at + 1, index
-        # The child's last entry keeps rhs, and so its id, alive.
-        self._children[name, id(rhs)] = child
+        self._children[name, rhs] = child
         return child
 
     def first(self, name: str, at: int) -> int | None:
@@ -308,10 +307,10 @@ class Substitution:
         """``node``, made at position ``at``, with the later entries applied."""
         if at == self._len:
             return node
-        hit = self._reads.get((id(node), at))
+        hit = self._reads.get((node, at))
         if hit is None:
-            hit = self._reads[id(node), at] = node, self._read(node, at)
-        return hit[1]
+            hit = self._reads[node, at] = self._read(node, at)
+        return hit
 
     def _read(self, node, at: int):
         entry = {x: j for x in free_vars(node)

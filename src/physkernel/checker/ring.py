@@ -541,16 +541,14 @@ def translate_difference(lhs: N.Expr, rhs: N.Expr,
     """
     db = db or builtin_database()
     subst = Substitution() if subst is None else subst
-    key = id(lhs), id(rhs), at
-    hit = subst.differences.get(key)
-    if hit is None:
+    key = lhs, rhs, at
+    found = subst.differences.get(key)
+    if found is None:
         try:
             found = _translate_difference(lhs, rhs, _Xlate(db, subst, at))
         except PhysKernelError as exc:
             found = exc
-        # The memo keeps both trees, and so their ids, alive.
-        hit = subst.differences[key] = lhs, rhs, found
-    found = hit[2]
+        subst.differences[key] = found
     if isinstance(found, PhysKernelError):
         raise found.with_traceback(None)
     return found

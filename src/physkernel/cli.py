@@ -63,6 +63,14 @@ def _read(path: str) -> str:
         raise _BadInput(f"{path} is not UTF-8 text: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:  # a directory, not permitted, no parent
+        raise _BadInput(exc) from None
+
+
 def _read_statement(path: str, db):
     from .lang.parser import parse_statement
     return parse_statement(_read(path), db)
@@ -162,8 +170,6 @@ def _cmd_verify_script(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from pathlib import Path
-
     from .corpus import load_corpus
     from .harness import (BuiltinProver, ExternalProver, render_attempt_log,
                           render_report, run_eval)
@@ -182,10 +188,9 @@ def _cmd_eval(args) -> int:
     report, attempts = run_eval(entries, binding, k=args.k, jobs=args.jobs,
                                 db=db)
     if args.report:
-        Path(args.report).write_text(report.to_json(), encoding="utf-8")
+        _write(args.report, report.to_json())
     if args.attempts:
-        Path(args.attempts).write_text(render_attempt_log(attempts) + "\n",
-                                       encoding="utf-8")
+        _write(args.attempts, render_attempt_log(attempts) + "\n")
     if args.format == "json":
         print(report.to_json(), end="")
     else:

@@ -181,6 +181,8 @@ def load_corpus(root: str | Path,
 
     for name in sorted(set(tiers) - set(seen)):
         problems.append(f"manifest.json: entry {name!r} has no .phys file")
+    if not entries and not problems:
+        problems.append(f"corpus has no entries: {root}")
 
     if problems:
         raise CorpusValidationError(problems)

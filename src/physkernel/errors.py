@@ -64,15 +64,22 @@ class InvalidCast(PhysKernelError):
         )
 
 
+def did_you_mean(name: str, pool) -> str:
+    """The " (did you mean: ...?)" suffix naming the names of ``pool``
+    closest to ``name``, or "" when none is close."""
+    import difflib  # only an error message needs it
+    hints = difflib.get_close_matches(name, pool, n=3)
+    return f" (did you mean: {', '.join(hints)}?)" if hints else ""
+
+
 class UnknownIdentifier(PhysKernelError):
     """A unit/prefix/constant/kind name not present in the database."""
 
-    def __init__(self, name: str, category: str, suggestions: tuple[str, ...] = ()):
+    def __init__(self, name: str, category: str, pool=()):
         self.name = name
         self.category = category
-        self.suggestions = suggestions
-        hint = f" (did you mean: {', '.join(suggestions)}?)" if suggestions else ""
-        super().__init__(f"unknown {category} {name!r}{hint}")
+        super().__init__(f"unknown {category} {name!r}"
+                         + did_you_mean(name, pool))
 
 
 class ParseError(PhysKernelError):

@@ -1,25 +1,22 @@
 """Evaluation harness: pass@k over a benchmark corpus.
 
-A *prover binding* turns a statement into candidate derivation scripts.
-The harness gives each binding up to ``k`` attempts per corpus entry and
-independently verifies every returned script with the checker — a claimed
-proof counts only if the script actually replays to a proved verdict.  An
-entry passes when any of its attempts verifies; attempts stop early at the
-first success (and after the first failure for a binding that declares
-itself deterministic, since retrying it cannot change the outcome).
+The harness drives one of two provers over corpus entries and
+independently verifies every script either returns with the checker — a
+claimed proof counts only if the script actually replays to a proved
+verdict.  An entry passes when any of its attempts verifies.
 
-The package ships two kinds of binding:
-
-* :class:`BuiltinProver` wraps the automatic prover.  It is deterministic,
-  so pass@k equals pass@1.
+* :class:`BuiltinProver` runs the automatic prover in process.  It is
+  deterministic, so each entry gets one attempt and pass@k equals pass@1.
 * :class:`ExternalProver` drives a subprocess speaking a line-JSON
   protocol: one request object per line on stdin, one response object per
   line on stdout.  Requests carry ``{"id", "statement", "attempt"}``; the
   response must echo the ``id`` and give either a ``"script"`` string or
   an ``"error"``.  A crash, malformed response, or timeout counts as a
   failed attempt, and the subprocess is restarted for the next request.
-  Up to ``jobs`` of them run at once, driven by one ``selectors`` loop in
-  the calling thread (POSIX only: it selects on pipes).
+  Each entry gets up to ``k`` attempts and stops at the first that
+  verifies.  Up to ``jobs`` processes run at once, driven by one
+  ``selectors`` loop in the calling thread (POSIX only: it selects on
+  pipes).
 
 Reports are deliberately timing-free and field-ordered so that the same
 run always serializes to the same bytes; wall-clock numbers live only in
@@ -43,8 +40,8 @@ from .unitdb import UnitDatabase, builtin_database
 
 __all__ = [
     "AttemptRecord", "BuiltinProver", "EvalReport", "ExternalProver",
-    "ProverBinding", "aggregate", "improvement_delta", "percent",
-    "render_attempt_log", "render_report", "run_eval", "verify_script_text",
+    "aggregate", "improvement_delta", "percent", "render_attempt_log",
+    "render_report", "run_eval", "verify_script_text",
 ]
 
 #: Canonical difficulty order for report columns; levels outside this list
@@ -78,71 +75,35 @@ def _level_sort_key(level: str) -> tuple[int, str]:
         return (len(LEVEL_ORDER), level)
 
 
-# -- the prover binding and its two kinds -----------------------------------------
+# -- the two provers --------------------------------------------------------------
 
 
-class ProverBinding:
-    """Interface for anything that proposes derivation scripts.
-
-    ``name`` identifies the binding in reports; ``deterministic`` lets the
-    harness skip retries that are guaranteed to repeat a failure.
-    ``run_eval`` makes its attempts in one ``session()``, one at a time,
-    but drives an :class:`ExternalProver`'s processes itself.
-    """
-
-    name: str = "unnamed"
-    deterministic: bool = False
-
-    def session(self) -> "ProverSession":
-        raise NotImplementedError
-
-
-class ProverSession:
-    def attempt(self, entry: CorpusEntry, attempt_no: int) -> str:
-        """Return a derivation-script text for the entry's statement.
-
-        Raise any exception to record a failed attempt.
-        """
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-
-class BuiltinProver(ProverBinding):
+class BuiltinProver:
     """The packaged automatic prover, exposed as an evaluation subject."""
 
     name = "builtin-auto"
-    deterministic = True
 
     def __init__(self, db: UnitDatabase | None = None):
         self.db = db or builtin_database()
 
-    def session(self) -> ProverSession:
-        outer = self
-
-        class _S(ProverSession):
-            def attempt(self, entry: CorpusEntry, attempt_no: int) -> str:
-                verdict = auto_prove(entry.statement, outer.db)
-                if verdict.kind != "proved":
-                    raise PhysKernelError(
-                        f"automatic prover returned {verdict.kind}")
-                return print_script(verdict.steps)
-
-        return _S()
+    def attempt(self, entry: CorpusEntry) -> str:
+        """The printed script of the entry's proof; raises without one."""
+        verdict = auto_prove(entry.statement, self.db)
+        if verdict.kind != "proved":
+            raise PhysKernelError(f"automatic prover returned {verdict.kind}")
+        return print_script(verdict.steps)
 
 
-class ExternalProver(ProverBinding):
+class ExternalProver:
     """A subprocess prover speaking newline-delimited JSON."""
 
     def __init__(self, argv: tuple[str, ...], name: str | None = None,
-                 timeout: float = 60.0, deterministic: bool = False):
+                 timeout: float = 60.0):
         if not argv:
             raise ValueError("external prover needs a command")
         self.argv = tuple(argv)
         self.name = name or argv[0]
         self.timeout = timeout
-        self.deterministic = deterministic
 
 
 class _Slot:
@@ -379,17 +340,18 @@ def aggregate(level_passed_pairs) -> tuple[dict[str, Fraction], Fraction]:
                               sum(t for _, t in counts.values()))
 
 
-def run_eval(entries, binding: ProverBinding, k: int = 1, jobs: int = 1,
-             db: UnitDatabase | None = None,
+def run_eval(entries, binding: BuiltinProver | ExternalProver, k: int = 1,
+             jobs: int = 1, db: UnitDatabase | None = None,
              ) -> tuple[EvalReport, tuple[AttemptRecord, ...]]:
-    """Evaluate a binding over corpus entries with pass@k semantics.
+    """Evaluate a prover over corpus entries with pass@k semantics.
 
     Returns the deterministic report and the timed attempt log, both in
-    entry order.  ``jobs`` is the number of :class:`ExternalProver`
-    processes that run at once; any other binding runs its attempts one
-    after another in one session, whatever ``jobs`` is.  Everything runs
-    in the calling thread, so an exception there, such as Ctrl-C's
-    KeyboardInterrupt, ends the run at once.
+    entry order.  An :class:`ExternalProver` gets up to ``k`` attempts per
+    entry on up to ``jobs`` processes at once; a :class:`BuiltinProver`
+    gets one attempt per entry, one entry after another, whatever ``k``
+    and ``jobs`` are.  Everything runs in the calling thread, so an
+    exception there, such as Ctrl-C's KeyboardInterrupt, ends the run at
+    once.
     """
     entries = tuple(entries)
     if k < 1:
@@ -412,25 +374,18 @@ def run_eval(entries, binding: ProverBinding, k: int = 1, jobs: int = 1,
         wall_ms = (time.monotonic() - started) * 1000.0
         log.append(AttemptRecord(entry.name, len(log) + 1, reason is None,
                                  reason, wall_ms))
-        return (reason is not None and not binding.deterministic
-                and len(log) < k)
+        return reason is not None and len(log) < k
 
     if isinstance(binding, ExternalProver):
         _run_external(binding, entries, jobs, settle)
     else:
-        session = binding.session()
-        try:
-            for i, entry in enumerate(entries):
-                for n in range(1, k + 1):
-                    started = time.monotonic()
-                    try:
-                        script, reason = session.attempt(entry, n), None
-                    except Exception as exc:
-                        script, reason = None, str(exc) or type(exc).__name__
-                    if not settle(i, started, script, reason):
-                        break
-        finally:
-            session.close()
+        for i, entry in enumerate(entries):
+            started = time.monotonic()
+            try:
+                script, reason = binding.attempt(entry), None
+            except Exception as exc:
+                script, reason = None, str(exc) or type(exc).__name__
+            settle(i, started, script, reason)
 
     results = tuple(EntryResult(e.name, e.topic, e.level or _UNLEVELED,
                                 e.tier.value, log[-1].passed, len(log))

@@ -33,7 +33,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
-from ..errors import ParseError
+from ..errors import ParseError, did_you_mean
 from ..record import replace
 from ..unitdb import UnitDatabase, builtin_database
 from . import nodes as N
@@ -287,9 +287,10 @@ class _Parser:
 
     def _kind_name(self) -> str:
         tok = self._ident("expected a kind name")
-        if not self.db.has_kind(tok.text):
-            raise ParseError(_hinted(f"unknown kind {tok.text!r}", tok.text,
-                                     self.db.kinds), span=tok.span)
+        if tok.text not in self.db.kinds:
+            raise ParseError(f"unknown kind {tok.text!r}"
+                             + did_you_mean(tok.text, self.db.kinds),
+                             span=tok.span)
         return tok.text
 
     def _kind(self):
@@ -534,7 +535,7 @@ class _Parser:
             if isinstance(decl, N.FnDecl):
                 arg = self._call_arg()
                 return N.Apply(name, arg, self._merge(tok, arg.span))
-            if self.db.has_prefix(name):
+            if name in self.db.prefixes:
                 arg = self._call_arg()
                 return N.PrefixApp(name, arg, self._merge(tok, arg.span))
             raise ParseError(f"{name!r} is not callable", span=tok.span)
@@ -542,21 +543,14 @@ class _Parser:
             # Bare function variables are only legal beside another function
             # variable in an equality; the statement validator checks that.
             return N.Var(name, tok.span)
-        if self.db.has_unit(name):
+        if name in self.db.units:
             return N.UnitRef(name, tok.span)
-        if self.db.has_constant(name) or name in self.extra_constants:
+        if name in self.db.constants or name in self.extra_constants:
             return N.ConstRef(name, tok.span)
         pool = (list(self.scope) + list(self.db.units)
                 + list(self.db.constants))
-        raise ParseError(_hinted(f"undeclared identifier {name!r}", name,
-                                 pool), span=tok.span)
-
-
-def _hinted(message: str, name: str, pool) -> str:
-    """``message`` and the names of ``pool`` closest to ``name``."""
-    import difflib  # only an error message needs it
-    hints = difflib.get_close_matches(name, pool, n=3)
-    return message + (f" (did you mean: {', '.join(hints)}?)" if hints else "")
+        raise ParseError(f"undeclared identifier {name!r}"
+                         + did_you_mean(name, pool), span=tok.span)
 
 
 def _fraction_of(tok: Token) -> Fraction:

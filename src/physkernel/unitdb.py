@@ -90,46 +90,29 @@ class UnitDatabase:
 
     # -- lookups -------------------------------------------------------------
 
-    def _missing(self, name: str, category: str, pool) -> UnknownIdentifier:
-        import difflib  # only an error message needs it
-        hints = tuple(difflib.get_close_matches(name, pool, n=3))
-        return UnknownIdentifier(name, category, hints)
-
     def unit(self, name: str) -> Quantity:
         d = self.units.get(name)
         if d is None:
-            raise self._missing(name, "unit", self.units)
+            raise UnknownIdentifier(name, "unit", self.units)
         return Quantity(d.scale, d.dim)
 
     def prefix(self, name: str) -> Fraction:
         d = self.prefixes.get(name)
         if d is None:
-            raise self._missing(name, "prefix", self.prefixes)
+            raise UnknownIdentifier(name, "prefix", self.prefixes)
         return d.factor
 
     def constant(self, name: str) -> Quantity:
         d = self.constants.get(name)
         if d is None:
-            raise self._missing(name, "constant", self.constants)
+            raise UnknownIdentifier(name, "constant", self.constants)
         return d.quantity
 
     def kind(self, name: str) -> Dimension:
         d = self.kinds.get(name)
         if d is None:
-            raise self._missing(name, "kind", self.kinds)
+            raise UnknownIdentifier(name, "kind", self.kinds)
         return d.dim
-
-    def has_unit(self, name: str) -> bool:
-        return name in self.units
-
-    def has_prefix(self, name: str) -> bool:
-        return name in self.prefixes
-
-    def has_constant(self, name: str) -> bool:
-        return name in self.constants
-
-    def has_kind(self, name: str) -> bool:
-        return name in self.kinds
 
     # -- derived views ---------------------------------------------------------
 

@@ -166,3 +166,17 @@ def test_eval_counts_must_be_positive(corpus_dir):
         (["eval", corpus, "--timeout", "nan"],
          "--timeout must be positive, not nan"),
     ])
+
+
+def test_an_empty_corpus_or_an_unwritable_output_is_bad_input(corpus_dir,
+                                                              tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "manifest.json").write_text('{"entries": {}}', encoding="utf-8")
+    _bad_input([
+        (["eval", str(empty)],
+         f"corpus validation failed:\n  - corpus has no entries: {empty}"),
+        *((["eval", str(corpus_dir), option, str(tmp_path)],
+           f"[Errno 21] Is a directory: '{tmp_path}'")
+          for option in ("--report", "--attempts")),
+    ])

@@ -15,9 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from physkernel.checker.prover import (
-    auto_prove, check_derivation, with_overrides,
-)
+from physkernel.checker.evaluate import with_overrides
+from physkernel.checker.prover import auto_prove, check_derivation
 from physkernel.checker.script import parse_script
 from physkernel.corpus import CorpusEntry, Tier, load_corpus
 from physkernel.errors import MismatchedModels
@@ -25,7 +24,7 @@ from physkernel.harness import (
     BuiltinProver, EvalReport, ExternalProver, aggregate, improvement_delta,
     percent, render_attempt_log, render_report, run_eval, verify_script_text,
 )
-from physkernel.harness import EntryResult, ProverBinding
+from physkernel.harness import EntryResult
 from physkernel.lang.parser import parse_overrides, parse_statement
 from physkernel.record import replace
 from physkernel.unitdb import builtin_database
@@ -277,14 +276,15 @@ def test_parallel_jobs_do_not_change_the_report(db, corpus_dir):
     assert serial.to_json() == parallel.to_json()
 
 
-def test_a_failed_worker_fails_a_parallel_run(db, corpus_dir):
-    class _NoSession(ProverBinding):
-        def session(self):
-            raise OSError("cannot start the prover")
-
-    with pytest.raises(OSError, match="cannot start the prover"):
-        run_eval(load_corpus(corpus_dir, db), _NoSession(), k=1, jobs=2,
-                 db=db)
+def test_a_prover_that_cannot_start_fails_each_attempt(db, corpus_dir):
+    entries = load_corpus(corpus_dir, db)
+    binding = ExternalProver(("/nonexistent/prover",))
+    report, log = run_eval(entries, binding, k=2, jobs=2, db=db)
+    assert [r.attempts_used for r in report.results] == [2] * len(entries)
+    assert not any(r.passed for r in report.results)
+    assert [(rec.entry, rec.attempt) for rec in log] == [
+        (e.name, a) for e in entries for a in (1, 2)]
+    assert all("/nonexistent/prover" in rec.reason for rec in log)
 
 
 def test_deterministic_binding_stops_after_first_failure(db, corpus_dir):

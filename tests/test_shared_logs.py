@@ -58,7 +58,7 @@ def served(monkeypatch):
     read, translate = Substitution.read, ring.translate_difference
 
     def checked_read(log, node, at):
-        hit = (id(node), at) in log._reads
+        hit = (node, at) in log._reads
         out = read(log, node, at)
         if hit:
             assert N.ast_eq(out, Substitution(log.entries).read(node, at))
@@ -67,7 +67,7 @@ def served(monkeypatch):
 
     def checked_translate(lhs, rhs, db=None, subst=None, at=0):
         hit = (subst is not None
-               and (id(lhs), id(rhs), at) in subst.differences)
+               and (lhs, rhs, at) in subst.differences)
         out = _outcome(translate, lhs, rhs, db, subst, at)
         if hit:
             fresh = _outcome(translate, lhs, rhs, db,
