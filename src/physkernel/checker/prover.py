@@ -429,7 +429,7 @@ class _Session:
             bodies.append(body)
         try:
             match = ring.poly_coeff_eqs(bodies[0], bodies[1], step.param,
-                                        self.db)
+                                        self.db, sg.subst)
         except PhysKernelError as exc:
             raise _StepFailure(str(exc)) from exc
         self._record_rf_sides(match.sides)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..lang import nodes as N
 from ..record import replace
@@ -237,9 +237,10 @@ class Substitution:
     Trees compare by identity, so a memo keyed on a tree object finds only
     that object.
 
-    The entry memos (``rhs`` and ``translations``) fill from the last entry
-    back, so each holds the last entries, and no read or translation
-    recurses.
+    The entry memos (``rhs`` and ``translations``) are filled by ``fill``:
+    an entry is computed only where a read or a translation reaches it, and
+    only after the entries it reaches, so no read or translation recurses
+    and a read through an early entry costs only the entries it reaches.
 
     The logs of a trie stay alive as long as its root, so a line of first
     children shares one list of entries and one index, which maps each name
@@ -297,10 +298,28 @@ class Substitution:
             return positions[k]
         return None
 
+    def fill(self, memo: dict, roots: Iterable[int],
+             value: Callable[[int], object]) -> None:
+        """Set ``memo[k] = value(k)`` for each entry ``k`` that ``memo``
+        lacks among ``roots`` and the entries they reach.  Entry ``k``
+        reaches ``first(y, k + 1)`` for each name ``y`` free in it, a later
+        entry, and what that one reaches; computed from the last back, each
+        entry comes after the entries it reaches."""
+        reached, stack = set(), [k for k in roots if k not in memo]
+        while stack:
+            k = stack.pop()
+            if k not in reached:
+                reached.add(k)
+                stack += [j for y in free_vars(self._entries[k][1])
+                          if (j := self.first(y, k + 1)) is not None
+                          and j not in memo]
+        for k in sorted(reached, reverse=True):
+            memo[k] = value(k)
+
     def rhs(self, j: int) -> N.Expr:
         """Entry ``j``'s right-hand side, read at position ``j + 1``."""
-        for k in range(self._len - len(self._rhs) - 1, j - 1, -1):
-            self._rhs[k] = self._read(self._entries[k][1], k + 1)
+        self.fill(self._rhs, (j,),
+                  lambda k: self._read(self._entries[k][1], k + 1))
         return self._rhs[j]
 
     def read(self, node, at: int):

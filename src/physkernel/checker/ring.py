@@ -10,13 +10,14 @@ conservative.  ``ring_equal`` rejects a side that needs an opaque atom.
 
 A translation may read its tree through a :class:`~.rewrite.Substitution`:
 a defined variable translates as its definition's right-hand side, which is
-translated once per log, side conditions and opaque atoms included, and
-``translate_difference`` translates each pair of sides once per log and
-position.  The search, the replay of its script and sibling branches that
-record the same entries share one log, so a tree object is translated once
-per prepared statement.  A subterm is printed under the substitution only
-where a label needs its text, so labels read as if the tree had been
-rewritten first.
+translated once per log, side conditions and opaque atoms included, and only
+when a translation reaches it.  ``translate_difference`` translates each
+pair of sides once per log and position, and ``ring_equal`` and
+``poly_coeff_eqs`` translate through it.  The search, the replay of its
+script and sibling branches that record the same entries share one log, so
+a tree object is translated once per prepared statement.  A subterm is
+printed under the substitution only where a label needs its text, so labels
+read as if the tree had been rewritten first.
 
 Polynomials are ``Poly`` dicts, sparse maps from monomials to exact rational
 coefficients, from translation through elimination to the prover's side
@@ -454,26 +455,30 @@ class _Xlate:
     def tr(self, e: N.Expr) -> RationalFunc:
         """The translation of ``e``.
 
-        The entries ``e`` may read through are translated first, the last
-        first, so each reads only entries already translated and no
-        translation recurses.  An entry that fails to translate keeps its
-        error, which a translation raises where it reaches the entry, as a
-        nested translation would.
+        The entries ``e``'s free names read at ``at`` are translated first,
+        each by its own translator at the position after it and after the
+        entries it reaches (``Substitution.fill``), so no translation
+        recurses.  An entry that fails to translate keeps its error, which
+        a translation raises where it reaches the entry, as a nested
+        translation would.
         """
-        rules, pre = self._tables()
-        subst, memo = self.subst, self.subst.translations
-        outer = self.at, self.sides, self.opaque_vars
+        subst = self.subst
+        if self.at < len(subst):
+            subst.fill(subst.translations,
+                       [j for x in free_vars(e)
+                        if (j := subst.first(x, self.at)) is not None],
+                       self._entry)
+        return N.fold(e, *self._tables())
+
+    def _entry(self, k: int):
+        """Entry ``k``'s translation, side conditions and opaque atoms, or
+        its error; ``fill`` has translated the entries it reaches."""
+        x = _Xlate(self.db, self.subst, k + 1)
         try:
-            for k in range(len(subst) - len(memo) - 1, outer[0] - 1, -1):
-                self.at, self.sides, self.opaque_vars = k + 1, [], {}
-                try:
-                    rf = N.fold(subst.entry(k)[1], rules, pre)
-                    memo[k] = rf, self.sides, self.opaque_vars
-                except PhysKernelError as exc:
-                    memo[k] = exc
-        finally:
-            self.at, self.sides, self.opaque_vars = outer
-        return N.fold(e, rules, pre)
+            rf = N.fold(self.subst.entry(k)[1], *x._tables())
+            return rf, x.sides, x.opaque_vars
+        except PhysKernelError as exc:
+            return exc
 
     def _var(self, e: N.Var) -> RationalFunc:
         """A variable, or the translation of the entry that defines it;
@@ -570,19 +575,18 @@ def ring_equal(lhs: N.Expr, rhs: N.Expr,
     and units; a side that needs an opaque atom for a subterm outside it is
     rejected with UnsupportedNode naming the first such subterm.
     """
-    db = db or builtin_database()
     env = env or {}
     order = definition_order({name: free_vars(e) for name, e in env.items()})
     if len(order) < len(env):
         cyclic = ", ".join(sorted(set(env).difference(order)))
         raise UnsupportedNode(f"env is cyclic: {cyclic} cannot all be "
                               "substituted out")
-    x = _Xlate(db, Substitution(tuple((name, env[name]) for name in order)))
-    left, right = x.tr(lhs), x.tr(rhs)
-    if x.opaque_vars:
-        term = next(iter(x.opaque_vars))[1]
+    tr = translate_difference(
+        lhs, rhs, db, Substitution(tuple((name, env[name]) for name in order)))
+    if tr.opaque_vars:
+        term = next(iter(tr.opaque_vars))[1]
         raise UnsupportedNode(f"{term} is outside the ring fragment")
-    return left.equal(right)
+    return tr.rf.is_zero
 
 
 # -- polynomial coefficient matching ----------------------------------------------
@@ -606,37 +610,35 @@ class PolyMatch:
 
 
 def poly_coeff_eqs(lhs_body: N.Expr, rhs_body: N.Expr, param: str,
-                   db: UnitDatabase | None = None) -> PolyMatch:
+                   db: UnitDatabase | None = None,
+                   subst: Substitution | None = None) -> PolyMatch:
     """Equate coefficients of two function bodies polynomial in ``param``.
 
-    Both bodies are translated with abstraction; the difference must be a
+    The difference of the bodies, read at the end of ``subst``, is
+    translated by ``translate_difference``, with abstraction; it must be a
     polynomial in the parameter (parameter-free denominators, and no opaque
     term may capture the parameter), otherwise NotPolynomial is raised.
     Returns one constraint per parameter degree with a nonzero coefficient,
     highest degree first.
     """
-    db = db or builtin_database()
-    x = _Xlate(db)
-    left, right = x.tr(lhs_body), x.tr(rhs_body)
+    subst = Substitution() if subst is None else subst
+    tr = translate_difference(lhs_body, rhs_body, db, subst, len(subst))
     tau: Atom = (_VAR, param)
-    for part, side in ((left, "left"), (right, "right")):
-        if tau in poly_atoms(part.den):
-            raise NotPolynomial(
-                f"the {side} body's denominator depends on '{param}'")
-    for atom, vs in x.opaque_vars.items():
+    if tau in poly_atoms(tr.rf.den):
+        raise NotPolynomial(f"a body's denominator depends on '{param}'")
+    for atom, vs in tr.opaque_vars.items():
         if param in vs:
             raise NotPolynomial(
                 f"the non-polynomial term {atom[1]} depends on '{param}'")
-    diff = left.sub(right)
     # A monomial is its tau-free part plus its tau degree, so no two terms
     # share a slot: every coefficient arrives once, nonzero and normal.
     by_degree: dict[int, Poly] = {}
-    for m, c in diff.num.items():
+    for m, c in tr.rf.num.items():
         reduced = tuple((a, e) for a, e in m if a != tau)
         by_degree.setdefault(poly_degree_in(m, tau), {})[reduced] = c
     eqs = tuple(CoeffEq(d, by_degree[d])
                 for d in sorted(by_degree, reverse=True))
-    return PolyMatch(eqs, tuple(x.sides))
+    return PolyMatch(eqs, tr.sides)
 
 
 # -- constraint elimination ---------------------------------------------------------

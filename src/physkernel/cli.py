@@ -179,6 +179,11 @@ def _cmd_eval(args) -> int:
             raise _BadInput(f"{option} must be positive, not {value}")
     db = _load_db(args)
     entries = load_corpus(args.corpus, db)
+    for path in filter(None, (args.report, args.attempts)):
+        try:  # refused before the run; truncated only after it
+            open(path, "a").close()
+        except OSError as exc:
+            raise _BadInput(exc) from None
     if args.prover_cmd:
         import shlex
         binding = ExternalProver(tuple(shlex.split(args.prover_cmd)),

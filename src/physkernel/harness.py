@@ -354,6 +354,8 @@ def run_eval(entries, binding: BuiltinProver | ExternalProver, k: int = 1,
     once.
     """
     entries = tuple(entries)
+    if not entries:
+        raise ValueError("no entries to evaluate")
     if k < 1:
         raise ValueError("k must be at least 1")
     if jobs < 1:

@@ -180,3 +180,19 @@ def test_an_empty_corpus_or_an_unwritable_output_is_bad_input(corpus_dir,
            f"[Errno 21] Is a directory: '{tmp_path}'")
           for option in ("--report", "--attempts")),
     ])
+
+
+def test_eval_refuses_an_unwritable_output_before_the_run(corpus_dir,
+                                                          tmp_path):
+    # run_eval must not be called, and the --report file written by an
+    # earlier run must keep its text when the --attempts path is refused.
+    report = tmp_path / "report.json"
+    report.write_text("earlier report\n", encoding="utf-8")
+    out = _run("import sys\nimport physkernel.harness as harness\n"
+               "harness.run_eval = lambda *a, **k: sys.exit(99)\n"
+               "from physkernel.cli import main\n"
+               f"sys.exit(main(['eval', {str(corpus_dir)!r}, '--report', "
+               f"{str(report)!r}, '--attempts', {str(tmp_path)!r}]))\n")
+    assert out.returncode == 3, out.stderr[-500:]
+    assert out.stderr == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert report.read_text(encoding="utf-8") == "earlier report\n"

@@ -287,6 +287,14 @@ def test_a_prover_that_cannot_start_fails_each_attempt(db, corpus_dir):
     assert all("/nonexistent/prover" in rec.reason for rec in log)
 
 
+def test_run_eval_refuses_no_entries_before_any_work(db):
+    # Neither to_json nor render_report can render a report of no results.
+    for binding in (BuiltinProver(db),
+                    ExternalProver(("/nonexistent/prover",))):
+        with pytest.raises(ValueError, match="no entries to evaluate"):
+            run_eval(iter(()), binding, k=2, db=db)
+
+
 def test_deterministic_binding_stops_after_first_failure(db, corpus_dir):
     entries = [e for e in load_corpus(corpus_dir, db)
                if e.name == "rope_friction_turns"]

@@ -213,3 +213,28 @@ def test_the_replay_translates_nothing_the_search_translated(
              if any(lhs is a and rhs is b for a, b in search)]
     assert again == []
     assert len(translated) < len(search)
+
+
+def test_the_replay_of_the_corpus_translates_few_trees(db, corpus_dir,
+                                                       monkeypatch):
+    # What the replay translates anew: trees that cases and intro rebuild,
+    # and hypotheses that a function subst rewrote.  polymatch finds the
+    # search's translations on the log, as ring does.
+    calls = Counter()
+    tr = ring._Xlate.tr
+
+    def counting(x, e):
+        calls[phase] += 1
+        return tr(x, e)
+
+    monkeypatch.setattr(ring._Xlate, "tr", counting)
+    for entry in load_corpus(corpus_dir, db):
+        phase = "search"
+        verdict = auto_prove(entry.statement, db)
+        if isinstance(verdict, Proved):
+            phase = "replay"
+            steps = parse_script(print_script(verdict.steps),
+                                 entry.statement, db)
+            assert isinstance(
+                check_derivation(entry.statement, steps, db), Proved)
+    assert calls["replay"] <= 12, calls

@@ -14,6 +14,7 @@ from physkernel.checker.prover import (
     Proved, Refuted, auto_prove, check_derivation,
 )
 from physkernel.checker.ring import ring_equal
+from physkernel.checker.script import parse_script
 from physkernel.lang.parser import parse_statement
 
 from test_deep_trees import _fn_chain
@@ -78,6 +79,31 @@ def test_proving_and_replaying_a_chain_of_applications(db):
             assert isinstance(replay, Proved), replay
 
         return line_events(run)
+
+    assert _growth(work, 100) <= RATIO
+
+
+def _star(n: int) -> tuple[str, str]:
+    """``v_i = v0 + i • meter`` and a script that substitutes ``v0`` first:
+    each later ``subst`` reads its hypothesis through the first entry."""
+    names = " ".join(f"v{i}" for i in range(n + 1))
+    hyps = "".join(f"  (h{i} := v{i} = v0 + {i} • meter)\n"
+                   for i in range(1, n + 1))
+    return (f"theorem star\n  ({names} : Length)\n  (h0 := v0 = 1 • meter)\n"
+            f"{hyps}  : v{n} = {n + 1} • meter\n",
+            "".join(f"subst h{i}\n" for i in range(n + 1)) + "numeric\n")
+
+
+def test_replaying_a_script_that_reads_through_an_early_definition(db):
+    def work(n):
+        text, script = _star(n)
+        stmt = parse_statement(text, db)
+        steps = parse_script(script, stmt, db)
+        replay = []
+        count = line_events(
+            lambda: replay.append(check_derivation(stmt, steps, db)))
+        assert isinstance(replay[0], Proved), replay
+        return count
 
     assert _growth(work, 100) <= RATIO
 
