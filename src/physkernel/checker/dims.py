@@ -1,10 +1,10 @@
 """Dimensional analysis over statements.
 
-Two passes share this module.  *Resolution* fills in the dimension of each
-``std`` occurrence (the anonymous coherent unit): as a cast argument it takes
-the cast's kind, and as the scaled head of one side of a comparison it takes
-the dimension of the opposite side.  *Checking* walks every hypothesis and the
-goal, verifying the dimensional typing rules and producing a per-entry report.
+Two passes share this module.  *Resolution* gives each ``std`` occurrence
+(the anonymous coherent unit) at the scaled head of one side of a comparison
+the dimension of the opposite side; the parser gives a cast argument ``std``,
+as in ``unit(K)``, its kind.  *Checking* walks every hypothesis and the goal,
+verifying the dimensional typing rules and producing a per-entry report.
 """
 
 from __future__ import annotations
@@ -239,44 +239,21 @@ def _restore(vars: dict, name: str, dim: Dimension | None) -> None:
         vars[name] = dim
 
 
-def _fill_cast_stds(p: N.Prop, db: UnitDatabase) -> N.Prop:
-    def visit(n):
-        if (n.__class__ is N.Cast and n.arg.__class__ is N.StdUnit
-                and n.arg.dim is None):
-            filled = replace(n.arg, dim=db.kind(n.kind))
-            return replace(n, arg=filled)
-        return None
-
-    return transform(p, visit)
-
-
 def resolve_statement(stmt: N.Statement,
                       db: UnitDatabase | None = None) -> N.Statement:
-    """Fill in the dimension of every inferable ``std`` occurrence.
-
+    """Give each ``std`` heading a comparison side the opposite side's
+    dimension (the parser gives a cast argument its kind's).  Walking the
+    connectives also rejects a quantifier whose kind cannot be inferred.
     Idempotent; returns ``stmt`` itself when nothing needed resolving.
     """
-    db = db or builtin_database()
-    env = _Env(stmt, db)
-    props = [prop for _, prop in stmt.hyps] + [stmt.goal]
-    if not any(n.__class__ is N.StdUnit and n.dim is None
-               for prop in props for n in N.walk(prop)):
-        # Nothing to fill in.  Walking the connectives still rejects a
-        # quantifier whose kind cannot be inferred, as resolving does.
-        for prop in props:
-            _walk_prop(prop, env, lambda p, env: p)
+    env = _Env(stmt, db or builtin_database())
+    hyps = tuple((name, _walk_prop(prop, env, _resolve_cmp))
+                 for name, prop in stmt.hyps)
+    goal = _walk_prop(stmt.goal, env, _resolve_cmp)
+    if goal is stmt.goal and all(
+            new is old for (_, new), (_, old) in zip(hyps, stmt.hyps)):
         return stmt
-    changed = False
-    hyps = []
-    for name, prop in stmt.hyps:
-        resolved = _walk_prop(_fill_cast_stds(prop, db), env, _resolve_cmp)
-        changed = changed or resolved is not prop
-        hyps.append((name, resolved))
-    goal = _walk_prop(_fill_cast_stds(stmt.goal, db), env, _resolve_cmp)
-    changed = changed or goal is not stmt.goal
-    if not changed:
-        return stmt
-    return replace(stmt, hyps=tuple(hyps), goal=goal)
+    return replace(stmt, hyps=hyps, goal=goal)
 
 
 # -- the report -------------------------------------------------------------------

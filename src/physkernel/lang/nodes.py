@@ -121,8 +121,9 @@ class UnitRef(Expr):
 class StdUnit(Expr):
     """``std``: the unit quantity at a dimension inferred from context.
 
-    ``dim`` is filled by the resolution pass; it is deliberately excluded
-    from structural equality, which compares syntax.
+    ``dim`` is set by the parser in ``unit(K)`` and ``cast(std, K)``, and
+    by the resolution pass at a comparison side's head; it is deliberately
+    excluded from structural equality, which compares syntax.
     """
 
     # Dimension | None; kept loose to avoid an import cycle.

@@ -488,6 +488,8 @@ class _Parser:
             self.expect(",")
             kind = self._kind_name()
             end = self.expect(")")
+            if arg.__class__ is N.StdUnit:  # cast(std, Kind) is unit(Kind)
+                arg = N.StdUnit(self.db.kind(kind), arg.span)
             return N.Cast(arg, kind, self._merge(tok, end))
         if t == "unit":
             self.next()
@@ -495,7 +497,7 @@ class _Parser:
             kind = self._kind_name()
             end = self.expect(")")
             # unit(Kind) is the standard unit at a named kind's dimension.
-            return N.Cast(N.StdUnit(None, tok.span), kind,
+            return N.Cast(N.StdUnit(self.db.kind(kind), tok.span), kind,
                           self._merge(tok, end))
         if t == "rpow":
             self.next()

@@ -51,6 +51,15 @@ def test_fixed_constant_override_is_bad_input_on_every_subcommand(
         assert out.stderr == "error: 1:6: constant 'pi' is not overridable\n"
 
 
+def test_constants_option_may_write_a_kind_unit(corpus_dir):
+    path = str(corpus_dir / "mechanics"
+               / "two_block_acceleration_identity.phys")
+    for unit in ("unit(Acceleration)", "cast(std, Acceleration)"):
+        out = _cli("prove", path, "--constants", f"g = 10 • {unit}")
+        assert out.returncode == 0, (unit, out.stderr[-500:])
+        assert out.stdout.startswith("proved (exactly)\n")
+
+
 def test_inst_argument_may_name_a_front_matter_constant(tmp_path):
     path = tmp_path / "doubled_light.phys"
     path.write_text("name: doubled_light\n"

@@ -180,10 +180,35 @@ def test_std_in_cast_takes_cast_kind(db):
         (h := C = 3 • cast(std, Capacitance))
         : C = C
     """, db)
-    resolved = resolve_statement(s, db)
-    (_, h) = resolved.hyps[0]
+    # The parser gives a cast argument its kind: nothing is left to resolve.
+    (_, h) = s.hyps[0]
     stds = [n for n in N.walk(h) if isinstance(n, N.StdUnit)]
     assert stds and all(n.dim == db.kind("Capacitance") for n in stds)
+    assert resolve_statement(s, db) is s
+
+
+@pytest.mark.parametrize("hyp, dim, report", [
+    ("5 • std = E", "M L^2 T^-2", "homogeneous"),
+    # The opposite side has no dimension: the std stays unresolved, and the
+    # report names the first error a left-to-right walk meets.
+    ("x + t = 3 • std", None,
+     "expected L, found T — addition requires equal dimensions"),
+    ("3 • std = x + t", None, "the dimension of 'std' could not be inferred"),
+])
+def test_std_takes_the_opposite_side_only_if_it_has_a_dimension(
+        db, hyp, dim, report):
+    s = stmt_of(f"""
+        theorem std_sides
+        (E : Energy) (x : Length) (t : Time)
+        (h := {hyp})
+        : x = x
+    """, db)
+    (_, h) = resolve_statement(s, db).hyps[0]
+    (std,) = [n for n in N.walk(h) if isinstance(n, N.StdUnit)]
+    assert (std.dim and std.dim.render()) == dim
+    m = check_dimensions(s, db).entry("h").mismatch
+    assert (m.render().rsplit(" (line", 1)[0] if m
+            else "homogeneous") == report
 
 
 def test_std_on_both_sides_is_rejected(db):

@@ -480,6 +480,22 @@ def test_statement_constants_override_database(db):
     assert isinstance(auto_prove(s, db), Proved)
 
 
+@pytest.mark.parametrize("unit", ["unit(Acceleration)",
+                                  "cast(std, Acceleration)"])
+def test_a_constant_override_may_be_written_in_a_kind_unit(db, unit):
+    s = stmt_of(f"""
+        name: kind_unit
+        constants: g = 10 • {unit}
+        theorem kind_unit
+        (d : Length) (t : Time)
+        (ht := t = 2 • second)
+        (hd := d = (1/2) * g * t**2)
+        : d = 20 • meter
+    """, db)
+    assert database_for(s, db).constant("g").value == 10
+    assert isinstance(auto_prove(s, db), Proved)
+
+
 def test_non_overridable_constant_is_rejected(db):
     s = stmt_of("""
         name: bad_pi
@@ -588,3 +604,22 @@ def test_a_hypothesis_name_in_scope_twice_is_a_malformed_statement(db):
         with pytest.raises(MalformedScript,
                            match=f"hypothesis '{name}' is already in scope"):
             check_derivation(stmt, [step], db)
+
+
+def test_a_failed_polymatch_probe_leaves_no_side_conditions(db):
+    # The probe of hpq records p's denominators, then fails on q's, which
+    # is zero at the built-in g: the search restores what it recorded.
+    s = stmt_of("""
+        theorem probe
+        (x : Length) (p q : Time -> Length)
+        (hx := x = 2 • meter)
+        (hp := forall t, p(t) = 2 • meter * t / (1 • second))
+        (hq := forall t, q(t) = 2 • meter * t / (1 • second)
+            + 3 • meter * (g - (49/5) • meter / second**2)
+              / (g - (49/5) • meter / second**2))
+        (hpq := p = q)
+        : x = 1 • meter + 1 • meter
+    """, db)
+    v = auto_prove(s, db)
+    assert isinstance(v, Proved), v
+    assert v.side_conditions == ()

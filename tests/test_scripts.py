@@ -101,6 +101,20 @@ def test_instantiation_names_count_up(db):
     assert isinstance(v, Proved)
 
 
+def test_an_inst_argument_may_be_written_in_a_kind_unit(db):
+    s = stmt_of("""
+        theorem kind_unit
+        (f : Time -> Length)
+        (hf := forall t, f(t) = 2 • meter / second * t)
+        : f(3 • unit(Time)) = 6 • meter
+    """, db)
+    steps = parse_script("inst hf (3 • unit(Time))\nsubst hf@1\nring\n",
+                         s, db)
+    assert isinstance(check_derivation(s, steps, db), Proved)
+    again = parse_script(print_script(steps), s, db)
+    assert isinstance(check_derivation(s, again, db), Proved)
+
+
 def test_cases_splits_a_disjunctive_hypothesis(db):
     s = stmt_of("""
         theorem either_way
@@ -252,3 +266,55 @@ def test_a_ground_definition_does_not_reach_a_bound_name(db):
                          db)
     assert v.kind == "unknown" and v.failed_step == 2, v
     assert auto_prove(s, db).kind == "unknown"
+
+
+DEF_X = "(x : Length) (hx := x = 2 • meter)"
+PQ = "(p q : Time -> Length) (hp := forall t, p(t) = 2 • meter * t / second)"
+
+
+@pytest.mark.parametrize("decls, goal, script, outcome, message", [
+    (DEF_X, "x = 2 • meter", "split", "malformed at 0",
+     "'split' requires a conjunction goal"),
+    (DEF_X, "x = 2 • meter", "intro", "malformed at 0",
+     "'intro' requires an implication or quantified goal"),
+    (DEF_X, "x = 2 • meter", "inst hx 2 • meter", "malformed at 0",
+     "'hx' is not a quantified hypothesis"),
+    (DEF_X, "x = 2 • meter", "polymatch hx t", "malformed at 0",
+     "'hx' is not a function-equality hypothesis"),
+    (DEF_X, "x < 3 • meter", "ring", "malformed at 0",
+     "'ring' requires an equality goal"),
+    ("(u : Real)", "forall u in {1}, u = 1", "numeric", "malformed at 0",
+     "'numeric' cannot decide a quantified goal"),
+    (DEF_X, "x = 2 • meter", "subst nope", "malformed at 0",
+     "no hypothesis named 'nope' in scope"),
+    (DEF_X, "x = 2 • meter", "subst hx\nring\nring", "malformed at 2",
+     "steps remain after all goals closed"),
+    (PQ + " (hpq := p = q)", "p = q", "polymatch hpq t", "unknown at 0",
+     "no pointwise definition of 'q' is in scope"),
+    ("(x : Length) (p q : Time -> Length) (hp := forall t, p(t) = x)"
+     " (hq := forall t, q(t) = x) (hpq := p = q)", "p = q",
+     "polymatch hpq x", "unknown at 0",
+     "parameter 'x' collides with a free variable of the definition of 'p'"),
+    (PQ + " (hpq := p = q)", "p = q", "ring", "unknown at 0",
+     "ring arithmetic cannot decide function equality"),
+    ("(x : Length)", "x = 2 • meter", "numeric", "unknown at 0",
+     "the goal still mentions 'x'; 'numeric' needs a fully instantiated"
+     " goal"),
+    ("(u : Real)", "pi = 3", "numeric", "unknown at 0",
+     "the goal is false at the working precision, which is not exact enough"
+     " to refute"),
+    (DEF_X, "x = 2 • meter", "subst hx", "unknown at 1",
+     "1 goal(s) remain open"),
+])
+def test_the_replay_refuses_a_script_that_does_not_fit(db, decls, goal,
+                                                        script, outcome,
+                                                        message):
+    s = stmt_of(f"theorem t {decls} : {goal}", db)
+    steps = parse_script(script, s, db)
+    try:
+        v = check_derivation(s, steps, db)
+    except MalformedScript as exc:
+        assert f"malformed at {exc.step_index}" == outcome
+        assert str(exc) == f"step {exc.step_index}: {message}"
+        return
+    assert (f"{v.kind} at {v.failed_step}", v.reason) == (outcome, message)
