@@ -28,9 +28,11 @@ the other operand of a unit (``{(): 1}``) and maps the other operand's
 monomials for a one-term one, ``poly_pow`` of a two-term polynomial builds
 each term's monomial directly, ``RationalFunc.add`` and ``mul`` work on the
 numerators alone over unit denominators, and a substitution builds each
-power of its solution once.  Each still builds the terms of the plain
-product loop, in the same order.  A monomial is a sorted tuple of (atom,
-exponent) pairs with no zero exponent.
+power of its solution once and hands back a polynomial without its atom.
+Each still builds the terms of the plain product loop, in the same order.
+Elimination passes on unchanged the goal and constraints without the pivot,
+and solves each constraint once per search.  A monomial is a sorted tuple of
+(atom, exponent) pairs with no zero exponent.
 Every coefficient is in one normal form (``_coeff``): an ``int`` when it is
 integral, a ``Fraction`` otherwise, so integer arithmetic builds no
 ``Fraction``.  Floats never enter.  Equality of rational functions is decided
@@ -684,12 +686,11 @@ def _pivot_atoms(atoms: Iterable[Atom]) -> set[Atom]:
     return {a for a in atoms if a[0] in (_VAR, _OPAQUE)}
 
 
-def _pivots(c: Constraint, preferred: set[Atom]) -> list[EliminationStep]:
-    """The atoms ``c`` can be solved for, those in ``preferred`` first."""
+def _pivots(c: Constraint, atoms: set[Atom]) -> list[EliminationStep]:
+    """The steps solving ``c`` for one of its pivot ``atoms``, by atom."""
     poly = c.poly
-    candidates = _pivot_atoms(poly_atoms(poly))
     out = []
-    for atom in sorted(candidates, key=lambda a: (a not in preferred, a)):
+    for atom in sorted(atoms):
         degrees = {poly_degree_in(m, atom) for m in poly}
         nonzero = sorted(d for d in degrees if d)
         if len(nonzero) != 1 or degrees - {0, nonzero[0]}:
@@ -707,22 +708,34 @@ def _pivots(c: Constraint, preferred: set[Atom]) -> list[EliminationStep]:
     return out
 
 
-def _check_terms(num: Poly, den: Poly) -> None:
-    for p in (num, den):
-        if len(p) > ELIM_TERM_BUDGET:
+def _check_terms(*sizes: int) -> None:
+    for n in sizes:
+        if n > ELIM_TERM_BUDGET:
             raise EliminationBudgetExceeded(
                 "ELIM_TERM_BUDGET", ELIM_TERM_BUDGET,
-                f"built a polynomial of {len(p)} terms")
+                f"built a polynomial of {n} terms")
+
+
+def _unchanged(p: Poly) -> Poly:
+    """``p``, as substituting an atom it lacks gives it back.  Every partial
+    sum of that substitution is a prefix of ``p``, so past
+    ``ELIM_TERM_BUDGET`` it stops at one term more, as the sum would."""
+    if len(p) > ELIM_TERM_BUDGET:
+        _check_terms(ELIM_TERM_BUDGET + 1)
+    return p
 
 
 def _subst_poly(p: Poly, atom: Atom, d: int, sol: RationalFunc) -> RationalFunc:
     """Replace atom^d by ``sol`` throughout ``p`` (atom^e -> atom^(e mod d) sol^(e//d)).
 
-    Each power of ``sol`` is built once.  The terms are summed as
+    A ``p`` without ``atom`` comes back as it is (``_unchanged``).  Each
+    power of ``sol`` is built once.  The terms are summed as
     ``RationalFunc.add`` sums them, over the product of their denominators,
     and every partial sum is held to ``ELIM_TERM_BUDGET``, since its
     denominator grows with every term.
     """
+    if all(a != atom for m in p for a, _ in m):
+        return RationalFunc(_unchanged(p))
     powers: dict[int, RationalFunc] = {}
     num: Poly = {}
     den = poly_const(1)
@@ -740,7 +753,7 @@ def _subst_poly(p: Poly, atom: Atom, d: int, sol: RationalFunc) -> RationalFunc:
         num = poly_add(poly_mul(num, power.den),
                        poly_mul(poly_mul(base, power.num), den))
         den = poly_mul(den, power.den)
-        _check_terms(num, den)
+        _check_terms(len(num), len(den))
     return RationalFunc(num, den)
 
 
@@ -748,15 +761,15 @@ def _subst_rf(rf: RationalFunc, atom: Atom, d: int,
               sol: RationalFunc) -> RationalFunc:
     out = _subst_poly(rf.num, atom, d, sol).div(
         _subst_poly(rf.den, atom, d, sol))
-    _check_terms(out.num, out.den)
+    _check_terms(len(out.num), len(out.den))
     return out
 
 
 #: Search nodes (calls of ``_search``) one ``eliminate`` may visit.  No
 #: corpus entry or benchmark family needs more than 25 and no test more than
 #: 83, so the budget stops only searches that grow exponentially, such as
-#: long connected chains that cannot prove the goal (about 0.3 s on a 2-core
-#: x86-64 host).
+#: long connected chains that cannot prove the goal (a cold prove of five
+#: links stops in 0.2 s on a 2-vCPU x86-64 host, 20-35 ms in the search).
 ELIM_NODE_BUDGET = 1000
 
 #: Terms one polynomial built by a substitution (goal or constraint,
@@ -764,7 +777,8 @@ ELIM_NODE_BUDGET = 1000
 #: cancels no common factor, so one node can build hundreds of terms from
 #: cubic constraints.  No corpus entry or test builds more than 16 and no
 #: benchmark family more than 2, so the budget stops only such runaway
-#: growth (about 0.4 s on a 2-core x86-64 host, against 5 s unbounded).
+#: growth (a cold prove stops in 0.4 s on a 2-vCPU x86-64 host, and takes
+#: 3 s unbounded).
 ELIM_TERM_BUDGET = 160
 
 #: Substitution steps one elimination trail may have; a goal that needs more
@@ -806,19 +820,23 @@ def eliminate(goal: RationalFunc,
     Returns the substitution trail, or None when no trail of at most
     ``ELIM_MAX_DEPTH`` steps exists.  Raises EliminationBudgetExceeded when the
     search visits more than ``ELIM_NODE_BUDGET`` nodes or a substitution
-    builds a polynomial of more than ``ELIM_TERM_BUDGET`` terms.
+    builds a polynomial of more than ``ELIM_TERM_BUDGET`` terms.  Each
+    constraint object is solved for its pivots once per call.
     """
     return _search(goal, _connected(goal, constraints), ELIM_MAX_DEPTH, (),
-                   [ELIM_NODE_BUDGET])
+                   [ELIM_NODE_BUDGET], {})
 
 
 def _search(goal: RationalFunc, constraints: list[Constraint],
-            depth: int, trail: tuple,
-            left: list[int] | None = None) -> Elimination | None:
+            depth: int, trail: tuple, left: list[int] | None = None,
+            pivots: dict | None = None) -> Elimination | None:
     """Depth-first search over every pivot of ``constraints``.
 
     ``left`` holds the number of nodes still allowed; None searches without
-    a node bound.  ``ELIM_TERM_BUDGET`` always applies.
+    a node bound.  ``ELIM_TERM_BUDGET`` always applies.  ``pivots`` maps a
+    constraint's ``id`` to it (so no id is reused), its pivot atoms, and its
+    ``_pivots``, found when first tried.  The goal and the constraints
+    without the pivot pass on as they are.
     """
     if left is not None:
         if left[0] == 0:
@@ -830,20 +848,37 @@ def _search(goal: RationalFunc, constraints: list[Constraint],
         return Elimination(trail)
     if depth == 0 or not constraints:
         return None
+    pivots = {} if pivots is None else pivots
+    for c in constraints:
+        if id(c) not in pivots:
+            pivots[id(c)] = [c, _pivot_atoms(poly_atoms(c.poly)), None]
+    solved = [pivots[id(c)] for c in constraints]
     goal_atoms = _pivot_atoms(goal.atoms())
-    for i, c in enumerate(constraints):
-        for step in _pivots(c, goal_atoms):
+    for i, entry in enumerate(solved):
+        if entry[2] is None:
+            entry[2] = _pivots(entry[0], entry[1])
+        for step in sorted(entry[2], key=lambda st: st.atom not in goal_atoms):
             atom, d, sol = step.atom, step.degree, step.solution
             try:
-                new_goal = _subst_rf(goal, atom, d, sol)
+                if atom in goal_atoms:
+                    new_goal = _subst_rf(goal, atom, d, sol)
+                else:
+                    _unchanged(goal.num)
+                    _unchanged(goal.den)
+                    new_goal = goal
                 rest = []
-                for other in constraints[:i] + constraints[i + 1:]:
+                for other, atoms, _ in solved[:i] + solved[i + 1:]:
+                    if atom not in atoms:
+                        _unchanged(other.poly)
+                        rest.append(other)
+                        continue
                     reduced = _subst_poly(other.poly, atom, d, sol)
                     if reduced.num:
                         rest.append(Constraint(reduced.num, other.label))
             except DivisionByZero:
                 continue
-            found = _search(new_goal, rest, depth - 1, trail + (step,), left)
+            found = _search(new_goal, rest, depth - 1, trail + (step,), left,
+                            pivots)
             if found is not None:
                 return found
     return None

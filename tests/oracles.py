@@ -223,6 +223,102 @@ def subst_poly_loop(p, atom, d, sol):
     return total
 
 
+# -- the elimination search that substitutes everywhere -----------------------
+#
+# ``ring._search`` as it was before unchanged goals and constraints passed
+# through it and each constraint's pivots were found once: every node solves
+# every constraint again and substitutes into the goal and every other
+# constraint, whether or not they hold the pivot.  The budgets are read from
+# ``ring`` when called, so a test may set them.
+
+
+def _pivots_ref(c, preferred):
+    poly = c.poly
+    candidates = ring._pivot_atoms(ring.poly_atoms(poly))
+    out = []
+    for atom in sorted(candidates, key=lambda a: (a not in preferred, a)):
+        degrees = {poly_degree_in(m, atom) for m in poly}
+        nonzero = sorted(d for d in degrees if d)
+        if len(nonzero) != 1 or degrees - {0, nonzero[0]}:
+            continue
+        d = nonzero[0]
+        coeff, rest = {}, {}
+        for m, cf in poly.items():
+            if poly_degree_in(m, atom) == d:
+                coeff[tuple((a, e) for a, e in m if a != atom)] = cf
+            else:
+                rest[m] = cf
+        out.append(ring.EliminationStep(c.label, atom, d, RationalFunc(
+            ring.poly_neg(rest), coeff), coeff))
+    return out
+
+
+def _check_terms_ref(num, den):
+    for p in (num, den):
+        if len(p) > ring.ELIM_TERM_BUDGET:
+            raise EliminationBudgetExceeded(
+                "ELIM_TERM_BUDGET", ring.ELIM_TERM_BUDGET,
+                f"built a polynomial of {len(p)} terms")
+
+
+def _subst_poly_ref(p, atom, d, sol):
+    powers = {}
+    num, den = {}, poly_const(1)
+    for m, c in p.items():
+        q, r = divmod(poly_degree_in(m, atom), d)
+        power = powers.get(q)
+        if power is None:
+            power = powers[q] = sol.pow(q)
+        if r:
+            m = tuple([(a, r if a == atom else k) for a, k in m])
+        elif q:
+            m = tuple([ak for ak in m if ak[0] != atom])
+        num = poly_add(ring.poly_mul(num, power.den),
+                       ring.poly_mul(ring.poly_mul({m: c}, power.num), den))
+        den = ring.poly_mul(den, power.den)
+        _check_terms_ref(num, den)
+    return RationalFunc(num, den)
+
+
+def _subst_rf_ref(rf, atom, d, sol):
+    out = _subst_poly_ref(rf.num, atom, d, sol).div(
+        _subst_poly_ref(rf.den, atom, d, sol))
+    _check_terms_ref(out.num, out.den)
+    return out
+
+
+def search_ref(goal, constraints, depth, trail, left):
+    """``ring._search`` substituting everywhere; ``left`` is a one-item list
+    of the nodes still allowed."""
+    if left[0] == 0:
+        raise EliminationBudgetExceeded(
+            "ELIM_NODE_BUDGET", ring.ELIM_NODE_BUDGET,
+            f"reached node {ring.ELIM_NODE_BUDGET + 1}")
+    left[0] -= 1
+    if goal.is_zero:
+        return ring.Elimination(trail)
+    if depth == 0 or not constraints:
+        return None
+    goal_atoms = ring._pivot_atoms(goal.atoms())
+    for i, c in enumerate(constraints):
+        for step in _pivots_ref(c, goal_atoms):
+            atom, d, sol = step.atom, step.degree, step.solution
+            try:
+                new_goal = _subst_rf_ref(goal, atom, d, sol)
+                rest = []
+                for other in constraints[:i] + constraints[i + 1:]:
+                    reduced = _subst_poly_ref(other.poly, atom, d, sol)
+                    if reduced.num:
+                        rest.append(ring.Constraint(reduced.num, other.label))
+            except DivisionByZero:
+                continue
+            found = search_ref(new_goal, rest, depth - 1, trail + (step,),
+                               left)
+            if found is not None:
+                return found
+    return None
+
+
 # -- the recursive tree passes that ``nodes.fold`` replaced ---------------------
 #
 # Each pass as it was before it became a table of rules over ``nodes.fold``,

@@ -33,7 +33,7 @@ from physkernel.lang.parser import parse_expression, parse_statement
 from physkernel.quantity import Quantity
 
 from oracles import (
-    RationalFuncLoop, poly_eval, poly_mul_loop, poly_pow_loop,
+    RationalFuncLoop, poly_eval, poly_mul_loop, poly_pow_loop, search_ref,
     subst_poly_loop,
 )
 
@@ -516,6 +516,79 @@ def test_pruned_elimination_matches_unpruned_search(db):
         assert {st.label for st in pruned.steps} <= connected
     assert found + missing >= 200
     assert found >= 50 and missing >= 50 and with_far >= 50
+
+
+#: (ELIM_NODE_BUDGET, ELIM_TERM_BUDGET) pairs: the defaults, node budgets
+#: that stop deep searches, and term budgets that stop substitutions.
+ELIM_BUDGETS = ((1000, 160), (12, 160), (5, 160), (1000, 6), (30, 10))
+N_ELIM_ORACLE_SYSTEMS = 400
+
+
+def _elimination(search, *args):
+    """The outcome of ``search(*args)`` as plain data: None, the error's
+    type and message, or each step's label, atom, degree and the terms of
+    its solution and ``nonzero`` in order."""
+    try:
+        found = search(*args)
+    except (DivisionByZero, EliminationBudgetExceeded) as e:
+        return type(e), str(e)
+    if found is None:
+        return None
+    return [(st.label, st.atom, st.degree, _terms(st.solution.num),
+             _terms(st.solution.den), _terms(st.nonzero))
+            for st in found.steps]
+
+
+def test_elimination_matches_the_search_that_substitutes_everywhere(
+        db, monkeypatch):
+    # Passing unchanged goals and constraints through and finding each
+    # constraint's pivots once must change no trail, no budget stop and no
+    # budget message, whatever the budgets.
+    x = _Xlate(db)
+    found = stops = 0
+    for nodes, terms in ELIM_BUDGETS:
+        monkeypatch.setattr(ring, "ELIM_NODE_BUDGET", nodes)
+        monkeypatch.setattr(ring, "ELIM_TERM_BUDGET", terms)
+        gen = Gen(0xE12)
+        for _ in range(N_ELIM_ORACLE_SYSTEMS):
+            goal, cons = _system(gen, x)
+            if goal.is_zero:
+                continue
+            got = _elimination(eliminate, goal, cons)
+            assert got == _elimination(
+                search_ref, goal, ring._connected(goal, cons),
+                ring.ELIM_MAX_DEPTH, (), [nodes])
+            found += type(got) is list
+            stops += type(got) is tuple
+    assert found >= 500 and stops >= 50, (found, stops)
+    # Generated systems seldom reach these: a constraint, a goal, then a
+    # goal's denominator past the term budget and without the pivot stops
+    # the search as its substitution would; and a constraint's pivots in
+    # the goal go first.
+    v = {n: "Real" for n in ("a", "b", "c", "d", "e", "u", "w", "z")}
+
+    def rf(text):
+        return x.tr(parse_expression(text, db, v, {}))
+
+    monkeypatch.setattr(ring, "ELIM_NODE_BUDGET", 1000)
+    for terms, goal, cons, expected in (
+            (6, "a * e - b * e", ["a - b", "(c + d)**7 - e"],
+             (EliminationBudgetExceeded, 7)),
+            (6, "(c + d)**7 + e", ["a - e**2 - e"],
+             (EliminationBudgetExceeded, 7)),
+            (6, "a / (c + d)**7", ["a - b"], (EliminationBudgetExceeded, 7)),
+            (160, "w - z", ["u - w", "u - z"],
+             [("h0", (ring._VAR, "w")), ("h1", (ring._VAR, "u"))])):
+        monkeypatch.setattr(ring, "ELIM_TERM_BUDGET", terms)
+        goal = rf(goal)
+        cons = [Constraint(rf(c).num, f"h{i}") for i, c in enumerate(cons)]
+        got = _elimination(eliminate, goal, cons)
+        assert got == _elimination(search_ref, goal, cons, 6, (), [1000])
+        if type(got) is list:
+            assert [st[:2] for st in got] == expected
+        else:
+            assert got[0] is expected[0]
+            assert f"built a polynomial of {expected[1]} terms" in got[1]
 
 
 def test_unrelated_constraints_are_not_searched(db):

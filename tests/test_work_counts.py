@@ -1,15 +1,18 @@
-"""Definition chains cost work linear in their length.
+"""Definition chains cost work linear in their length, and elimination
+rewrites only what holds its pivot.
 
 The gates count the line events that physkernel's own code executes under
-``sys.settrace``: work, not seconds, so they read the same on any host.
-Doubling a chain may multiply the count by at most ``RATIO``; linear work
-reads about 2.0, and a per-entry scan of the chain reads 2.5 or more.
+``sys.settrace``, or the calls of one function: work, not seconds, so they
+read the same on any host.  Doubling a chain may multiply the count by at
+most ``RATIO``; linear work reads about 2.0, and a per-entry scan of the
+chain reads 2.5 or more.
 """
 
 import pathlib
 import sys
 
 import physkernel
+from physkernel.checker import ring
 from physkernel.checker.prover import (
     Proved, Refuted, auto_prove, check_derivation,
 )
@@ -18,6 +21,7 @@ from physkernel.checker.script import parse_script
 from physkernel.lang.parser import parse_statement
 
 from test_deep_trees import _fn_chain
+from test_prover import _failing_chain
 
 PACKAGE = str(pathlib.Path(physkernel.__file__).parent) + "/"
 RATIO = 2.2
@@ -132,3 +136,40 @@ def test_ring_equal_with_a_definition_chain_as_env(gen, db):
         return count
 
     assert _growth(work, 100) <= RATIO
+
+
+def test_elimination_rewrites_only_what_holds_the_pivot(gen, db,
+                                                        monkeypatch):
+    # A substitution into a polynomial without the pivot atom hands that
+    # polynomial back; the search does not call it for a goal or a
+    # constraint without the atom, so the calls left are those for the
+    # denominators of goals that hold it.  Each constraint object is solved
+    # for its pivots once per search.
+    subst_poly, pivots, eliminate = (
+        ring._subst_poly, ring._pivots, ring.eliminate)
+    absent = []
+    solved = []
+
+    def counted_subst_poly(p, atom, d, sol):
+        out = subst_poly(p, atom, d, sol)
+        if atom not in ring.poly_atoms(p):
+            assert out.num is p
+            absent.append(p)
+        return out
+
+    def counted_pivots(c, atoms):
+        assert all(c is not seen for seen in solved)
+        solved.append(c)
+        return pivots(c, atoms)
+
+    def one_search(goal, constraints):
+        solved.clear()
+        return eliminate(goal, constraints)
+
+    monkeypatch.setattr(ring, "_subst_poly", counted_subst_poly)
+    monkeypatch.setattr(ring, "_pivots", counted_pivots)
+    monkeypatch.setattr(ring, "eliminate", one_search)
+    for text, most in ((gen.unrelated_text(4), 8), (_failing_chain(5), 289)):
+        absent.clear()
+        auto_prove(parse_statement(text, db), db)
+        assert 0 < len(absent) <= most, len(absent)
