@@ -10,7 +10,7 @@ verifying the dimensional typing rules and producing a per-entry report.
 from __future__ import annotations
 
 from ..dimension import DIMENSIONLESS, Dimension
-from ..errors import ParseError
+from ..errors import ParseError, PhysKernelError
 from ..lang import nodes as N
 from ..record import record, replace
 from ..unitdb import UnitDatabase, builtin_database
@@ -153,6 +153,32 @@ def _forall_var_dim(q: N.ForallFn, env: _Env) -> Dimension:
         "annotate it as (forall {0} : Kind, ...)".format(q.var), span=q.span)
 
 
+def instance_checker(stmt: N.Statement, db: UnitDatabase):
+    """``(kinded, why_not)``: ``stmt`` with each ``ForallFn``'s kind as its
+    ``dim``, which a rewrite keeps though it may unfold what fixed it, and
+    ``why_not(q, arg)``: None, or why ``arg`` cannot instantiate ``q`` (of
+    ``kinded`` or a rewrite): it fails the dimension check or lacks q.dim."""
+    env = _Env(stmt, db)
+
+    def kinded(p: N.Prop) -> N.Prop:
+        return _walk_prop(p, env, lambda c, env: c, kinds=True)
+
+    def why_not(q: N.ForallFn, arg: N.Expr) -> str | None:
+        try:
+            found = expr_dim(arg, env)
+        except _MismatchSignal as s:
+            return "fails the dimension check: " + DimMismatch(
+                s.span, s.expected, s.found, s.note).render()
+        except PhysKernelError as exc:
+            return f"cannot be checked: {exc}"
+        if found != q.dim:
+            return (f"has dimension {found.render()}, the quantifier's "
+                    f"variable {q.dim.render()}")
+        return None
+    return replace(stmt, hyps=tuple((n, kinded(p)) for n, p in stmt.hyps),
+                   goal=kinded(stmt.goal)), why_not
+
+
 # -- std resolution --------------------------------------------------------------
 
 
@@ -198,12 +224,13 @@ def _resolve_cmp(p: N.Prop, env: _Env) -> N.Prop:
     return replace(p, rhs=new_side)
 
 
-def _walk_prop(p: N.Prop, env: _Env, on_cmp) -> N.Prop:
+def _walk_prop(p: N.Prop, env: _Env, on_cmp, kinds: bool = False) -> N.Prop:
     """Rebuild ``p`` with ``on_cmp(cmp, env)`` applied to each comparison.
 
     A quantifier's variable is in ``env`` while its body is walked, with
-    the kind found before the body is walked.  A proposition none of whose
-    parts changed is returned as is.
+    the kind found before the body is walked; with ``kinds``, each
+    ``ForallFn`` also records that kind as ``dim``.  A proposition none of
+    whose parts changed is returned as is.
     """
     if p.__class__ in _CMP_NOTE:  # most propositions: no tables to build
         return on_cmp(p, env)
@@ -216,7 +243,10 @@ def _walk_prop(p: N.Prop, env: _Env, on_cmp) -> N.Prop:
         env.vars[q.var] = dim
 
     def unbind(q, body):
+        dim = env.vars[q.var]
         _restore(env.vars, *hidden.pop())
+        if kinds and q.__class__ is N.ForallFn:
+            return replace(q, body=body, dim=dim)
         return q if body is q.body else replace(q, body=body)
 
     def cmp(c):

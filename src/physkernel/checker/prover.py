@@ -35,7 +35,7 @@ from ..quantity import Quantity, compare_values
 from ..record import record, replace
 from ..unitdb import UnitDatabase, builtin_database
 from . import ring
-from .dims import DimReport, resolve_statement
+from .dims import DimReport, instance_checker, resolve_statement
 # The report over an already resolved statement, under the name that the
 # benchmark's traced run wraps as the dimension check (bench/spans.py).
 from .dims import _report_resolved as check_dimensions
@@ -45,7 +45,7 @@ from .rewrite import (
     rewrite_ground, subst_var,
 )
 from .script import (
-    CaseSplit, ExactHyp, Instantiate, Intro, NumericCheck, PolyMatch,
+    STEPS, CaseSplit, ExactHyp, Instantiate, Intro, NumericCheck, PolyMatch,
     RingCheck, Split, Step, Subst,
 )
 
@@ -172,8 +172,8 @@ def _flatten(p: N.Prop, cls: type[N.And | N.Or]) -> list[N.Prop]:
 
 class _Session:
     def __init__(self, stmt: N.Statement, db: UnitDatabase,
-                 root: Substitution):
-        self.db = db
+                 root: Substitution, why_not_instance=None):
+        self.db, self.why_not_instance = db, why_not_instance
         sg = _Subgoal(stmt.goal, {}, [], root)
         for n, p in stmt.hyps:
             sg.add(_Hyp(n, p))
@@ -285,8 +285,6 @@ class _Session:
     # -- step application -----------------------------------------------------------
 
     def apply(self, step: Step) -> Refuted | None:
-        if not self.subgoals:
-            raise MalformedScript("no goals remain open")
         rule = _STEP_RULES.get(step.__class__)
         if rule is None:
             raise MalformedScript(f"unknown step object {step!r}")
@@ -307,17 +305,14 @@ class _Session:
     def _apply_intro(self, sg: _Subgoal, step: Intro) -> None:
         g = sg.read_goal()
         if isinstance(g, N.Implies):
-            name = f"h!{self.intro_count + 1}"
             self.intro_count += 1
-            sg.add(_Hyp(name, g.lhs, at=sg.goal_at))
+            sg.add(_Hyp(f"h!{self.intro_count}", g.lhs, at=sg.goal_at))
             sg.goal = g.rhs
             return None
         if isinstance(g, N.ForallFn):
             fresh = self._fresh(g.var)
-            body = g.body
-            if fresh != g.var:
-                body = subst_var(body, g.var, N.Var(fresh))
-            sg.goal = body
+            sg.goal = (g.body if fresh == g.var
+                       else subst_var(g.body, g.var, N.Var(fresh)))
             return None
         raise MalformedScript(
             "'intro' requires an implication or quantified goal")
@@ -326,11 +321,9 @@ class _Session:
         g = sg.read_goal()
         if (isinstance(g, N.ForallFinite) and g.var == step.var
                 and sorted(g.values) == sorted(step.values)):
-            branches = [
+            self.subgoals[0:1] = [
                 sg.clone(goal=subst_var(g.body, g.var, N.NumLit(v)))
-                for v in step.values
-            ]
-            self.subgoals[0:1] = branches
+                for v in step.values]
             return None
         # Otherwise branch on a disjunctive hypothesis enumerating the values.
         for h in sg.hyps.values():
@@ -343,13 +336,11 @@ class _Session:
                 continue
             if sorted(leaf.rhs.value for leaf in leaves) != sorted(step.values):
                 continue
-            branches = []
-            for v in step.values:
-                case_hyp = _Hyp(h.name, N.Eq(N.Var(step.var), N.NumLit(v)),
-                                at=len(sg.subst))
-                branches.append(sg.clone(hyps={**sg.hyps,
-                                               h.name: case_hyp}))
-            self.subgoals[0:1] = branches
+            self.subgoals[0:1] = [
+                sg.clone(hyps={**sg.hyps, h.name: _Hyp(
+                    h.name, N.Eq(N.Var(step.var), N.NumLit(v)),
+                    at=len(sg.subst))})
+                for v in step.values]
             return None
         raise MalformedScript(
             f"'cases {step.var}' matches neither the goal quantifier nor a "
@@ -393,6 +384,9 @@ class _Session:
         if not isinstance(h.prop, N.ForallFn):
             raise MalformedScript(
                 f"'{step.hyp}' is not a quantified hypothesis")
+        why_not = self.why_not_instance(h.prop, step.arg)
+        if why_not is not None:
+            raise MalformedScript(f"'inst {step.hyp}' argument {why_not}")
         n = self.inst_counts.get(step.hyp, 0) + 1
         self.inst_counts[step.hyp] = n
         prop = subst_var(h.prop.body, h.prop.var, step.arg)
@@ -600,15 +594,9 @@ class _Session:
         return None
 
 
-#: Each step class's rule: a function of the session, the focused subgoal
-#: and the step.
-_STEP_RULES = {
-    Split: _Session._apply_split, Intro: _Session._apply_intro,
-    CaseSplit: _Session._apply_cases, Subst: _Session._apply_subst,
-    Instantiate: _Session._apply_inst, PolyMatch: _Session._apply_polymatch,
-    RingCheck: _Session._apply_ring, NumericCheck: _Session._apply_numeric,
-    ExactHyp: _Session._apply_exact,
-}
+#: Each step's rule, ``_Session._apply_<keyword>``; one missing fails here.
+_STEP_RULES = {cls: getattr(_Session, f"_apply_{keyword}")
+               for keyword, cls in STEPS.items()}
 
 
 # -- orientation ---------------------------------------------------------------------
@@ -673,13 +661,13 @@ def _reaches(names, target: str, edges) -> bool:
 # -- entry points ----------------------------------------------------------------------
 
 
-# The last (stmt, db, result) that _prepare computed.  The harness proves an
+# The last (stmt, db, prepared) that _open computed.  The harness proves an
 # entry and then replays a script against the same statement object, so the
 # replay finds its set-up here, and with it the root of the statement's
 # substitution logs: the replay reads and translates through the logs the
 # search grew, and finds each tree it shares with the search read and
-# translated.  Statements and databases are frozen and never mutated,
-# _prepare is a deterministic function of the two, and the logs memoise only
+# translated.  Statements and databases are frozen and never mutated, the
+# set-up is a deterministic function of the two, and the logs memoise only
 # pure functions of their entries, so an identity hit returns what
 # recomputing would; no decision of the search (an elimination, an
 # evaluation, a side condition) is kept.  Each new statement drops the last
@@ -687,28 +675,30 @@ def _reaches(names, target: str, edges) -> bool:
 _last_prepared: tuple = (None, None, None)
 
 
-def _prepare(stmt: N.Statement, db: UnitDatabase | None):
+def _open(stmt: N.Statement, db: UnitDatabase | None) -> _Session | Unknown:
+    """A session on ``stmt``, or Unknown if it is not homogeneous."""
     global _last_prepared
-    last_stmt, last_db, result = _last_prepared
-    if last_stmt is stmt and last_db is db:
-        return result
-    full_db = database_for(stmt, db)
-    resolved = resolve_statement(stmt, full_db)
-    report = check_dimensions(resolved, full_db)
-    result = full_db, resolved, report, Substitution()
-    _last_prepared = (stmt, db, result)
-    return result
+    last_stmt, last_db, prepared = _last_prepared
+    if last_stmt is not stmt or last_db is not db:
+        full_db = database_for(stmt, db)
+        resolved = resolve_statement(stmt, full_db)
+        report = check_dimensions(resolved, full_db)
+        if report.homogeneous:
+            kinded, why_not = instance_checker(resolved, full_db)
+            prepared = (kinded, full_db, Substitution(), why_not)
+        else:
+            prepared = Unknown("the statement is not dimensionally "
+                               "homogeneous", dim_report=report)
+        _last_prepared = (stmt, db, prepared)
+    return prepared if isinstance(prepared, Unknown) else _Session(*prepared)
 
 
 def check_derivation(stmt: N.Statement, steps,
                      db: UnitDatabase | None = None) -> Verdict:
     """Replay a derivation script against a statement."""
-    full_db, resolved, report, root = _prepare(stmt, db)
-    if not report.homogeneous:
-        return Unknown("the statement is not dimensionally homogeneous",
-                       dim_report=report)
-    steps = tuple(steps)
-    session = _Session(resolved, full_db, root)
+    session = _open(stmt, db)
+    if isinstance(session, Unknown):
+        return session
     for i, step in enumerate(steps):
         if not session.subgoals:
             raise MalformedScript("steps remain after all goals closed", i)
@@ -716,26 +706,22 @@ def check_derivation(stmt: N.Statement, steps,
             outcome = session.apply(step)
         except _StepFailure as f:
             return Unknown(f.reason, failed_step=i)
-        except MalformedScript as m:
-            if m.step_index is None:
-                raise MalformedScript(str(m), i) from None
-            raise
+        except MalformedScript as m:  # a rule's refusal names no step
+            raise MalformedScript(str(m), i) from None
         if isinstance(outcome, Refuted):
             return outcome
     if session.subgoals:
         return Unknown(f"{len(session.subgoals)} goal(s) remain open",
-                       failed_step=len(steps))
+                       failed_step=len(session.trace))
     return Proved(tuple(session.trace), session.approx, tuple(session.sides),
                   session.eval_count)
 
 
 def auto_prove(stmt: N.Statement, db: UnitDatabase | None = None) -> Verdict:
     """Search for a proof; any Proved verdict carries a replayable script."""
-    full_db, resolved, report, root = _prepare(stmt, db)
-    if not report.homogeneous:
-        return Unknown("the statement is not dimensionally homogeneous",
-                       dim_report=report)
-    session = _Session(resolved, full_db, root)
+    session = _open(stmt, db)
+    if isinstance(session, Unknown):
+        return session
     while session.subgoals:
         sg = session.subgoals[0]
         step = _structural_step(session, sg)

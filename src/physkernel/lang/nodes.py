@@ -322,7 +322,10 @@ class ForallFn(Prop):
     var: str
     body: Prop
     kind_annot: str | None = None
+    # The variable's kind, as StdUnit.dim: set by dims.instance_checker.
+    dim: object = None
     span: Span = DUMMY_SPAN
+    _syntax = ("var", "body", "kind_annot")
 
 
 # -- operators ----------------------------------------------------------------

@@ -354,7 +354,7 @@ class _Parser:
                 raise ParseError("a finite quantifier takes no kind "
                                  "annotation", span=var_tok.span)
             return N.ForallFinite(var_tok.text, values, body, span)
-        return N.ForallFn(var_tok.text, body, annot, span)
+        return N.ForallFn(var_tok.text, body, annot, span=span)
 
     def _cmp(self) -> N.Prop | N.Expr:
         """A comparison, a quantifier or a parenthesized proposition, or else

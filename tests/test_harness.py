@@ -343,6 +343,20 @@ def test_inst_argument_may_name_a_statement_constant(db):
     assert verify_script_text(entry, "inst hv c\nsubst hv@1\nnumeric\n", db)
 
 
+def test_an_inst_argument_of_the_wrong_kind_does_not_verify(db):
+    # The first inst puts f(3 • meter) = ... in scope, with f : Time ->
+    # Length; the replay refuses it, though the rest of the script proves.
+    text = ("theorem kind_bad (f : Time -> Length)"
+            " (hf := forall t, f(t) = 2 • meter / second * t)"
+            " : f(3 • second) = 6 • meter\n")
+    entry = CorpusEntry("kind_bad", "mechanics", Tier.SCRIPT,
+                        pathlib.Path("kind_bad.phys"), text,
+                        parse_statement(text, db))
+    script = "inst hf (3 • second)\nsubst hf@1\nring\n"
+    assert verify_script_text(entry, script, db)
+    assert not verify_script_text(entry, "inst hf (3 • meter)\n" + script, db)
+
+
 # -- the external binding -----------------------------------------------------------
 
 

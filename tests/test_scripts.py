@@ -1,5 +1,8 @@
 """Derivation scripts: text round trip, step semantics, malformed input."""
 
+import pathlib
+import random
+import re
 import textwrap
 from fractions import Fraction
 
@@ -7,11 +10,13 @@ import pytest
 
 from physkernel.checker.prover import Proved, auto_prove, check_derivation
 from physkernel.checker.script import (
-    CaseSplit, ExactHyp, Instantiate, Intro, MalformedScript, NumericCheck,
-    PolyMatch, RingCheck, Split, Subst, parse_script, print_script,
+    STEPS, CaseSplit, ExactHyp, Instantiate, Intro, MalformedScript,
+    NumericCheck, PolyMatch, RingCheck, Split, Subst, parse_script,
+    print_script,
 )
 from physkernel.lang import nodes as N
 from physkernel.lang.parser import parse_statement
+from physkernel.record import replace
 
 
 def stmt_of(body: str, db):
@@ -35,6 +40,8 @@ def test_text_round_trip_covers_every_step(db):
         Subst("hu"), Instantiate("hf", N.Var("t")),
         PolyMatch("hf", "s"), RingCheck(), NumericCheck(), ExactHyp("hu"),
     )
+    # A step added to the table must be added here too.
+    assert {step.__class__ for step in steps} == set(STEPS.values())
     text = print_script(steps)
     parsed = parse_script(text, s, db)
     assert len(parsed) == len(steps)
@@ -46,6 +53,22 @@ def test_text_round_trip_covers_every_step(db):
             assert got == want
     # Printing is stable under a second round trip.
     assert print_script(parsed) == text
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_the_readme_and_the_grammar_name_the_steps_of_the_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Derivation scripts", 1)[1]
+    block = block.split("```text\n", 1)[1].split("```", 1)[0]
+    words = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert [w[0] for w in words if w] == list(STEPS)
+    grammar = (ROOT / "docs" / "grammar.ebnf").read_text(encoding="utf-8")
+    step = re.search(r"^step\s+=([^;]*);", grammar, re.M).group(1)
+    assert [name.strip() for name in step.split("|")] == list(STEPS)
+    for keyword in STEPS:
+        assert re.search(rf'^{keyword}\s+= "{keyword}"', grammar, re.M)
 
 
 def test_script_text_forms(db):
@@ -66,6 +89,14 @@ def test_script_text_forms(db):
     assert isinstance(inst, Instantiate) and inst.hyp == "hf"
     assert isinstance(inst.arg, N.Mul)
     assert steps[4] == ExactHyp("hu")
+
+
+def test_a_case_value_is_an_arith_that_reads_as_one_literal(db):
+    # The cases production of docs/grammar.ebnf; "2*3" is refused below.
+    s = stmt_of(SCOPE_STMT, db)
+    (step,) = parse_script("cases u {-1/2, (3), 1.5, - 1, 2/4}\n", s, db)
+    assert step.values == tuple(
+        map(Fraction, ("-1/2", "3", "3/2", "-1", "1/2")))
 
 
 def test_malformed_scripts_carry_step_index(db):
@@ -207,6 +238,25 @@ def test_printed_auto_scripts_parse_for_all_corpus_entries(db, corpus_dir):
     # cases reads a disjunction as the substitution left it.
     ("(u v : Real)", "(hv := v = u) (hu := v = 1 ∨ v = -1)", "v * v = 1",
      "subst hv\ncases u {1, -1}\nring\nring\n", "proved"),
+    # inst checks its argument against the kind the statement gave the
+    # variable, which a subst renamed (t!1) or unfolded out of the body,
+    # also in a hypothesis that intro or an outer inst derived.
+    ("(t : Time) (x : Length) (v : Speed)",
+     "(hx := x = v * t) (hq := forall t, x = v * t)", "x = v * t",
+     "subst hx\ninst hq 1 • second\nring\n", "proved"),
+    ("(f g : Time -> Length)", "(hf := forall s, f(s) = 2 • meter)"
+     " (hg := forall s, g(s) = 2 • meter) (hq := forall t, f(t) = g(t))",
+     "f(1 • second) = 2 • meter",
+     "subst hf\nsubst hg\ninst hq 1 • second\nring\n", "proved"),
+    ("(f g : Time -> Length)", "(hf := forall s, f(s) = 2 • meter)"
+     " (hg := forall s, g(s) = 2 • meter)",
+     "(forall t, f(t) = g(t)) -> f(1 • second) = 2 • meter",
+     "subst hf\nsubst hg\nintro\ninst h!1 1 • second\nring\n", "proved"),
+    ("(f : Time -> Length) (g : Mass -> Length)",
+     "(hf := forall s, f(s) = 2 • meter) (hg := forall s, g(s) = 2 • meter)"
+     " (hq := forall a, forall b, f(a) = g(b))", "f(1 • second) = 2 • meter",
+     "subst hf\nsubst hg\ninst hq 1 • second\ninst hq@1 1 • kilogram\n"
+     "ring\n", "proved"),
 ])
 def test_steps_read_hypotheses_as_substituted(db, decls, hyps, goal, script,
                                               outcome):
@@ -305,6 +355,26 @@ PQ = "(p q : Time -> Length) (hp := forall t, p(t) = 2 • meter * t / second)"
      " to refute"),
     (DEF_X, "x = 2 • meter", "subst hx", "unknown at 1",
      "1 goal(s) remain open"),
+    # An inst argument must have its quantifier's kind, and be homogeneous.
+    (PQ, "p(3 • second) = 6 • meter", "inst hp 3 • meter", "malformed at 0",
+     "'inst hp' argument has dimension L, the quantifier's variable T"),
+    ("(t : Time) (x : Length) (v : Speed) (hx := x = v * t)"
+     " (hq := forall t, x = v * t)", "x = v * t", "subst hx\ninst hq 1 • meter",
+     "malformed at 1",
+     "'inst hq' argument has dimension L, the quantifier's variable T"),
+    (PQ, "p(3 • second) = 6 • meter", "inst hp 3 • meter + 2 • second",
+     "malformed at 0", "'inst hp' argument fails the dimension check: "
+     "expected L, found T — addition requires equal dimensions"
+     " (line 1, col 13)"),
+    (PQ, "p(3 • second) = 6 • meter", "inst hp q", "malformed at 0",
+     "'inst hp' argument cannot be checked: 1:1: 'q' is a function and"
+     " cannot be used as a quantity here"),
+    ("(f : Time -> Length) (g : Mass -> Length)"
+     " (hf := forall s, f(s) = 2 • meter) (hg := forall s, g(s) = 2 • meter)",
+     "(forall a, forall b, f(a) = g(b)) -> f(1 • second) = 2 • meter",
+     "subst hf\nsubst hg\nintro\ninst h!1 1 • second\n"
+     "inst h!1@1 1 • second", "malformed at 4",
+     "'inst h!1@1' argument has dimension T, the quantifier's variable M"),
 ])
 def test_the_replay_refuses_a_script_that_does_not_fit(db, decls, goal,
                                                         script, outcome,
@@ -318,3 +388,96 @@ def test_the_replay_refuses_a_script_that_does_not_fit(db, decls, goal,
         assert str(exc) == f"step {exc.step_index}: {message}"
         return
     assert (f"{v.kind} at {v.failed_step}", v.reason) == (outcome, message)
+
+
+# -- mutated scripts ----------------------------------------------------------
+
+
+def _quantified(stmt, db):
+    """Each quantified hypothesis of ``stmt`` whose variable is a function
+    argument, with a kind of another dimension than that argument's."""
+    arg_kinds = {d.name: d.arg_kind for d in stmt.decls
+                 if isinstance(d, N.FnDecl)}
+    found = []
+    for name, prop in stmt.hyps:
+        if not isinstance(prop, N.ForallFn):
+            continue
+        kind = prop.kind_annot or next(
+            arg_kinds[n.fn] for n in N.walk(prop.body)
+            if isinstance(n, N.Apply) and n.fn in arg_kinds
+            and isinstance(n.arg, N.Var) and n.arg.name == prop.var)
+        other = next(k for k in ("Length", "Time", "Mass")
+                     if db.kind(k) != db.kind(kind))
+        found.append((name, other))
+    return found
+
+
+def _mutants(rng, steps, stmt, db):
+    """Seeded mutants of a script: (text, whether it has an ill-kinded inst).
+
+    A step is dropped, repeated or swapped with another; a hypothesis is
+    renamed to another; a case value moves by one; an ``exact`` names another
+    hypothesis; an ``inst`` is added whose argument has a changed unit.
+    """
+    steps, hyps = list(steps), [name for name, _ in stmt.hyps]
+    i, j = rng.randrange(len(steps)), rng.randrange(len(steps))
+    swapped = list(steps)
+    swapped[i], swapped[j] = steps[j], steps[i]
+    mutants = [steps[:i] + steps[i + 1:], steps[:i + 1] + steps[i:],
+               swapped]
+    named = [k for k, st in enumerate(steps) if hasattr(st, "hyp")]
+    if named:
+        k = rng.choice(named)
+        mutants.append(steps[:k] + [replace(steps[k], hyp=rng.choice(hyps))]
+                       + steps[k + 1:])
+    for k, st in enumerate(steps):
+        if isinstance(st, CaseSplit):
+            values = list(st.values)
+            values[rng.randrange(len(values))] += 1
+            mutants.append(steps[:k] + [replace(st, values=tuple(values))]
+                           + steps[k + 1:])
+    exact = [k for k, st in enumerate(steps) if isinstance(st, ExactHyp)]
+    k = rng.choice(exact) if exact else len(steps) - 1
+    mutants.append(steps[:k] + [ExactHyp(rng.choice(hyps))] + steps[k + 1:])
+    texts = [(print_script(m), False) for m in mutants]
+    # Without a quantified hypothesis, the inst names one that is not.
+    for name, other in _quantified(stmt, db) or [(rng.choice(hyps), "Time")]:
+        lines = print_script(steps).splitlines()
+        lines.insert(rng.randrange(len(lines) + 1),
+                     f"inst {name} 2 • unit({other})")
+        texts.append(("\n".join(lines) + "\n", True))
+    return texts
+
+
+def test_mutated_scripts_end_in_a_verdict_or_a_refusal(db, corpus_dir):
+    from physkernel.checker.evaluate import database_for
+    from physkernel.corpus import load_corpus
+    from physkernel.errors import PhysKernelError
+
+    entries = {e.name: e for e in load_corpus(corpus_dir, db)}
+    scripts = []  # (statement, steps) of every script that proves
+    for entry in entries.values():
+        verdict = auto_prove(entry.statement, db)
+        if isinstance(verdict, Proved):
+            scripts.append((entry.statement, verdict.steps))
+    for path in sorted((ROOT / "bench" / "scripts").glob("*.script")):
+        stmt = entries[path.stem].statement
+        scripts.append((stmt, parse_script(path.read_text(encoding="utf-8"),
+                                           stmt, database_for(stmt, db))))
+    assert len(scripts) == 9
+    rng = random.Random(31)
+    outcomes = []
+    for stmt, steps in scripts:
+        full_db = database_for(stmt, db)
+        for _ in range(3):
+            for text, ill_kinded in _mutants(rng, steps, stmt, db):
+                try:
+                    outcome = check_derivation(
+                        stmt, parse_script(text, stmt, full_db), db)
+                except PhysKernelError as exc:
+                    outcome = exc
+                outcomes.append(outcome.__class__.__name__)
+                assert not (ill_kinded and isinstance(outcome, Proved)), text
+    # Each kind of ending occurs, and most mutants do not prove.
+    assert {"Proved", "Unknown", "MalformedScript"} <= set(outcomes)
+    assert outcomes.count("Proved") < len(outcomes) / 2
