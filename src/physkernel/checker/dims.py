@@ -3,8 +3,9 @@
 Two passes share this module.  *Resolution* gives each ``std`` occurrence
 (the anonymous coherent unit) at the scaled head of one side of a comparison
 the dimension of the opposite side; the parser gives a cast argument ``std``,
-as in ``unit(K)``, its kind.  *Checking* walks every hypothesis and the goal,
-verifying the dimensional typing rules and producing a per-entry report.
+as in ``unit(K)``, its kind; it also records each ``ForallFn``'s kind as
+its ``dim``, once.  *Checking* walks every hypothesis and the goal, verifying
+the dimensional typing rules and producing a per-entry report.
 """
 
 from __future__ import annotations
@@ -154,14 +155,10 @@ def _forall_var_dim(q: N.ForallFn, env: _Env) -> Dimension:
 
 
 def instance_checker(stmt: N.Statement, db: UnitDatabase):
-    """``(kinded, why_not)``: ``stmt`` with each ``ForallFn``'s kind as its
-    ``dim``, which a rewrite keeps though it may unfold what fixed it, and
-    ``why_not(q, arg)``: None, or why ``arg`` cannot instantiate ``q`` (of
-    ``kinded`` or a rewrite): it fails the dimension check or lacks q.dim."""
+    """``why_not(q, arg)``: None, or why ``arg`` cannot instantiate ``q``, a
+    quantifier of ``stmt`` as resolved or of a rewrite, which keeps its
+    ``dim``: ``arg`` fails the dimension check or lacks ``q.dim``."""
     env = _Env(stmt, db)
-
-    def kinded(p: N.Prop) -> N.Prop:
-        return _walk_prop(p, env, lambda c, env: c, kinds=True)
 
     def why_not(q: N.ForallFn, arg: N.Expr) -> str | None:
         try:
@@ -175,8 +172,7 @@ def instance_checker(stmt: N.Statement, db: UnitDatabase):
             return (f"has dimension {found.render()}, the quantifier's "
                     f"variable {q.dim.render()}")
         return None
-    return replace(stmt, hyps=tuple((n, kinded(p)) for n, p in stmt.hyps),
-                   goal=kinded(stmt.goal)), why_not
+    return why_not
 
 
 # -- std resolution --------------------------------------------------------------
@@ -224,13 +220,13 @@ def _resolve_cmp(p: N.Prop, env: _Env) -> N.Prop:
     return replace(p, rhs=new_side)
 
 
-def _walk_prop(p: N.Prop, env: _Env, on_cmp, kinds: bool = False) -> N.Prop:
+def _walk_prop(p: N.Prop, env: _Env, on_cmp) -> N.Prop:
     """Rebuild ``p`` with ``on_cmp(cmp, env)`` applied to each comparison.
 
     A quantifier's variable is in ``env`` while its body is walked, with
-    the kind found before the body is walked; with ``kinds``, each
-    ``ForallFn`` also records that kind as ``dim``.  A proposition none of
-    whose parts changed is returned as is.
+    the kind found before the body is walked; a ``ForallFn`` without one
+    records it as ``dim``, and one with it binds that kind without looking
+    again.  A proposition none of whose parts changed is returned as is.
     """
     if p.__class__ in _CMP_NOTE:  # most propositions: no tables to build
         return on_cmp(p, env)
@@ -238,14 +234,14 @@ def _walk_prop(p: N.Prop, env: _Env, on_cmp, kinds: bool = False) -> N.Prop:
 
     def bind(q):
         dim = (DIMENSIONLESS if q.__class__ is N.ForallFinite
-               else _forall_var_dim(q, env))
+               else q.dim or _forall_var_dim(q, env))
         hidden.append((q.var, env.vars.get(q.var)))
         env.vars[q.var] = dim
 
     def unbind(q, body):
         dim = env.vars[q.var]
         _restore(env.vars, *hidden.pop())
-        if kinds and q.__class__ is N.ForallFn:
+        if q.__class__ is N.ForallFn and q.dim is None:
             return replace(q, body=body, dim=dim)
         return q if body is q.body else replace(q, body=body)
 
@@ -272,9 +268,10 @@ def _restore(vars: dict, name: str, dim: Dimension | None) -> None:
 def resolve_statement(stmt: N.Statement,
                       db: UnitDatabase | None = None) -> N.Statement:
     """Give each ``std`` heading a comparison side the opposite side's
-    dimension (the parser gives a cast argument its kind's).  Walking the
-    connectives also rejects a quantifier whose kind cannot be inferred.
-    Idempotent; returns ``stmt`` itself when nothing needed resolving.
+    dimension (the parser gives a cast argument its kind's), and each
+    ``ForallFn`` its variable's kind as ``dim``; a quantifier whose kind
+    cannot be inferred is rejected.  Idempotent: returns ``stmt`` itself
+    only when every ``std`` and every ``ForallFn`` already has its dimension.
     """
     env = _Env(stmt, db or builtin_database())
     hyps = tuple((name, _walk_prop(prop, env, _resolve_cmp))

@@ -172,7 +172,7 @@ def _flatten(p: N.Prop, cls: type[N.And | N.Or]) -> list[N.Prop]:
 
 class _Session:
     def __init__(self, stmt: N.Statement, db: UnitDatabase,
-                 root: Substitution, why_not_instance=None):
+                 root: Substitution, why_not_instance):
         self.db, self.why_not_instance = db, why_not_instance
         sg = _Subgoal(stmt.goal, {}, [], root)
         for n, p in stmt.hyps:
@@ -684,8 +684,8 @@ def _open(stmt: N.Statement, db: UnitDatabase | None) -> _Session | Unknown:
         resolved = resolve_statement(stmt, full_db)
         report = check_dimensions(resolved, full_db)
         if report.homogeneous:
-            kinded, why_not = instance_checker(resolved, full_db)
-            prepared = (kinded, full_db, Substitution(), why_not)
+            prepared = (resolved, full_db, Substitution(),
+                        instance_checker(resolved, full_db))
         else:
             prepared = Unknown("the statement is not dimensionally "
                                "homogeneous", dim_report=report)

@@ -653,9 +653,6 @@ class Constraint:
     poly: Poly
     label: str
 
-    def render(self) -> str:
-        return f"{self.label}: {poly_render(self.poly)} = 0"
-
 
 @record(frozen=True)
 class EliminationStep:
@@ -667,14 +664,6 @@ class EliminationStep:
     degree: int
     solution: RationalFunc
     nonzero: Poly
-
-    def render(self) -> str:
-        target = _atom_display(self.atom)
-        if self.degree != 1:
-            target = f"{target}^{self.degree}"
-        return (f"eliminate {target} := {self.solution.render()} "
-                f"using {self.label} (requires {poly_render(self.nonzero)} "
-                f"≠ 0)")
 
 
 @record(frozen=True)

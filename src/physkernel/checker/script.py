@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from ..errors import MalformedScript, ParseError
 from ..lang import nodes as N
-from ..lang.parser import parse_expression
+from ..lang.parser import parse_expression, parse_in_scope
 from ..lang.printer import print_expr
 from ..record import record
 from ..unitdb import UnitDatabase
@@ -103,15 +103,14 @@ def parse_script(text: str, stmt: N.Statement,
                  db: UnitDatabase | None = None) -> tuple[Step, ...]:
     """Parse the textual form of a derivation script for ``stmt``.
 
-    The statement supplies the scope in which ``inst`` arguments are parsed,
-    and ``db`` the units and constants they may name; pass
-    ``database_for(stmt, db)`` so that the statement's own constants resolve.
-    Structural problems raise MalformedScript with the offending step index.
+    ``inst`` arguments are parsed in the statement's scope, built once: its
+    declarations and its constants' names, as ``parse_statement`` has them.
+    Pass the run's database, as to ``check_derivation``, for the units and
+    constants they may name.  Structural problems raise MalformedScript with
+    the offending step index.
     """
-    variables = {d.name: d.kind for d in stmt.decls
-                 if d.__class__ is N.VarDecl}
-    functions = {d.name: (d.arg_kind, d.result_kind) for d in stmt.decls
-                 if d.__class__ is N.FnDecl}
+    scope = {d.name: d for d in stmt.decls}
+    constants = frozenset(name for name, _ in stmt.constants)
     steps: list[Step] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -130,7 +129,7 @@ def parse_script(text: str, stmt: N.Statement,
             elif field == "arg" and rest:
                 try:
                     args.append(
-                        parse_expression(rest, db, variables, functions))
+                        parse_in_scope(rest, db, scope, constants))
                 except ParseError as exc:
                     raise MalformedScript(
                         f"bad '{keyword}' argument: {exc}", index) from exc

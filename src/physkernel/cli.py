@@ -16,7 +16,8 @@ Subcommands:
 Exit codes: 0 proved (or, for ``check``, homogeneous; for ``eval``, run
 completed), 1 unknown / not homogeneous, 2 refuted, 3 bad input (including
 input past one of the parser's budgets), 4 internal error (an unexpected
-exception; its traceback is printed).
+exception; its traceback is printed).  A reader that closes stdout early
+(``| head -1``) does not change the code: the rest of the output is dropped.
 
 Each subcommand imports the layers it runs when it runs: ``--help`` loads
 none, ``check`` neither the prover nor the harness, and ``prove`` and
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import PhysKernelError
@@ -103,73 +105,67 @@ def _verdict_payload(verdict) -> dict:
     return payload
 
 
-def _print_verdict(verdict, fmt: str) -> int:
-    from .checker.script import print_script
-    if fmt == "json":
-        print(json.dumps(_verdict_payload(verdict), indent=2,
-                         ensure_ascii=False))
-    else:
-        if verdict.kind == "proved":
-            flavor = "up to numeric tolerance" if verdict.approx_decided \
-                else "exactly"
-            print(f"proved ({flavor})")
-            print(print_script(verdict.steps))
-            for sc in verdict.side_conditions:
-                status = {True: "holds", False: "violated",
-                          None: "assumed"}[sc.verified]
-                print(f"  side condition: {sc.claim}  [{status}]")
-        elif verdict.kind == "refuted":
-            print("refuted")
-            for name, value in verdict.env:
-                print(f"  {name} = {value}")
-            print(f"  {verdict.detail}")
-        else:
-            print(f"unknown: {verdict.reason}")
-            if verdict.failed_step is not None:
-                print(f"  failed at step {verdict.failed_step}")
-            if verdict.dim_report is not None:
-                print(verdict.dim_report.render())
-    return {"proved": EXIT_PROVED, "refuted": EXIT_REFUTED,
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def _verdict_output(verdict, fmt: str) -> tuple[int, str]:
+    code = {"proved": EXIT_PROVED, "refuted": EXIT_REFUTED,
             "unknown": EXIT_UNKNOWN}[verdict.kind]
+    if fmt == "json":
+        return code, _json(_verdict_payload(verdict))
+    from .checker.script import print_script
+    if verdict.kind == "proved":
+        flavor = "up to numeric tolerance" if verdict.approx_decided \
+            else "exactly"
+        lines = [f"proved ({flavor})", print_script(verdict.steps)]
+        for sc in verdict.side_conditions:
+            status = {True: "holds", False: "violated",
+                      None: "assumed"}[sc.verified]
+            lines.append(f"  side condition: {sc.claim}  [{status}]")
+    elif verdict.kind == "refuted":
+        lines = ["refuted", *(f"  {name} = {value}"
+                              for name, value in verdict.env),
+                 f"  {verdict.detail}"]
+    else:
+        lines = [f"unknown: {verdict.reason}"]
+        if verdict.failed_step is not None:
+            lines.append(f"  failed at step {verdict.failed_step}")
+        if verdict.dim_report is not None:
+            lines.append(verdict.dim_report.render())
+    return code, "\n".join(lines) + "\n"
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, str]:
     from .checker.dims import check_dimensions
     from .checker.evaluate import database_for
     db = _load_db(args)
     stmt = _read_statement(args.file, db)
-    full_db = database_for(stmt, db)
-    report = check_dimensions(stmt, full_db)
+    report = check_dimensions(stmt, database_for(stmt, db))
+    code = EXIT_PROVED if report.homogeneous else EXIT_UNKNOWN
     if args.format == "json":
-        print(json.dumps({"homogeneous": report.homogeneous,
-                          "entries": report.to_records()},
-                         indent=2, ensure_ascii=False))
-    else:
-        print(report.render())
-    return EXIT_PROVED if report.homogeneous else EXIT_UNKNOWN
+        return code, _json({"homogeneous": report.homogeneous,
+                            "entries": report.to_records()})
+    return code, report.render() + "\n"
 
 
-def _cmd_prove(args) -> int:
+def _cmd_prove(args) -> tuple[int, str]:
     from .checker.prover import auto_prove
     db = _load_db(args)
     stmt = _read_statement(args.file, db)
-    verdict = auto_prove(stmt, db)
-    return _print_verdict(verdict, args.format)
+    return _verdict_output(auto_prove(stmt, db), args.format)
 
 
-def _cmd_verify_script(args) -> int:
-    from .checker.prover import check_derivation, database_for
+def _cmd_verify_script(args) -> tuple[int, str]:
+    from .checker.prover import check_derivation
     from .checker.script import parse_script
     db = _load_db(args)
     stmt = _read_statement(args.file, db)
-    script_text = _read(args.script)
-    full_db = database_for(stmt, db)
-    steps = parse_script(script_text, stmt, full_db)
-    verdict = check_derivation(stmt, steps, db)
-    return _print_verdict(verdict, args.format)
+    steps = parse_script(_read(args.script), stmt, db)
+    return _verdict_output(check_derivation(stmt, steps, db), args.format)
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[int, str]:
     from .corpus import load_corpus
     from .harness import (BuiltinProver, ExternalProver, render_attempt_log,
                           render_report, run_eval)
@@ -197,13 +193,11 @@ def _cmd_eval(args) -> int:
     if args.attempts:
         _write(args.attempts, render_attempt_log(attempts) + "\n")
     if args.format == "json":
-        print(report.to_json(), end="")
-    else:
-        print(render_report(report))
-    return EXIT_PROVED
+        return EXIT_PROVED, report.to_json()
+    return EXIT_PROVED, render_report(report) + "\n"
 
 
-def _cmd_units(args) -> int:
+def _cmd_units(args) -> tuple[int, str]:
     db = _load_db(args)
     if args.format == "json":
         obj = {
@@ -214,10 +208,8 @@ def _cmd_units(args) -> int:
                           for n in sorted(db.constants)},
             "kinds": {n: db.kinds[n].dim.render() for n in sorted(db.kinds)},
         }
-        print(json.dumps(obj, indent=2, ensure_ascii=False))
-    else:
-        print(db.render_table())
-    return EXIT_PROVED
+        return EXIT_PROVED, _json(obj)
+    return EXIT_PROVED, db.render_table() + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,10 +268,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str) -> None:
+    """Print ``text``.  If the reader has closed stdout, the rest is dropped:
+    stdout then points at /dev/null, so the flush at exit cannot fail."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code, text = args.fn(args)
+        _emit(text)
+        return code
     except (FileNotFoundError, _BadInput, PhysKernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

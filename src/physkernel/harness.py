@@ -31,7 +31,7 @@ import os
 import time
 from fractions import Fraction
 
-from .checker.prover import Proved, auto_prove, check_derivation, database_for
+from .checker.prover import Proved, auto_prove, check_derivation
 from .checker.script import parse_script, print_script
 from .corpus import CorpusEntry
 from .errors import MismatchedModels, PhysKernelError
@@ -244,9 +244,7 @@ def verify_script_text(entry: CorpusEntry, script_text: str,
     """True iff the script text replays to a proved verdict for the entry."""
     db = db or builtin_database()
     try:
-        # ``inst`` arguments may name the statement's own constants.
-        steps = parse_script(script_text, entry.statement,
-                             database_for(entry.statement, db))
+        steps = parse_script(script_text, entry.statement, db)
         verdict = check_derivation(entry.statement, steps, db)
     except PhysKernelError:
         return False

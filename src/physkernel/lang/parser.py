@@ -549,8 +549,8 @@ class _Parser:
             return N.UnitRef(name, tok.span)
         if name in self.db.constants or name in self.extra_constants:
             return N.ConstRef(name, tok.span)
-        pool = (list(self.scope) + list(self.db.units)
-                + list(self.db.constants))
+        pool = [*self.scope, *self.db.units, *self.db.constants,
+                *self.extra_constants.difference(self.db.constants)]
         raise ParseError(f"undeclared identifier {name!r}"
                          + did_you_mean(name, pool), span=tok.span)
 
@@ -673,25 +673,28 @@ def parse_statement(text: str, db: UnitDatabase | None = None) -> N.Statement:
     return stmt
 
 
-def _scoped_parser(text: str, db: UnitDatabase | None,
-                   variables: dict[str, str] | None,
-                   functions: dict[str, tuple[str, str]] | None) -> _Parser:
-    p = _Parser(tokenize(text), db or builtin_database())
-    for name, kind in (variables or {}).items():
-        p.scope[name] = N.VarDecl(name, kind)
-    for name, (a, r) in (functions or {}).items():
-        p.scope[name] = N.FnDecl(name, a, r)
-    return p
+def _parse(text: str, db: UnitDatabase | None, scope: dict,
+           constants: frozenset[str], rule):
+    """``rule`` of a parser that reads all of ``text``; see parse_in_scope."""
+    p = _Parser(tokenize(text), db or builtin_database(), constants)
+    p.scope = scope
+    tree = rule(p)
+    p.expect("eof")
+    return tree
+
+
+def _scope(variables: dict[str, str] | None,
+           functions: dict[str, tuple[str, str]] | None) -> dict:
+    return {**{n: N.VarDecl(n, kind) for n, kind in (variables or {}).items()},
+            **{n: N.FnDecl(n, *sig) for n, sig in (functions or {}).items()}}
 
 
 def parse_prop(text: str, db: UnitDatabase | None = None,
                variables: dict[str, str] | None = None,
                functions: dict[str, tuple[str, str]] | None = None) -> N.Prop:
     """Parse a standalone proposition under the given variable scope."""
-    p = _scoped_parser(text, db, variables, functions)
-    prop = p.prop()
-    p.expect("eof")
-    return prop
+    return _parse(text, db, _scope(variables, functions), frozenset(),
+                  _Parser.prop)
 
 
 def parse_expression(text: str, db: UnitDatabase | None = None,
@@ -699,10 +702,17 @@ def parse_expression(text: str, db: UnitDatabase | None = None,
                      functions: dict[str, tuple[str, str]] | None = None
                      ) -> N.Expr:
     """Parse a standalone expression under the given variable scope."""
-    p = _scoped_parser(text, db, variables, functions)
-    expr = p._arith()
-    p.expect("eof")
-    return expr
+    return parse_in_scope(text, db, _scope(variables, functions))
+
+
+def parse_in_scope(text: str, db: UnitDatabase | None, scope: dict,
+                   constants: frozenset[str] = frozenset()) -> N.Expr:
+    """Parse a standalone expression whose names resolve, as in a statement,
+    to ``scope`` (name -> ``VarDecl`` or ``FnDecl``), then to a unit, then
+    to a constant of ``db`` or one named in ``constants``.  An expression
+    binds no name, so ``scope`` is only read, and one scope serves any
+    number of expressions."""
+    return _parse(text, db, scope, constants, _Parser._arith)
 
 
 def parse_overrides(text: str, db: UnitDatabase | None = None

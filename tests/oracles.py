@@ -572,7 +572,8 @@ def check_cmp_ref(p, env, db):
 
 def walk_prop_ref(p, env, db, on_cmp):
     """``dims._walk_prop``: ``on_cmp(cmp, env, db)`` at each comparison,
-    with each quantifier's variable in ``env`` while its body is walked."""
+    with each quantifier's variable in ``env`` while its body is walked; a
+    ``ForallFn`` keeps the kind it records and records one it lacks."""
     if isinstance(p, (N.Eq, N.Ne, N.Le, N.Lt)):
         return on_cmp(p, env, db)
     if isinstance(p, (N.And, N.Or, N.Implies)):
@@ -582,8 +583,12 @@ def walk_prop_ref(p, env, db, on_cmp):
             return p
         return replace(p, lhs=lhs, rhs=rhs)
     if isinstance(p, (N.ForallFinite, N.ForallFn)):
-        dim = (DIMENSIONLESS if isinstance(p, N.ForallFinite)
-               else _forall_var_dim(p, env))
+        if isinstance(p, N.ForallFinite):
+            dim = DIMENSIONLESS
+        elif p.dim is not None:
+            dim = p.dim
+        else:
+            dim = _forall_var_dim(p, env)
         saved = env.vars.get(p.var)
         env.vars[p.var] = dim
         try:
@@ -593,6 +598,8 @@ def walk_prop_ref(p, env, db, on_cmp):
                 del env.vars[p.var]
             else:
                 env.vars[p.var] = saved
+        if isinstance(p, N.ForallFn) and p.dim is None:
+            return replace(p, body=body, dim=dim)
         return p if body is p.body else replace(p, body=body)
     raise ParseError(f"unsupported proposition node {type(p).__name__}",
                      span=getattr(p, "span", N.DUMMY_SPAN))

@@ -8,11 +8,15 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def _run(code: str) -> subprocess.CompletedProcess:
+def _env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return env
+
+
+def _run(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], env=_env(),
                           capture_output=True, text=True, timeout=60)
 
 
@@ -205,3 +209,23 @@ def test_eval_refuses_an_unwritable_output_before_the_run(corpus_dir,
     assert out.returncode == 3, out.stderr[-500:]
     assert out.stderr == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
     assert report.read_text(encoding="utf-8") == "earlier report\n"
+
+
+def test_a_reader_that_closes_stdout_leaves_the_exit_code(corpus_dir):
+    # The read end of stdout is closed before the command writes: the
+    # output is dropped, and the command exits with its own code, not 4.
+    plate = corpus_dir / "electromagnetism" / "parallel_plate_capacitance.phys"
+    rope = str(corpus_dir / "mechanics" / "rope_friction_turns.phys")
+    script = SRC.parent / "bench" / "scripts" / f"{plate.stem}.script"
+    for argv, code in ((["units"], 0), (["check", rope], 0),
+                       (["prove", rope], 1),
+                       (["verify-script", str(plate), str(script)], 0)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "physkernel.cli", *argv], env=_env(),
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write)
+        assert (out.returncode, out.stderr) == (code, ""), argv

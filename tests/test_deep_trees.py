@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from physkernel.checker.dims import check_dimensions, resolve_statement
+from physkernel.checker.dims import check_dimensions
 from physkernel.checker.evaluate import eval_numeric, eval_prop
 from physkernel.checker.prover import Proved, auto_prove, check_derivation
 from physkernel.checker.rewrite import Substitution, expand_fn
@@ -18,6 +18,8 @@ from physkernel.lang.parser import parse_statement
 from physkernel.lang.printer import print_statement
 from physkernel.quantity import Quantity
 from physkernel.record import replace
+
+from test_dimcheck import resolved_once
 
 #: Frames the checker may use above the caller's, however deep the tree.
 MARGIN = 100
@@ -60,7 +62,7 @@ def _definitions(stmt: N.Statement) -> Substitution:
 
 
 def _decide(stmt, db):
-    assert resolve_statement(stmt, db) is stmt
+    resolved_once(stmt, db)
     assert check_dimensions(stmt, db).homogeneous
     verdict = auto_prove(stmt, db)
     assert isinstance(verdict, Proved), verdict

@@ -19,6 +19,19 @@ def stmt_of(body: str, db):
     return parse_statement(textwrap.dedent(body).strip() + "\n", db)
 
 
+def resolved_once(s, db):
+    """``resolve_statement(s, db)``, checked to resolve to itself and to
+    keep each hypothesis, and the goal, that has no ``ForallFn``."""
+    resolved = resolve_statement(s, db)
+    assert resolve_statement(resolved, db) is resolved
+    before = [*s.hyps, ("goal", s.goal)]
+    after = [*resolved.hyps, ("goal", resolved.goal)]
+    for (_, old), (_, new) in zip(before, after, strict=True):
+        if not any(n.__class__ is N.ForallFn for n in N.walk(old)):
+            assert new is old
+    return resolved
+
+
 def test_homogeneous_statement_reports_every_entry(db):
     s = stmt_of("""
         theorem energy_balance
@@ -156,6 +169,16 @@ def test_function_equality_compares_signatures(db):
     m = check_dimensions(bad, db).entry("h").mismatch
     assert m.note == "function result kinds differ"
 
+    bad_arg = stmt_of("""
+        theorem fn_arg_neq
+        (f : Length -> Length) (g : Time -> Length)
+        (h := f = g)
+        : f = f
+    """, db)
+    m = check_dimensions(bad_arg, db).entry("h").mismatch
+    assert m.note == "function argument kinds differ"
+    assert (m.expected, m.found) == (db.kind("Length"), db.kind("Time"))
+
 
 def test_std_takes_dimension_of_opposite_side(db):
     s = stmt_of("""
@@ -263,7 +286,8 @@ def test_a_statement_without_std_resolves_to_itself(db, monkeypatch):
         (h2 := x = t)
         : x = 2 • meter
     """, db)
-    assert resolve_statement(s, db) is s
+    resolved = resolved_once(s, db)
+    assert resolved.hyps[0][1].dim == db.kind("Time")  # h's quantifier
     report = check_dimensions(s, db)
     assert [e.homogeneous for e in report.entries] == [True, False, True]
     # A quantifier whose kind cannot be inferred is still rejected, even

@@ -132,6 +132,12 @@ def same_tree(a, b):
                         == print_expr_ref(b))
 
 
+def kinded_tree(p):
+    """``p`` as its printed form and the kinds its ``ForallFn``s record."""
+    return print_expr_ref(p), [n.dim for n in N.walk(p)
+                               if n.__class__ is N.ForallFn]
+
+
 def translation(x, e):
     rf = x.tr(e)
     return ((rf.num, rf.den), [(s.num, s.den, label) for s, label in x.sides],
@@ -261,9 +267,10 @@ def test_a_quantifier_kind_is_found_before_its_body_is_walked(db, env):
     for p in (N.ForallFn("w", body), N.ForallFn("w", body, "Bogus"),
               N.And(N.ForallFinite("w", (Fraction(1),), body), body),
               N.ForallFn("q", N.Eq(N.Apply("g", N.Var("q")), x))):
-        got = outcome(lambda: dims._walk_prop(p, env, dims._check_cmp))
-        assert got == outcome(
-            lambda: walk_prop_ref(p, env, db, check_cmp_ref))
+        got = outcome(lambda: kinded_tree(
+            dims._walk_prop(p, env, dims._check_cmp)))
+        assert got == outcome(lambda: kinded_tree(
+            walk_prop_ref(p, env, db, check_cmp_ref)))
         assert "w" not in env.vars and "q" not in env.vars
 
 

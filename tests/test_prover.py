@@ -318,7 +318,7 @@ def _witness_log(rng: random.Random) -> tuple:
 
 def test_the_witness_matches_the_fixpoint_closure(db):
     session = _Session(stmt_of("theorem t (x : Real) : x = x", db), db,
-                       Substitution())
+                       Substitution(), None)
     reached = unreached = 0
     for seed in range(200):
         entries = _witness_log(random.Random(seed))
@@ -356,6 +356,32 @@ def test_consumed_function_definitions_are_rewritten_for_polymatch(db):
     assert isinstance(replay, Proved)
 
 
+def test_a_function_equality_goal_needs_an_identical_hypothesis(db):
+    s = stmt_of("""
+        theorem fn_goal
+        (f g : Length -> Length)
+        (hf := forall w, f(w) = 2 * w)
+        : f = g
+    """, db)
+    assert auto_prove(s, db) == Unknown(
+        "function-equality goals close only via an identical hypothesis")
+
+
+def test_a_function_equality_without_a_pointwise_definition_is_skipped(db):
+    # f has no definition, so 'he' gives no coefficient constraints, and
+    # the search proves the goal without it.
+    s = stmt_of("""
+        theorem undefined_side
+        (f g : Length -> Length) (x : Length)
+        (hg := forall w, g(w) = 2 * w)
+        (he := f = g)
+        : g(x) = 2 * x
+    """, db)
+    v = auto_prove(s, db)
+    assert isinstance(v, Proved)
+    assert v.steps == (Subst("hg"), RingCheck())
+
+
 def test_intro_renames_a_binder_that_shadows_a_declaration(db):
     s = stmt_of("""
         theorem fr
@@ -363,7 +389,7 @@ def test_intro_renames_a_binder_that_shadows_a_declaration(db):
         (hf := forall t, f(t) = x)
         : forall t : Time, f(t) = x
     """, db)
-    session = _Session(s, db, Substitution())
+    session = _Session(s, db, Substitution(), None)
     session.apply(Intro())
     assert print_prop(session.subgoals[0].goal) == "f(t!1) = x"
     v = auto_prove(s, db)

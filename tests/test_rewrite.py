@@ -110,7 +110,8 @@ class _Oracle:
                 or isinstance(a, (N.VarDecl, N.FnDecl, N.Statement))):
             if type(a) is not type(b):
                 return False
-            skip = {"span"} | ({"dim"} if type(a) is N.StdUnit else set())
+            skip = {"span"} | ({"dim"} if type(a) in (N.StdUnit, N.ForallFn)
+                               else set())
             return all(_Oracle.ast_eq(getattr(a, f), getattr(b, f))
                        for f in _field_names(a) if f not in skip)
         if isinstance(a, tuple) and isinstance(b, tuple):

@@ -109,6 +109,7 @@ def test_malformed_scripts_carry_step_index(db):
         ("polymatch hf", "parameter"),
         ("cases u 1, -1", "expects a variable"),
         ("cases u {1, }", "empty case value"),
+        ("cases u {1, 2 +}", "bad case value '2 \\+': 1:4: unexpected end"),
         ("cases u {2*3}", "not a literal"),
         ("inst hf", "expects a hypothesis name and an expression"),
         ("inst hf )(", "bad 'inst' argument"),
@@ -117,6 +118,21 @@ def test_malformed_scripts_carry_step_index(db):
         with pytest.raises(MalformedScript, match=fragment) as exc:
             parse_script("split\n" + text, s, db)
         assert exc.value.step_index == 1, text
+
+
+def test_an_inst_argument_names_the_statements_own_constants(db):
+    # The run's database lacks k_spring; the statement's scope has it.
+    s = stmt_of("""
+        constants: k_spring = 2 • newton / meter
+        theorem hooke
+        (f : Length -> Force) (hf := forall x, f(x) = k_spring * x)
+        : f(1 • meter) = 2 • newton
+    """, db)
+    (step,) = parse_script("inst hf meter * k_spring / k_spring\n", s, db)
+    assert [n.name for n in N.walk(step.arg) if isinstance(n, N.ConstRef)
+            ] == ["k_spring", "k_spring"]
+    with pytest.raises(MalformedScript, match=r"did you mean: k_spring\?"):
+        parse_script("inst hf k_sprung\n", s, db)
 
 
 def test_instantiation_names_count_up(db):

@@ -1,5 +1,6 @@
-"""Definition chains cost work linear in their length, and elimination
-rewrites only what holds its pivot.
+"""Definition chains cost work linear in their length, elimination
+rewrites only what holds its pivot, and a statement is set up once for a
+script's parse and replay.
 
 The gates count the line events that physkernel's own code executes under
 ``sys.settrace``, or the calls of one function: work, not seconds, so they
@@ -8,16 +9,19 @@ most ``RATIO``; linear work reads about 2.0, and a per-entry scan of the
 chain reads 2.5 or more.
 """
 
+import collections
 import pathlib
 import sys
 
 import physkernel
-from physkernel.checker import ring
+from physkernel.checker import dims, prover, ring
 from physkernel.checker.prover import (
     Proved, Refuted, auto_prove, check_derivation,
 )
 from physkernel.checker.ring import ring_equal
 from physkernel.checker.script import parse_script
+from physkernel.corpus import load_corpus
+from physkernel.lang import nodes as N
 from physkernel.lang.parser import parse_statement
 
 from test_deep_trees import _fn_chain
@@ -173,3 +177,50 @@ def test_elimination_rewrites_only_what_holds_the_pivot(gen, db,
         absent.clear()
         auto_prove(parse_statement(text, db), db)
         assert 0 < len(absent) <= most, len(absent)
+
+
+def _insts(n: int) -> tuple[str, str]:
+    """``n`` declarations, and a script of one ``inst`` per declaration."""
+    names = " ".join(f"v{i}" for i in range(n))
+    return (f"theorem insts ({names} : Length) (f : Length -> Length) "
+            "(hf := forall w, f(w) = 2 * w) : f(v0) = 2 * v0\n",
+            "".join(f"inst hf v{i}\n" for i in range(n)) + "exact hf@1\n")
+
+
+def test_parsing_a_script_builds_the_statement_scope_once(db):
+    def work(n):
+        text, script = _insts(n)
+        stmt = parse_statement(text, db)
+        steps = []
+        count = line_events(lambda: steps.extend(
+            parse_script(script, stmt, db)))
+        assert isinstance(check_derivation(stmt, steps, db), Proved)
+        return count
+
+    assert _growth(work, 100) <= RATIO
+
+
+def test_a_quantifier_kind_is_inferred_once(db, corpus_dir, monkeypatch):
+    # Resolution records each ForallFn's kind, and the dimension check and
+    # the inst check read it: one inference per quantifier, and two walks
+    # per proposition, one to resolve it and one to check it.
+    calls = collections.Counter()
+
+    def count(name):
+        fn = getattr(dims, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(dims, name, counted)
+
+    count("_forall_var_dim")
+    count("_walk_prop")
+    monkeypatch.setattr(prover, "_last_prepared", (None, None, None))
+    stmts = [entry.statement for entry in load_corpus(corpus_dir, db)]
+    for stmt in stmts:
+        auto_prove(stmt, db)
+    props = [p for s in stmts for p in (*(p for _, p in s.hyps), s.goal)]
+    foralls = sum(n.__class__ is N.ForallFn for p in props for n in N.walk(p))
+    assert (len(stmts), foralls, len(props)) == (8, 4, 61)
+    assert calls == {"_forall_var_dim": foralls, "_walk_prop": 2 * len(props)}
