@@ -15,12 +15,14 @@ from ..errors import ParseError, PhysKernelError
 from ..lang import nodes as N
 from ..record import record, replace
 from ..unitdb import UnitDatabase, builtin_database
-from .rewrite import REBUILD, transform
+from .rewrite import REBUILD
 
 _CMP_NOTE = {
     N.Eq: "equation sides", N.Ne: "disequation sides",
     N.Le: "comparison sides", N.Lt: "comparison sides",
 }
+# What ``_walk_prop`` hands to ``on_cmp``: the comparisons and ``FnEq``.
+_SIDED = frozenset((*_CMP_NOTE, N.FnEq))
 
 
 class _MismatchSignal(Exception):
@@ -192,8 +194,17 @@ def _unresolved_stds(e: N.Expr) -> list[N.StdUnit]:
     return [n for n in N.walk(e) if n.__class__ is N.StdUnit and n.dim is None]
 
 
-def _fill_std(e: N.Expr, target: N.StdUnit, dim: Dimension) -> N.Expr:
-    return transform(e, lambda n: replace(n, dim=dim) if n is target else None)
+def _fill_std(e: N.Expr, dim: Dimension) -> N.Expr:
+    """``e`` with ``dim`` given to the ``std`` that ends its spine, the
+    ``.arg`` chain that ``_spine_std`` walked; only the spine is rebuilt."""
+    spine = []
+    while e.__class__ is not N.StdUnit:
+        spine.append(e)
+        e = e.arg
+    e = replace(e, dim=dim)
+    for node in reversed(spine):
+        e = replace(node, arg=e)
+    return e
 
 
 def _resolve_cmp(p: N.Prop, env: _Env) -> N.Prop:
@@ -204,8 +215,7 @@ def _resolve_cmp(p: N.Prop, env: _Env) -> N.Prop:
         raise ParseError("'std' appears on both sides of a comparison; "
                          "its dimension cannot be inferred", span=left[0].span)
     side, other = (p.lhs, p.rhs) if left else (p.rhs, p.lhs)
-    std = _spine_std(side)
-    if std is None:
+    if _spine_std(side) is None:
         bad = (left or right)[0]
         raise ParseError(
             "'std' is only usable as the scaled head of a comparison side "
@@ -214,21 +224,22 @@ def _resolve_cmp(p: N.Prop, env: _Env) -> N.Prop:
         dim = expr_dim(other, env)
     except _MismatchSignal:
         return p  # the dimension report will flag this entry
-    new_side = _fill_std(side, std, dim)
+    new_side = _fill_std(side, dim)
     if left:
         return replace(p, lhs=new_side)
     return replace(p, rhs=new_side)
 
 
 def _walk_prop(p: N.Prop, env: _Env, on_cmp) -> N.Prop:
-    """Rebuild ``p`` with ``on_cmp(cmp, env)`` applied to each comparison.
+    """Rebuild ``p`` with ``on_cmp(cmp, env)`` applied to each comparison
+    and each ``FnEq``.
 
     A quantifier's variable is in ``env`` while its body is walked, with
     the kind found before the body is walked; a ``ForallFn`` without one
     records it as ``dim``, and one with it binds that kind without looking
     again.  A proposition none of whose parts changed is returned as is.
     """
-    if p.__class__ in _CMP_NOTE:  # most propositions: no tables to build
+    if p.__class__ in _SIDED:  # most propositions: no tables to build
         return on_cmp(p, env)
     hidden = []  # per quantifier entered: its name and the kind it hid
 
@@ -251,7 +262,7 @@ def _walk_prop(p: N.Prop, env: _Env, on_cmp) -> N.Prop:
     try:
         return N.fold(
             p, {**REBUILD, N.ForallFn: unbind, N.ForallFinite: unbind},
-            {**dict.fromkeys(_CMP_NOTE, cmp),
+            {**dict.fromkeys(_SIDED, cmp),
              N.ForallFn: bind, N.ForallFinite: bind})
     finally:
         while hidden:  # a comparison raised inside a quantifier
@@ -351,8 +362,7 @@ class DimReport:
 
 def _check_cmp(p: N.Prop, env: _Env) -> N.Prop:
     """Return ``p`` if its sides agree, else raise ``_MismatchSignal``."""
-    if (isinstance(p.lhs, N.Var) and isinstance(p.rhs, N.Var)
-            and p.lhs.name in env.fns and p.rhs.name in env.fns):
+    if p.__class__ is N.FnEq:
         (la, lr), (ra, rr) = env.fns[p.lhs.name], env.fns[p.rhs.name]
         if la != ra:
             raise _MismatchSignal(p.rhs.span, la, ra,

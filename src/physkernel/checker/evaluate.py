@@ -154,9 +154,11 @@ def eval_prop(p: N.Prop, env: Mapping[str, Quantity],
 
 
 # Truth of a comparison from the comparison of its sides, and (truth,
-# exact) of a connective from those of its sides.
+# exact) of a connective from those of its sides.  An FnEq is read as an
+# Eq, whose function-variable sides raise UnboundVariable.
 _COMPARE = {N.Eq: lambda c: c.equal, N.Ne: lambda c: not c.equal,
             N.Le: lambda c: c.sign <= 0, N.Lt: lambda c: c.sign < 0}
+_COMPARE[N.FnEq] = _COMPARE[N.Eq]
 _CONNECT = {
     N.And: lambda p, a, b: (a[0] and b[0], a[1] and b[1]),
     N.Or: lambda p, a, b: (a[0] or b[0], a[1] and b[1]),

@@ -185,7 +185,6 @@ class _Session:
         self.intro_count = 0
         self.inst_counts: dict[str, int] = {}
         self.used_names = {d.name for d in stmt.decls}
-        self.fn_decls = {d.name for d in stmt.decls if isinstance(d, N.FnDecl)}
 
     # -- shared helpers ---------------------------------------------------------
 
@@ -225,7 +224,6 @@ class _Session:
 
     def _as_var_def(self, p: N.Prop) -> tuple[str, N.Expr] | None:
         if (isinstance(p, N.Eq) and isinstance(p.lhs, N.Var)
-                and p.lhs.name not in self.fn_decls
                 and p.lhs.name not in free_vars(p.rhs)):
             return p.lhs.name, p.rhs
         return None
@@ -404,7 +402,7 @@ class _Session:
 
     def _apply_polymatch(self, sg: _Subgoal, step: PolyMatch) -> None:
         p = sg.read(step.hyp).prop
-        if not self._is_fn_equality(p):
+        if p.__class__ is not N.FnEq:
             raise MalformedScript(
                 f"'{step.hyp}' is not a function-equality hypothesis")
         bodies = []
@@ -433,19 +431,13 @@ class _Session:
         sg.consume(step.hyp)
         return None
 
-    def _is_fn_equality(self, p: N.Prop) -> bool:
-        return (isinstance(p, N.Eq) and isinstance(p.lhs, N.Var)
-                and isinstance(p.rhs, N.Var)
-                and p.lhs.name in self.fn_decls
-                and p.rhs.name in self.fn_decls)
-
     def _apply_ring(self, sg: _Subgoal, step: RingCheck) -> None:
         g = sg.goal
-        if not isinstance(g, N.Eq):
-            raise MalformedScript("'ring' requires an equality goal")
-        if self._is_fn_equality(g):
+        if g.__class__ is N.FnEq:
             raise _StepFailure(
                 "ring arithmetic cannot decide function equality")
+        if not isinstance(g, N.Eq):
+            raise MalformedScript("'ring' requires an equality goal")
         try:
             goal_tr = ring.translate_difference(g.lhs, g.rhs, self.db,
                                                 sg.subst, sg.goal_at)
@@ -458,7 +450,7 @@ class _Session:
         constraints: list[ring.Constraint] = []
         cons_sides: dict[str, list] = {}
         for h in sg.hyps.values():
-            if h.consumed or self._is_fn_equality(h.prop):
+            if h.consumed:
                 continue
             leaves = _flatten(h.prop, N.And)
             for j, leaf in enumerate(leaves):
@@ -548,7 +540,7 @@ class _Session:
                 var_def = self._as_var_def(h.prop)
                 value = closure.get(var_def[0]) if var_def else None
                 if isinstance(value, PhysKernelError) or value is None and (
-                        self._is_fn_equality(h.prop) or self._partial(h.prop)):
+                        h.prop.__class__ is N.FnEq or self._partial(h.prop)):
                     raise _StepFailure(
                         f"goal is exactly false, but consumed hypothesis "
                         f"'{h.name}' " + ("may have no solution"
@@ -756,7 +748,7 @@ def _leaf(session: _Session, sg: _Subgoal) -> Verdict | None:
 
     # Function-equality hypotheses contribute coefficient constraints.
     for h in list(sg.hyps.values()):
-        if h.consumed or not session._is_fn_equality(h.prop):
+        if h.consumed or h.prop.__class__ is not N.FnEq:
             continue
         d = session._fn_def_of(sg, h.prop.lhs.name)
         if d is None:
@@ -772,7 +764,7 @@ def _leaf(session: _Session, sg: _Subgoal) -> Verdict | None:
     g = sg.goal
     if isinstance(g, N.Or):
         return Unknown("disjunctive goals require a derivation script")
-    if session._is_fn_equality(g):
+    if g.__class__ is N.FnEq:
         return Unknown("function-equality goals close only via an "
                        "identical hypothesis")
     if not isinstance(g, (N.Eq, N.Ne, N.Le, N.Lt)):

@@ -47,18 +47,6 @@ REBUILD = {cls: (_keep, _rebuild_one, _rebuild_two)[len(cls._children)]
            for cls in N.NODES}
 
 
-def transform(node, fn: Callable):
-    """Rebuild an expression or a proposition bottom-up, applying ``fn(node)``
-    at each level.
-
-    ``fn`` returns either a replacement node (taken as-is, not descended into;
-    returning ``node`` itself keeps the subtree) or None to keep the node with
-    its children transformed.  A node none of whose children changed is
-    returned as is.
-    """
-    return N.fold(node, REBUILD, dict.fromkeys(N.NODES, fn))
-
-
 def _free(n, *sets) -> frozenset[str]:
     """free_vars's rule: a node's set, from its children's, stored on the
     node, where the ``pre`` reads it back, so a tree is walked once."""
@@ -96,7 +84,8 @@ def _rewrite(node, names: frozenset[str], leaf: Callable | None,
     rule (see the module docstring).
 
     ``leaf(n, names)``, when given, rewrites a node other than a quantifier
-    in which one of ``names`` is free, as ``transform``'s ``fn`` does.
+    in which one of ``names`` is free: it returns a replacement, taken as
+    is, or None to keep the node with its children rewritten.
     ``inserted(hit)`` is the set of names free in what rewriting the names
     ``hit`` inserts.  ``rules`` rebuild every other node from its rewritten
     children.  A quantifier's body is rewritten by a nested call, without

@@ -601,9 +601,6 @@ class CoeffEq:
     degree: int
     poly: Poly
 
-    def render(self) -> str:
-        return f"degree {self.degree}: {poly_render(self.poly)} = 0"
-
 
 @record(frozen=True)
 class PolyMatch:

@@ -1,7 +1,10 @@
 """AST node types for the statement language.
 
 Expression nodes (:class:`Expr`) denote dimensioned quantities; proposition
-nodes (:class:`Prop`) denote claims about them.  Every node carries a source
+nodes (:class:`Prop`) denote claims about them.  A declared function
+variable is no quantity: it appears applied (:class:`Apply`), under
+:class:`Deriv`, or bare as a side of :class:`FnEq`, the equality of two
+function variables, which the parser builds.  Every node carries a source
 :class:`Span` for diagnostics; spans are ignored by structural equality
 (:func:`ast_eq`), so two differently-spaced parses of the same text compare
 equal.  Nodes are immutable; rewriting builds new trees.  Each node class
@@ -35,7 +38,7 @@ __all__ = [
     "NumLit", "ConstRef", "Var", "UnitRef", "StdUnit", "PrefixApp",
     "Add", "Sub", "Mul", "Div", "Neg", "SMul", "Pow", "RPow",
     "Cast", "Val", "Norm", "Fn", "Apply", "Deriv",
-    "Eq", "Le", "Lt", "Ne", "And", "Or", "Implies",
+    "Eq", "Le", "Lt", "Ne", "FnEq", "And", "Or", "Implies",
     "ForallFinite", "ForallFn",
     "VarDecl", "FnDecl", "Statement",
     "ast_eq", "walk", "children", "fold", "NODES", "FN_NAMES", "BINARY",
@@ -279,6 +282,17 @@ class Lt(Prop):
 
 @_node
 class Ne(Prop):
+    lhs: Expr
+    rhs: Expr
+    span: Span = DUMMY_SPAN
+
+
+@_node
+class FnEq(Prop):
+    """``f = g`` between two declared function variables, each a bare
+    ``Var``: the parser builds it, and a bare function variable anywhere
+    else is an error.  It is no comparison, whose sides are quantities."""
+
     lhs: Expr
     rhs: Expr
     span: Span = DUMMY_SPAN

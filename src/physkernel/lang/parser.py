@@ -16,10 +16,12 @@ matches and builds its ``Span`` only when a node or an error asks for it.
 Identifier resolution happens during parsing: a bare identifier resolves (in
 priority order) to a declared or quantified variable, a unit, or a constant;
 anything else is a :class:`~physkernel.errors.ParseError` at the identifier's
-span.  Numeric literals — including decimal and scientific forms — denote
-exact rationals.  Two literal folds keep printing and parsing mutually
-inverse: unary minus of a literal, and division of two literals, fold into a
-single rational literal.
+span.  A bare function variable is legal only as a side of an ``f = g``
+between two of them, which the parser builds as ``FnEq``; a statement
+reports the first other one.  Numeric literals — including decimal and
+scientific forms — denote exact rationals.  Two literal folds keep printing
+and parsing mutually inverse: unary minus of a literal, and division of two
+literals, fold into a single rational literal.
 
 Corpus front matter (``name:``, ``level:``, ``topic:``, ``source:``,
 ``constants:`` lines before the ``theorem`` keyword) is accepted by
@@ -190,6 +192,8 @@ class _Parser:
         self.extra_constants = extra_constants
         self.scope: dict[str, object] = {}  # name -> VarDecl | FnDecl
         self.depth = 0  # nesting levels entered, see PARSE_DEPTH_BUDGET
+        # The bare function variables read that are no side of an FnEq.
+        self.fn_reads: list[N.Var] = []
 
     # -- token plumbing ------------------------------------------------------
 
@@ -222,6 +226,13 @@ class _Parser:
     @staticmethod
     def _merge(a: Span | Token, b: Span | Token) -> Span:
         return Span(a.start, b.end, a.line, a.col)
+
+    def _group(self, inner: N.Expr, start: Token, end: Token) -> N.Expr:
+        """``inner`` spanning its parentheses, in ``fn_reads`` too."""
+        group = replace(inner, span=self._merge(start, end))
+        if self.fn_reads and self.fn_reads[-1] is inner:
+            self.fn_reads[-1] = group
+        return group
 
     def _nested(self, parse, *args):
         """``parse(*args)`` one level deeper, within PARSE_DEPTH_BUDGET."""
@@ -273,6 +284,14 @@ class _Parser:
         self.expect(":")
         goal = self.prop()
         end = self.expect("eof")
+        if "name" in meta and meta["name"] != name_tok.text:
+            raise ParseError(
+                f"front-matter name {meta['name']!r} does not match theorem "
+                f"name {name_tok.text!r}", 1, 1)
+        if self.fn_reads:
+            bad = self.fn_reads[0]
+            raise ParseError(f"function variable {bad.name!r} used as a "
+                             "quantity", span=bad.span)
         return N.Statement(
             name=name_tok.text,
             decls=tuple(decls),
@@ -371,8 +390,7 @@ class _Parser:
                 self.expect(")")
                 return inner
             end = self.expect(")")
-            group = replace(inner, span=self._merge(start, end))
-            lhs = self._arith(lhs=self._power(group))
+            lhs = self._arith(lhs=self._power(self._group(inner, start, end)))
         else:
             lhs = self._arith()
         op = self.peek().canon
@@ -382,6 +400,9 @@ class _Parser:
         rhs = self._arith()
         cls, swap = _COMPARISONS[op]
         span = self._merge(lhs.span, rhs.span)
+        if cls is N.Eq and self.fn_reads[-2:] == [lhs, rhs]:  # by identity
+            del self.fn_reads[-2:]
+            return N.FnEq(lhs, rhs, span)
         return cls(rhs, lhs, span) if swap else cls(lhs, rhs, span)
 
     # -- expressions --------------------------------------------------------------
@@ -467,8 +488,7 @@ class _Parser:
         if t == "(":
             self.next()
             inner = self._nested(self._arith)
-            end = self.expect(")")
-            return replace(inner, span=self._merge(tok, end))
+            return self._group(inner, tok, self.expect(")"))
         if t == "std":
             self.next()
             return N.StdUnit(None, tok.span)
@@ -542,9 +562,10 @@ class _Parser:
                 return N.PrefixApp(name, arg, self._merge(tok, arg.span))
             raise ParseError(f"{name!r} is not callable", span=tok.span)
         if decl is not None:
-            # Bare function variables are only legal beside another function
-            # variable in an equality; the statement validator checks that.
-            return N.Var(name, tok.span)
+            var = N.Var(name, tok.span)
+            if decl.__class__ is N.FnDecl:
+                self.fn_reads.append(var)
+            return var
         if name in self.db.units:
             return N.UnitRef(name, tok.span)
         if name in self.db.constants or name in self.extra_constants:
@@ -564,38 +585,6 @@ def _fraction_of(tok: Token) -> Fraction:
     if tok.text.isdecimal():
         return Fraction(int(tok.text))
     return Fraction(Decimal(tok.text))
-
-
-# -- statement-level validation ------------------------------------------------
-
-def _validate_fn_var_uses(stmt: N.Statement) -> None:
-    """Bare function-variable uses are legal only in f = g equalities.
-
-    A quantifier that binds a function variable's name makes it a quantity
-    inside its body.  Nodes are visited in preorder, so the first offending
-    use is the one reported.
-    """
-    fn_names = {d.name for d in stmt.decls if isinstance(d, N.FnDecl)}
-    if not fn_names:
-        return
-    allowed: set[N.Var] = set()  # sides of an f = g, met before its sides
-    # (node, the function names not hidden by an enclosing quantifier)
-    stack = [(p, fn_names) for p in (stmt.goal, *reversed(
-        [h for _, h in stmt.hyps]))]
-    while stack:
-        node, fns = stack.pop()
-        if isinstance(node, (N.ForallFn, N.ForallFinite)):
-            fns = fns - {node.var}
-        if (isinstance(node, N.Eq) and isinstance(node.lhs, N.Var)
-                and isinstance(node.rhs, N.Var)
-                and {node.lhs.name, node.rhs.name} <= fns):
-            allowed.update((node.lhs, node.rhs))
-        elif (isinstance(node, N.Var) and node.name in fns
-                and node not in allowed):
-            raise ParseError(
-                f"function variable {node.name!r} used as a quantity",
-                span=node.span)
-        stack.extend((c, fns) for c in reversed([*N.children(node)]))
 
 
 # -- front matter ---------------------------------------------------------------
@@ -664,13 +653,7 @@ def parse_statement(text: str, db: UnitDatabase | None = None) -> N.Statement:
                                               value_off, db)
     extra = frozenset(name for name, _ in constants)
     parser = _Parser(tokenize(text, offset), db, extra)
-    stmt = parser.statement(meta, constants)
-    if "name" in meta and meta["name"] != stmt.name:
-        raise ParseError(
-            f"front-matter name {meta['name']!r} does not match theorem "
-            f"name {stmt.name!r}", 1, 1)
-    _validate_fn_var_uses(stmt)
-    return stmt
+    return parser.statement(meta, constants)
 
 
 def _parse(text: str, db: UnitDatabase | None, scope: dict,

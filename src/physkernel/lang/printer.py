@@ -105,6 +105,7 @@ _RULES = {
     **{cls: lambda n, lhs, rhs: _join(
         _CMP, lhs[0], f" {N.COMPARISONS[n.__class__]} ", rhs[0])
        for cls in N.COMPARISONS},
+    N.FnEq: lambda n, lhs, rhs: _join(_CMP, lhs[0], " = ", rhs[0]),
     N.NumLit: lambda n: _rat(n.value),
     N.Var: lambda n: ([n.name], _ATOM),
     N.ConstRef: lambda n: ([n.name], _ATOM),

@@ -341,8 +341,8 @@ def free_vars_ref(node) -> frozenset[str]:
 
 
 def transform_ref(node, fn):
-    """``rewrite.transform``: ``fn(node)`` or the node with its children
-    transformed, rebuilt only where a child changed."""
+    """``fn(node)`` or the node with its children transformed, rebuilt only
+    where a child changed: the walk the rewriting references share."""
     replacement = fn(node)
     if replacement is not None:
         return replacement
@@ -553,8 +553,7 @@ def expr_dim_ref(e, env, db):
 
 def check_cmp_ref(p, env, db):
     """``dims._check_cmp`` over ``expr_dim_ref``."""
-    if (isinstance(p.lhs, N.Var) and isinstance(p.rhs, N.Var)
-            and p.lhs.name in env.fns and p.rhs.name in env.fns):
+    if isinstance(p, N.FnEq):
         (la, lr), (ra, rr) = env.fns[p.lhs.name], env.fns[p.rhs.name]
         if la != ra:
             raise _MismatchSignal(p.rhs.span, la, ra,
@@ -574,7 +573,7 @@ def walk_prop_ref(p, env, db, on_cmp):
     """``dims._walk_prop``: ``on_cmp(cmp, env, db)`` at each comparison,
     with each quantifier's variable in ``env`` while its body is walked; a
     ``ForallFn`` keeps the kind it records and records one it lacks."""
-    if isinstance(p, (N.Eq, N.Ne, N.Le, N.Lt)):
+    if isinstance(p, (N.Eq, N.Ne, N.Le, N.Lt, N.FnEq)):
         return on_cmp(p, env, db)
     if isinstance(p, (N.And, N.Or, N.Implies)):
         lhs = walk_prop_ref(p.lhs, env, db, on_cmp)
@@ -675,7 +674,8 @@ def eval_ref(e, env, db):
 
 
 _COMPARE_REF = {N.Eq: lambda c: c.equal, N.Ne: lambda c: not c.equal,
-                N.Le: lambda c: c.sign <= 0, N.Lt: lambda c: c.sign < 0}
+                N.Le: lambda c: c.sign <= 0, N.Lt: lambda c: c.sign < 0,
+                N.FnEq: lambda c: c.equal}
 _CONNECT_REF = {N.And: lambda a, b: a and b, N.Or: lambda a, b: a or b,
                 N.Implies: lambda a, b: not a or b}
 
@@ -851,7 +851,7 @@ def text_ref(n):
         parts.append(_sub_ref(n, bp))
         parts.reverse()
         return " ".join(parts), bp
-    op = N.COMPARISONS.get(cls)
+    op = "=" if cls is N.FnEq else N.COMPARISONS.get(cls)
     if op is not None:
         return f"{print_expr_ref(n.lhs)} {op} {print_expr_ref(n.rhs)}", _CMP
     if isinstance(n, N.NumLit):

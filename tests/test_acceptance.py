@@ -242,7 +242,7 @@ def test_criterion_05_kinematics_coefficients_exact(db, corpus):
         for atom in poly_atoms(poly):
             rank, name = atom
             env[atom] = solution.get(name, Fraction(1))
-        assert poly_eval(poly, env) == 0, eq.render()
+        assert poly_eval(poly, env) == 0, eq.degree
 
     verdict = auto_prove(stmt, db)
     assert isinstance(verdict, Proved)

@@ -168,6 +168,7 @@ def test_function_equality_compares_signatures(db):
     """, db)
     m = check_dimensions(bad, db).entry("h").mismatch
     assert m.note == "function result kinds differ"
+    assert (m.span.line, m.span.col) == (3, 11)  # at g
 
     bad_arg = stmt_of("""
         theorem fn_arg_neq
@@ -278,7 +279,7 @@ def test_a_statement_without_std_resolves_to_itself(db, monkeypatch):
     def rebuild(*args):
         raise AssertionError("a statement without std was rebuilt")
 
-    monkeypatch.setattr(dims, "transform", rebuild)
+    monkeypatch.setattr(dims, "_fill_std", rebuild)
     s = stmt_of("""
         theorem no_std
         (x : Length) (t : Time) (f : Time -> Length)

@@ -373,13 +373,26 @@ FN_HEAD = "theorem t (x : Length) (f g : Time -> Length) : "
 
 
 def test_bare_function_variables_only_in_function_equalities(db):
-    stmt = parse_statement(FN_HEAD + "f = g", db)
-    assert isinstance(stmt.goal.lhs, N.Var) and stmt.goal.rhs.name == "g"
+    from physkernel.checker.evaluate import eval_prop
+    from physkernel.errors import UnboundVariable
+    for goal in ("f = g", "(f) = g", "f = (g)"):
+        stmt = parse_statement(FN_HEAD + goal, db)
+        assert stmt.goal.__class__ is N.FnEq, goal
+        assert isinstance(stmt.goal.lhs, N.Var) and stmt.goal.rhs.name == "g"
+        assert print_prop(stmt.goal) == "f = g"
+        assert N.ast_eq(parse_statement(print_statement(stmt), db), stmt)
+    with pytest.raises(UnboundVariable, match="f"):
+        eval_prop(stmt.goal, {}, db)
     at = len(FN_HEAD) + 1
-    for goal, col in (("f = x", at), ("f = g ∧ (x = f)", at + 13)):
+    # The first bare use in the source is reported, also where ">=" and ">"
+    # swap their sides; a parenthesized one spans its parentheses.
+    for goal, col, width in (("f = x", at, 1),
+                             ("f = g ∧ (x = f)", at + 13, 1),
+                             ("f >= g", at, 1), ("f > g", at, 1),
+                             ("(f) + x = g", at, 3)):
         e = _error(FN_HEAD + goal, db)
         assert str(e) == f"1:{col}: function variable 'f' used as a quantity"
-        assert (e.span.start, e.span.end) == (col - 1, col)
+        assert (e.span.start, e.span.end) == (col - 1, col - 1 + width), goal
 
 
 def test_a_quantifier_hides_the_function_variable_it_shadows(db):

@@ -18,7 +18,7 @@ from physkernel.checker.dims import resolve_statement
 from physkernel.checker.prover import database_for
 from physkernel.checker.rewrite import (
     Substitution, applied_fns, expand_fn, free_vars, rewrite_ground,
-    subst_var, transform,
+    subst_var,
 )
 from physkernel.corpus import load_corpus
 from physkernel.lang import nodes as N
@@ -270,7 +270,6 @@ def test_substituting_an_absent_name_returns_the_same_object(db, corpus_dir):
     p = N.Eq(N.Var("x"), N.Mul(N.Var("y"), N.NumLit(Fraction(3))))
     got = subst_var(p, "x", REPLACEMENT)
     assert got.rhs is p.rhs and got.span is p.span
-    assert transform(p, lambda n: None) is p
 
 
 def test_free_vars_cache_does_not_survive_a_changed_copy():
